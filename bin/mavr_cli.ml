@@ -28,24 +28,15 @@ open Cmdliner
 module Image = Mavr_obj.Image
 module F = Mavr_firmware
 
-let profile_of_string = function
-  | "arduplane" -> Ok F.Profile.arduplane
-  | "arducopter" -> Ok F.Profile.arducopter
-  | "ardurover" -> Ok F.Profile.ardurover
-  | s -> (
-      (* Accept both the filler-count shorthand ("60") and the canonical
-         name it builds ("tiny-60"), so a profile name round-trips
-         through the serve/dispatch spec protocol. *)
-      let count =
-        if String.starts_with ~prefix:"tiny-" s then
-          String.sub s 5 (String.length s - 5)
-        else s
-      in
-      match int_of_string_opt count with
-      | Some n when n >= 1 -> Ok (F.Profile.tiny ~n ~seed:2024)
-      | _ -> Error (`Msg (Printf.sprintf "unknown profile %S (use arduplane/arducopter/ardurover or a filler count)" s)))
+module Spec = Mavr_sim.Campaign_spec
 
-let profile_conv = Arg.conv (profile_of_string, fun fmt p -> Format.fprintf fmt "%s" p.F.Profile.name)
+(* Profile names parse with [Profile.of_string], which also accepts every
+   name a profile prints (["Arduplane"], ["tiny-60"]) — that is what lets
+   the name travel in a serve/dispatch request. *)
+let profile_conv =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (F.Profile.of_string s)),
+      fun fmt p -> Format.fprintf fmt "%s" p.F.Profile.name )
 
 let profile_arg =
   Arg.(
@@ -54,8 +45,11 @@ let profile_arg =
     & info [ "p"; "profile" ] ~docv:"PROFILE"
         ~doc:"Firmware profile: arduplane, arducopter, ardurover, or a filler-function count.")
 
-let seed_arg =
-  Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Randomization seed.")
+(* Flags several subcommands declare, each with its own default. *)
+let seed_opt default doc = Arg.(value & opt int default & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
+let ms_opt default doc = Arg.(value & opt int default & info [ "ms" ] ~docv:"MS" ~doc)
+let layouts_opt default doc = Arg.(value & opt int default & info [ "layouts" ] ~docv:"K" ~doc)
+let seed_arg = seed_opt 1 "Randomization seed."
 
 let toolchain_arg =
   Arg.(
@@ -194,7 +188,7 @@ let cmd_fly =
     0
   in
   let defended = Arg.(value & flag & info [ "d"; "defended" ] ~doc:"Enable the MAVR master.") in
-  let ms = Arg.(value & opt int 3000 & info [ "ms" ] ~docv:"MS" ~doc:"Simulated milliseconds.") in
+  let ms = ms_opt 3000 "Simulated milliseconds." in
   Cmd.v (Cmd.info "fly" ~doc:"Closed-loop flight simulation")
     Term.(const run $ profile_arg $ defended $ ms)
 
@@ -241,7 +235,7 @@ let cmd_stats =
     0
   in
   let defended = Arg.(value & flag & info [ "d"; "defended" ] ~doc:"Enable the MAVR master.") in
-  let ms = Arg.(value & opt int 2000 & info [ "ms" ] ~docv:"MS" ~doc:"Simulated milliseconds.") in
+  let ms = ms_opt 2000 "Simulated milliseconds." in
   let attack =
     Arg.(value & flag & info [ "attack" ] ~doc:"Inject the stealthy V2 attack after warm-up.")
   in
@@ -269,7 +263,7 @@ let cmd_flight_record =
   let defended =
     Arg.(value & flag & info [ "d"; "defended" ] ~doc:"Enable the MAVR master (recover after the fault).")
   in
-  let ms = Arg.(value & opt int 1500 & info [ "ms" ] ~docv:"MS" ~doc:"Simulated milliseconds.") in
+  let ms = ms_opt 1500 "Simulated milliseconds." in
   Cmd.v
     (Cmd.info "flight-record"
        ~doc:"Fire a crash probe at the firmware and print the flight-recorder fault dump")
@@ -517,10 +511,7 @@ let cmd_analyze =
     in
     if clean then 0 else 1
   in
-  let layouts =
-    Arg.(value & opt int 10 & info [ "layouts" ] ~docv:"K"
-           ~doc:"Randomized layouts to measure in the survival census.")
-  in
+  let layouts = layouts_opt 10 "Randomized layouts to measure in the survival census." in
   let stack =
     Arg.(value & flag & info [ "stack" ]
            ~doc:"Static worst-case stack bound (interprocedural data-flow).")
@@ -593,261 +584,19 @@ let faults_conv =
   let print fmt (p : Mavr_fault.Profile.t) = Format.pp_print_string fmt p.Mavr_fault.Profile.name in
   Arg.conv (parse, print)
 
-(* The campaign JSON document, shared between `campaign --json` and the
-   serve handler so a served result byte-matches the CLI's. *)
-let campaign_doc ~profile_name ~seed census grid =
-  let module J = Mavr_telemetry.Json in
-  [
-    ("profile", J.String profile_name);
-    ("seed", J.Int seed);
-    ("census", Mavr_analysis.Survival.to_json census);
-    ("grid", Mavr_sim.Montecarlo.to_json grid);
-  ]
-
-let cmd_campaign =
-  let run profile trials ms layouts seed jobs faults timing no_superblocks trace progress
-      checkpoint_path checkpoint_every resume results early_stop es_z es_min es_batch
-      abort_after json =
-    let module J = Mavr_telemetry.Json in
-    let module Span = Mavr_telemetry.Span in
-    (* The flag flips the default inherited by every CPU the campaign
-       spawns (workers included: the pool re-executes this binary's state
-       per domain task via closures, and freshly created CPUs read the
-       default at [create] time).  The semantic contract — checked by the
-       byte-diff rule in bin/dune — is that the campaign document is
-       identical either way. *)
-    if no_superblocks then Mavr_avr.Cpu.set_superblocks_default false;
-    let b = build_firmware profile F.Profile.mavr in
-    let tracer = Option.map (fun _ -> Mavr_campaign.Clock.tracer ()) trace in
-    match
-      try
-        Ok
-          (match progress with
-          | None -> None
-          | Some "-" -> Some ((fun line -> prerr_endline line), None)
-          | Some path ->
-              let oc = open_out path in
-              Some
-                ( (fun line ->
-                    output_string oc line;
-                    output_char oc '\n';
-                    flush oc),
-                  Some oc ))
-      with Sys_error e -> Error e
-    with
-    | Error e ->
-        Format.eprintf "error: cannot open progress sink: %s@." e;
-        1
-    | Ok progress_sink ->
-    let progress_t =
-      Option.map (fun (sink, _) -> Mavr_campaign.Progress.create ~sink ()) progress_sink
-    in
-    match
-      try
-        Ok
-          (Option.map
-             (fun target ->
-               Mavr_campaign.Early_stop.create ~z:es_z ~min_trials:es_min ~batch:es_batch ~target
-                 ())
-             early_stop)
-      with Invalid_argument m -> Error m
-    with
-    | Error m ->
-        Format.eprintf "error: %s@." m;
-        2
-    | Ok es ->
-    let spec =
-      Mavr_sim.Montecarlo.checkpoint_spec ~ms ~faults ?early_stop:es ~traced:(trace <> None)
-        ~profile:profile.F.Profile.name ~seed ~trials ()
-    in
-    match
-      (* Per-trial results stream: independent of the snapshot file, so a
-         one-shot run can keep a task-level audit trail without resumability. *)
-      try
-        Ok
-          (match results with
-          | None -> None
-          | Some path ->
-              let oc = open_out path in
-              Some
-                ( (fun line ->
-                    output_string oc line;
-                    output_char oc '\n';
-                    flush oc),
-                  oc ))
-      with Sys_error e -> Error e
-    with
-    | Error e ->
-        Format.eprintf "error: cannot open results sink: %s@." e;
-        1
-    | Ok results_sink ->
-    let stream = Option.map fst results_sink in
-    match
-      match (checkpoint_path, resume) with
-      | None, true -> Error (`Usage "--resume requires --checkpoint")
-      | None, false ->
-          if Option.is_none results_sink && Option.is_none abort_after then Ok None
-          else Ok (Some (Mavr_campaign.Checkpoint.create ?stream ~every:checkpoint_every spec))
-      | Some path, false ->
-          Ok (Some (Mavr_campaign.Checkpoint.create ~path ?stream ~every:checkpoint_every spec))
-      | Some path, true -> (
-          match Mavr_campaign.Checkpoint.resume ~path ?stream ~every:checkpoint_every spec with
-          | Ok t -> Ok (Some t)
-          | Error m -> Error (`Checkpoint m))
-    with
-    | Error (`Usage m) ->
-        Format.eprintf "error: %s@." m;
-        2
-    | Error (`Checkpoint m) ->
-        Format.eprintf "error: checkpoint: %s@." m;
-        2
-    | Ok ck ->
-    Option.iter (fun t -> Option.iter (Mavr_campaign.Checkpoint.abort_after t) abort_after) ck;
-    (* Coordinator lane: the census and grid phases as top-level spans. *)
-    let top_lane = Option.map (fun tr -> Span.lane tr ~sort:(-1) "campaign") tracer in
-    let phase name f = match top_lane with None -> f () | Some l -> Span.span l name f in
-    let pool_stats = ref [||] in
-    match
-      try
-        Ok
-          (Mavr_campaign.Clock.time (fun () ->
-          (* One pool serves both workloads; per-task seeds come from the
-             campaign root, so the output depends only on (--seed, --trials,
-             --layouts, --ms, --faults) — never on --jobs or scheduling. *)
-          Mavr_campaign.Pool.with_pool ?jobs (fun pool ->
-              Option.iter
-                (fun p ->
-                  Mavr_campaign.Progress.on_heartbeat p (fun () ->
-                      [
-                        ( "pool",
-                          J.List
-                            (Array.to_list
-                               (Array.map
-                                  (fun (d : Mavr_campaign.Pool.domain_stats) ->
-                                    J.Obj
-                                      [
-                                        ("tasks", J.Int d.Mavr_campaign.Pool.tasks_run);
-                                        ("busy_s", J.Float d.Mavr_campaign.Pool.busy_s);
-                                      ])
-                                  (Mavr_campaign.Pool.stats pool))) );
-                      ]))
-                progress_t;
-              let census =
-                phase "census" (fun () ->
-                    Mavr_analysis.Survival.census ~seed:(Mavr_analysis.Survival.Root seed) ~pool
-                      ?tracer ?progress:progress_t ~layouts b.F.Build.image)
-              in
-              let grid =
-                phase "grid" (fun () ->
-                    Mavr_sim.Montecarlo.run ~pool ~ms ~faults ?tracer ?progress:progress_t
-                      ?early_stop:es ?checkpoint:ck ~seed ~trials b)
-              in
-              pool_stats := Mavr_campaign.Pool.stats pool;
-              (census, grid))))
-      with Mavr_campaign.Checkpoint.Corrupt m -> Error m
-    with
-    | Error m ->
-        Format.eprintf "error: checkpoint: %s@." m;
-        2
-    | Ok ((census, grid), span) ->
-    Option.iter Mavr_campaign.Checkpoint.close ck;
-    Option.iter (fun (_, oc) -> close_out oc) results_sink;
-    Option.iter (fun p -> Mavr_campaign.Progress.emit p ~reason:"final") progress_t;
-    Option.iter (fun (_, oc) -> Option.iter close_out oc) progress_sink;
-    (match (trace, tracer) with
-    | Some path, Some tr -> (
-        try
-          let oc = open_out path in
-          output_string oc (J.to_string (Span.to_trace_event tr));
-          output_char oc '\n';
-          close_out oc
-        with Sys_error e -> Format.eprintf "warning: cannot write trace: %s@." e)
-    | _ -> ());
-    (* Per-domain utilization rides under the timing key: opt-in, like
-       every other wall-clock-dependent field, so the default document
-       stays byte-identical for any --jobs. *)
-    let pool_json () =
-      let st = !pool_stats in
-      let busy = Array.fold_left (fun a d -> a +. d.Mavr_campaign.Pool.busy_s) 0.0 st in
-      J.Obj
-        [
-          ( "domains",
-            J.List
-              (Array.to_list
-                 (Array.map
-                    (fun (d : Mavr_campaign.Pool.domain_stats) ->
-                      J.Obj
-                        [
-                          ("tasks", J.Int d.Mavr_campaign.Pool.tasks_run);
-                          ("busy_s", J.Float d.Mavr_campaign.Pool.busy_s);
-                        ])
-                    st)) );
-          ("busy_s", J.Float busy);
-          ("idle_s", J.Float (Float.max 0.0 ((float_of_int (Array.length st) *. span.Mavr_campaign.Clock.wall_s) -. busy)));
-        ]
-    in
-    if json then
-      print_endline
-        (J.to_string ~indent:2
-           (J.Obj
-              (campaign_doc ~profile_name:profile.F.Profile.name ~seed census grid
-              @
-              (* Timing (and the job count that produced it) is opt-in so the
-                 default document is byte-identical for every --jobs value. *)
-              if timing then
-                [
-                  ( "timing",
-                    J.Obj
-                      (("jobs", J.Int (Array.length !pool_stats))
-                      :: Mavr_campaign.Clock.span_to_json_fields span
-                      @ [ ("pool", pool_json ()) ]) );
-                ]
-              else [])))
-    else begin
-      Format.printf "%s: %d-layout census + %d-trial/cell attack grid (root seed %d)@."
-        profile.F.Profile.name census.Mavr_analysis.Survival.layouts grid.Mavr_sim.Montecarlo.trials
-        seed;
-      Format.printf "  %a@." Mavr_analysis.Survival.pp census;
-      Format.printf "%a@." Mavr_sim.Montecarlo.pp grid;
-      if timing then begin
-        Format.printf "completed in %.2f s wall, %.2f s cpu@." span.Mavr_campaign.Clock.wall_s
-          span.Mavr_campaign.Clock.cpu_s;
-        Array.iteri
-          (fun i (d : Mavr_campaign.Pool.domain_stats) ->
-            Format.printf "  domain %d: %d tasks, %.2f s busy@." i d.Mavr_campaign.Pool.tasks_run
-              d.Mavr_campaign.Pool.busy_s)
-          !pool_stats
-      end
-    end;
-    (* The campaign doubles as a defense check: a feasible prebuilt payload
-       in any randomized layout, or any takeover under the MAVR defense,
-       is an operation failure. *)
-    if
-      census.Mavr_analysis.Survival.feasible_layouts > 0
-      || Mavr_sim.Montecarlo.takeovers grid Mavr_sim.Montecarlo.Mavr_defense > 0
-    then 1
-    else 0
-  in
+(* The campaign spec flags, shared by `campaign` and `dispatch`.  Their
+   defaults are the wire defaults, and a bad value is rejected by the
+   same [Campaign_spec] checks `serve` applies to a request (exit 2). *)
+let spec_term =
+  let d = Spec.default in
   let trials =
-    Arg.(value & opt int 5 & info [ "trials" ] ~docv:"N" ~doc:"Monte Carlo trials per grid cell.")
+    Arg.(value & opt int d.trials & info [ "trials" ] ~docv:"N" ~doc:"Monte Carlo trials per grid cell.")
   in
-  let ms =
-    Arg.(value & opt int 900 & info [ "ms" ] ~docv:"MS" ~doc:"Simulated milliseconds per trial.")
-  in
-  let layouts =
-    Arg.(value & opt int 10 & info [ "layouts" ] ~docv:"K" ~doc:"Layouts in the survival census.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "s"; "seed" ] ~docv:"SEED"
-           ~doc:"Campaign root seed; every per-trial seed is split from it.")
-  in
-  let jobs =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS"
-           ~doc:"Worker domains (default: the runtime's recommended count). The output is \
-                 bit-identical for any value, including 1.")
-  in
+  let ms = ms_opt d.ms "Simulated milliseconds per trial." in
+  let layouts = layouts_opt d.layouts "Layouts in the survival census." in
+  let seed = seed_opt d.seed "Campaign root seed; every per-trial seed is split from it." in
   let faults =
-    Arg.(value & opt faults_conv Mavr_fault.Profile.none
+    Arg.(value & opt faults_conv d.faults
          & info [ "faults" ] ~docv:"PROFILE"
              ~doc:
                (Printf.sprintf
@@ -855,6 +604,242 @@ let cmd_campaign =
                    once per intensity level, reporting detection and false-alarm rates per \
                    level."
                   (String.concat ", " Mavr_fault.Profile.names)))
+  in
+  let early_stop =
+    Arg.(value & opt (some float) None
+         & info [ "early-stop" ] ~docv:"W"
+             ~doc:"Stop each statistical cell adaptively once the Wilson score interval around \
+                   its detection (or false-alarm) rate has halfwidth at most $(docv) (0 < W < \
+                   1). Trials saved are reported explicitly (per-cell $(b,skipped) counts and \
+                   a top-level $(b,trials_skipped) total); cells that never stop keep \
+                   byte-identical output to a run without this flag. Dispatched shards are \
+                   cell-aligned, so every stop decision matches a single-host run.")
+  in
+  let es_z =
+    Arg.(value & opt float 1.96 & info [ "early-stop-z" ] ~docv:"Z"
+           ~doc:"Wilson interval critical value (default 1.96, ~95% confidence).")
+  in
+  let es_min =
+    Arg.(value & opt int 8 & info [ "early-stop-min" ] ~docv:"N"
+           ~doc:"Never stop a cell before $(docv) trials (default 8).")
+  in
+  let es_batch =
+    Arg.(value & opt int 4 & info [ "early-stop-batch" ] ~docv:"N"
+           ~doc:"Grow each open cell by $(docv) trials per adaptive round (default 4).")
+  in
+  let make profile trials ms layouts seed faults target z min_trials batch =
+    Result.bind
+      (match target with
+      | None -> Ok None
+      | Some w -> Result.map Option.some (Spec.early_stop ~z ~min_trials ~batch w))
+      (fun early_stop -> Spec.validate { profile; trials; ms; layouts; seed; faults; early_stop })
+  in
+  Term.(
+    term_result'
+      (const make $ profile_arg $ trials $ ms $ layouts $ seed $ faults $ early_stop $ es_z
+     $ es_min $ es_batch))
+
+(* A JSONL sink for --progress / --results: the file at [path], flushed
+   after every line ([dash]: "-" is stderr), and its closer. *)
+let open_sink ?(dash = false) what = function
+  | None -> Ok None
+  | Some "-" when dash -> Ok (Some (prerr_endline, ignore))
+  | Some path -> (
+      match open_out path with
+      | oc ->
+          Ok
+            (Some
+               ( (fun line ->
+                   output_string oc line;
+                   output_char oc '\n';
+                   flush oc),
+                 fun () -> close_out oc ))
+      | exception Sys_error e -> Error (Printf.sprintf "cannot open %s sink: %s" what e))
+
+let close_sink = Option.iter (fun (_, close) -> close ())
+
+let domains_json st =
+  Mavr_telemetry.Json.(
+    List
+      (Array.to_list
+         (Array.map
+            (fun (d : Mavr_campaign.Pool.domain_stats) ->
+              Obj [ ("tasks", Int d.tasks_run); ("busy_s", Float d.busy_s) ])
+            st)))
+
+(* The campaign itself — census, then grid, on one pool — shared by
+   `campaign`, the serve handler and the dispatch merge.  Per-task seeds
+   come from the spec's root seed, so the result depends only on the
+   spec, never on [jobs] or scheduling.  A [progress] stream also gets
+   per-domain pool utilization and the final heartbeat.  Returns the
+   pool's stats and the wall/cpu span of the pool's work, or the message
+   of a corrupt [checkpoint]. *)
+let run_campaign ?jobs ?tracer ?progress ?checkpoint (spec : Spec.t) =
+  let module Pool = Mavr_campaign.Pool in
+  let b = build_firmware spec.profile F.Profile.mavr in
+  (* Coordinator lane: the census and grid phases as top-level spans. *)
+  let top_lane = Option.map (fun tr -> Mavr_telemetry.Span.lane tr ~sort:(-1) "campaign") tracer in
+  let phase name f = match top_lane with None -> f () | Some l -> Mavr_telemetry.Span.span l name f in
+  match
+    Mavr_campaign.Clock.time (fun () ->
+        Pool.with_pool ?jobs (fun pool ->
+            Option.iter
+              (fun p ->
+                Mavr_campaign.Progress.on_heartbeat p (fun () ->
+                    [ ("pool", domains_json (Pool.stats pool)) ]))
+              progress;
+            let census =
+              phase "census" (fun () ->
+                  Mavr_analysis.Survival.census ~seed:(Mavr_analysis.Survival.Root spec.seed) ~pool
+                    ?tracer ?progress ~layouts:spec.layouts b.F.Build.image)
+            in
+            let grid =
+              phase "grid" (fun () ->
+                  Mavr_sim.Montecarlo.run ~pool ~ms:spec.ms ~faults:spec.faults ?tracer ?progress
+                    ?early_stop:spec.early_stop ?checkpoint ~seed:spec.seed ~trials:spec.trials b)
+            in
+            (census, grid, Pool.stats pool)))
+  with
+  | (census, grid, pool_stats), span ->
+      Option.iter (fun p -> Mavr_campaign.Progress.emit p ~reason:"final") progress;
+      Ok (census, grid, pool_stats, span)
+  | exception Mavr_campaign.Checkpoint.Corrupt m -> Error m
+
+(* The campaign JSON document, shared by `campaign --json`, the serve
+   handler and the dispatch merge, so all three print the same bytes. *)
+let campaign_doc (spec : Spec.t) census grid =
+  let module J = Mavr_telemetry.Json in
+  [
+    ("profile", J.String spec.profile.F.Profile.name);
+    ("seed", J.Int spec.seed);
+    ("census", Mavr_analysis.Survival.to_json census);
+    ("grid", Mavr_sim.Montecarlo.to_json grid);
+  ]
+
+(* The campaign doubles as a defense check: a feasible prebuilt payload
+   in any randomized layout, or any takeover under the MAVR defense, is
+   an operation failure. *)
+let campaign_exit census grid =
+  if
+    census.Mavr_analysis.Survival.feasible_layouts > 0
+    || Mavr_sim.Montecarlo.takeovers grid Mavr_sim.Montecarlo.Mavr_defense > 0
+  then 1
+  else 0
+
+let cmd_campaign =
+  let run (spec : Spec.t) jobs timing no_superblocks trace progress checkpoint_path
+      checkpoint_every resume results abort_after json =
+    let module J = Mavr_telemetry.Json in
+    let module Ck = Mavr_campaign.Checkpoint in
+    (* The flag flips the default inherited by every CPU the campaign
+       spawns (workers included: the pool re-executes this binary's state
+       per domain task via closures, and freshly created CPUs read the
+       default at [create] time).  The semantic contract — checked by the
+       byte-diff rule in bin/dune — is that the campaign document is
+       identical either way. *)
+    if no_superblocks then Mavr_avr.Cpu.set_superblocks_default false;
+    let tracer = Option.map (fun _ -> Mavr_campaign.Clock.tracer ()) trace in
+    match (open_sink ~dash:true "progress" progress, open_sink "results" results) with
+    | Error e, _ | _, Error e ->
+        Format.eprintf "error: %s@." e;
+        1
+    | Ok progress_sink, Ok results_sink -> (
+        (* The results stream is independent of the snapshot file, so a
+           one-shot run can keep a task-level audit trail without
+           resumability. *)
+        let stream = Option.map fst results_sink and every = checkpoint_every in
+        let ck_spec = Spec.checkpoint_spec ~traced:(trace <> None) spec in
+        match
+          match (checkpoint_path, resume) with
+          | None, true -> Error "--resume requires --checkpoint"
+          | None, false ->
+              if Option.is_none results_sink && Option.is_none abort_after then Ok None
+              else Ok (Some (Ck.create ?stream ~every ck_spec))
+          | Some path, false -> Ok (Some (Ck.create ~path ?stream ~every ck_spec))
+          | Some path, true ->
+              Result.map_error (( ^ ) "checkpoint: ")
+                (Result.map Option.some (Ck.resume ~path ?stream ~every ck_spec))
+        with
+        | Error m ->
+            Format.eprintf "error: %s@." m;
+            2
+        | Ok ck -> (
+            Option.iter (fun t -> Option.iter (Ck.abort_after t) abort_after) ck;
+            let progress =
+              Option.map (fun (sink, _) -> Mavr_campaign.Progress.create ~sink ()) progress_sink
+            in
+            match run_campaign ?jobs ?tracer ?progress ?checkpoint:ck spec with
+            | Error m ->
+                Format.eprintf "error: checkpoint: %s@." m;
+                2
+            | Ok (census, grid, pool_stats, span) ->
+                Option.iter Ck.close ck;
+                close_sink results_sink;
+                close_sink progress_sink;
+                (match (trace, tracer) with
+                | Some path, Some tr -> (
+                    try
+                      let oc = open_out path in
+                      output_string oc (J.to_string (Mavr_telemetry.Span.to_trace_event tr));
+                      output_char oc '\n';
+                      close_out oc
+                    with Sys_error e -> Format.eprintf "warning: cannot write trace: %s@." e)
+                | _ -> ());
+                let wall_s = span.Mavr_campaign.Clock.wall_s in
+                if json then
+                  print_endline
+                    (J.to_string ~indent:2
+                       (J.Obj
+                          (campaign_doc spec census grid
+                          @
+                          (* Timing (and the job count that produced it) is
+                             opt-in so the default document is byte-identical
+                             for every --jobs value; per-domain utilization
+                             rides under it. *)
+                          if timing then
+                            let busy =
+                              Array.fold_left
+                                (fun a (d : Mavr_campaign.Pool.domain_stats) -> a +. d.busy_s)
+                                0.0 pool_stats
+                            in
+                            let idle = (float_of_int (Array.length pool_stats) *. wall_s) -. busy in
+                            [
+                              ( "timing",
+                                J.Obj
+                                  (("jobs", J.Int (Array.length pool_stats))
+                                  :: Mavr_campaign.Clock.span_to_json_fields span
+                                  @ [
+                                      ( "pool",
+                                        J.Obj
+                                          [
+                                            ("domains", domains_json pool_stats);
+                                            ("busy_s", J.Float busy);
+                                            ("idle_s", J.Float (Float.max 0.0 idle));
+                                          ] );
+                                    ]) );
+                            ]
+                          else [])))
+                else begin
+                  Format.printf "%s: %d-layout census + %d-trial/cell attack grid (root seed %d)@."
+                    spec.profile.F.Profile.name census.Mavr_analysis.Survival.layouts
+                    grid.Mavr_sim.Montecarlo.trials spec.seed;
+                  Format.printf "  %a@." Mavr_analysis.Survival.pp census;
+                  Format.printf "%a@." Mavr_sim.Montecarlo.pp grid;
+                  if timing then begin
+                    Format.printf "completed in %.2f s wall, %.2f s cpu@." wall_s
+                      span.Mavr_campaign.Clock.cpu_s;
+                    Array.iteri
+                      (fun i (d : Mavr_campaign.Pool.domain_stats) ->
+                        Format.printf "  domain %d: %d tasks, %.2f s busy@." i d.tasks_run d.busy_s)
+                      pool_stats
+                  end
+                end;
+                campaign_exit census grid))
+  in
+  let jobs =
+    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS"
+           ~doc:"Worker domains (default: the runtime's recommended count). The output is \
+                 bit-identical for any value, including 1.")
   in
   let timing =
     Arg.(value & flag & info [ "timing" ]
@@ -910,27 +895,6 @@ let cmd_campaign =
                    outcome as it lands; on $(b,--resume) the already-completed frontier is \
                    replayed first, so the file always covers every completed trial).")
   in
-  let early_stop =
-    Arg.(value & opt (some float) None
-         & info [ "early-stop" ] ~docv:"W"
-             ~doc:"Stop each statistical cell adaptively once the Wilson score interval around \
-                   its detection (or false-alarm) rate has halfwidth at most $(docv) (0 < W < \
-                   1). Trials saved are reported explicitly (per-cell $(b,skipped) counts and \
-                   a top-level $(b,trials_skipped) total); cells that never stop keep \
-                   byte-identical output to a run without this flag.")
-  in
-  let es_z =
-    Arg.(value & opt float 1.96 & info [ "early-stop-z" ] ~docv:"Z"
-           ~doc:"Wilson interval critical value (default 1.96, ~95% confidence).")
-  in
-  let es_min =
-    Arg.(value & opt int 8 & info [ "early-stop-min" ] ~docv:"N"
-           ~doc:"Never stop a cell before $(docv) trials (default 8).")
-  in
-  let es_batch =
-    Arg.(value & opt int 4 & info [ "early-stop-batch" ] ~docv:"N"
-           ~doc:"Grow each open cell by $(docv) trials per adaptive round (default 4).")
-  in
   let abort_after =
     Arg.(value & opt (some int) None
          & info [ "abort-after" ] ~docv:"N"
@@ -947,106 +911,58 @@ let cmd_campaign =
              layout keeps the prebuilt payload feasible or any MAVR-defended trial is taken \
              over (at any fault level).")
     Term.(
-      const run $ profile_arg $ trials $ ms $ layouts $ seed $ jobs $ faults $ timing
-      $ no_superblocks $ trace $ progress $ checkpoint $ checkpoint_every $ resume $ results
-      $ early_stop $ es_z $ es_min $ es_batch $ abort_after $ json_flag)
+      const run $ spec_term $ jobs $ timing $ no_superblocks $ trace $ progress $ checkpoint
+      $ checkpoint_every $ resume $ results $ abort_after $ json_flag)
 
 let cmd_serve =
   let run socket stdio max_requests once jobs =
     let module J = Mavr_telemetry.Json in
-    (* One request = one campaign spec object; unknown fields are ignored,
-       absent ones default exactly like the `campaign` flags, so a served
+    (* One request = one campaign spec object ([Campaign_spec.of_json]:
+       unknown members ignored, absent ones default like the `campaign`
+       flags, a malformed one a terminal error naming it), so a served
        result byte-matches `campaign --json` for the same configuration. *)
     let handler req ~progress:send =
-      let str k = Option.bind (J.member k req) J.to_str in
-      let int k d = Option.value ~default:d (Option.bind (J.member k req) J.to_int) in
-      match profile_of_string (Option.value ~default:"100" (str "profile")) with
-      | Error (`Msg m) -> Error m
-      | Ok profile -> (
-          let trials = int "trials" 5 in
-          let ms = int "ms" 900 in
-          let layouts = int "layouts" 10 in
-          let seed = int "seed" 0 in
+      match (Spec.of_json req, J.member "shard" req) with
+      | Error m, _ -> Error m
+      | Ok spec, None ->
+          let progress = Mavr_campaign.Progress.create ~sink:send () in
+          Result.map
+            (fun (census, grid, _, _) -> J.Obj (campaign_doc spec census grid))
+            (run_campaign ?jobs ~progress spec)
+      | Ok spec, Some shard_j -> (
+          (* Shard request: run only the grid tasks in [lo, hi),
+             streaming every checkpoint entry line down the connection
+             (the dispatcher merges them); the census is the dispatcher's
+             own, deterministic job.  The checkpoint stream and the
+             progress heartbeats come from different worker domains
+             under different locks, so one shared mutex serializes the
+             socket writes. *)
+          let ck_spec = Spec.checkpoint_spec spec in
+          let tasks = ck_spec.Mavr_campaign.Checkpoint.tasks in
           match
-            match str "faults" with
-            | None -> Ok Mavr_fault.Profile.none
-            | Some s -> Mavr_fault.Profile.of_string s
+            ( Option.bind (J.member "lo" shard_j) J.to_int,
+              Option.bind (J.member "hi" shard_j) J.to_int )
           with
-          | Error m -> Error m
-          | Ok faults -> (
-              let es =
-                Option.bind (J.member "early_stop" req) (fun es_j ->
-                    let f k = Option.bind (J.member k es_j) J.to_float in
-                    let i k = Option.bind (J.member k es_j) J.to_int in
-                    Option.map
-                      (fun target ->
-                        Mavr_campaign.Early_stop.create ?z:(f "z") ?min_trials:(i "min_trials")
-                          ?batch:(i "batch") ~target ())
-                      (f "target_halfwidth"))
-              in
-              let b = build_firmware profile F.Profile.mavr in
-              match J.member "shard" req with
-              | None ->
-                  let progress_t = Mavr_campaign.Progress.create ~sink:send () in
-                  let census, grid =
-                    Mavr_campaign.Pool.with_pool ?jobs (fun pool ->
-                        let census =
-                          Mavr_analysis.Survival.census ~seed:(Mavr_analysis.Survival.Root seed)
-                            ~pool ~progress:progress_t ~layouts b.F.Build.image
-                        in
-                        let grid =
-                          Mavr_sim.Montecarlo.run ~pool ~ms ~faults ~progress:progress_t
-                            ?early_stop:es ~seed ~trials b
-                        in
-                        (census, grid))
-                  in
-                  Mavr_campaign.Progress.emit progress_t ~reason:"final";
-                  Ok (J.Obj (campaign_doc ~profile_name:profile.F.Profile.name ~seed census grid))
-              | Some shard_j -> (
-                  (* Shard request: run only the grid tasks in [lo, hi),
-                     streaming every checkpoint entry line down the
-                     connection (the dispatcher merges them); the census
-                     is the dispatcher's own, deterministic job.  The
-                     checkpoint stream and the progress heartbeats come
-                     from different worker domains under different locks,
-                     so one shared mutex serializes the socket writes. *)
-                  match
-                    ( Option.bind (J.member "lo" shard_j) J.to_int,
-                      Option.bind (J.member "hi" shard_j) J.to_int )
-                  with
-                  | Some lo, Some hi when 0 <= lo && lo <= hi ->
-                      let send_mu = Mutex.create () in
-                      let send_locked line =
-                        Mutex.lock send_mu;
-                        Fun.protect
-                          ~finally:(fun () -> Mutex.unlock send_mu)
-                          (fun () -> send line)
-                      in
-                      let spec =
-                        Mavr_sim.Montecarlo.checkpoint_spec ~ms ~faults ?early_stop:es
-                          ~traced:false ~profile:profile.F.Profile.name ~seed ~trials ()
-                      in
-                      if hi > spec.Mavr_campaign.Checkpoint.tasks then
-                        Error
-                          (Printf.sprintf "shard [%d,%d) outside the %d-task grid" lo hi
-                             spec.Mavr_campaign.Checkpoint.tasks)
-                      else begin
-                        let ck = Mavr_campaign.Checkpoint.create ~stream:send_locked spec in
-                        let progress_t = Mavr_campaign.Progress.create ~sink:send_locked () in
-                        Mavr_campaign.Pool.with_pool ?jobs (fun pool ->
-                            Mavr_sim.Montecarlo.run_shard ~pool ~ms ~faults
-                              ~progress:progress_t ?early_stop:es ~checkpoint:ck ~lo ~hi ~seed
-                              ~trials b);
-                        Mavr_campaign.Progress.emit progress_t ~reason:"final";
-                        Ok
-                          (J.Obj
-                             [
-                               ("shard", J.Obj [ ("lo", J.Int lo); ("hi", J.Int hi) ]);
-                               ( "entries",
-                                 J.Int (Mavr_campaign.Checkpoint.completed ck) );
-                             ])
-                      end
-                  | _ -> Error "shard member needs integer lo <= hi")))
+          | Some lo, Some hi when 0 <= lo && lo <= hi && hi <= tasks ->
+              let b = build_firmware spec.profile F.Profile.mavr in
+              let send_mu = Mutex.create () in
+              let send_locked line = Mutex.protect send_mu (fun () -> send line) in
+              let ck = Mavr_campaign.Checkpoint.create ~stream:send_locked ck_spec in
+              let progress = Mavr_campaign.Progress.create ~sink:send_locked () in
+              Mavr_campaign.Pool.with_pool ?jobs (fun pool ->
+                  Mavr_sim.Montecarlo.run_shard ~pool ~ms:spec.ms ~faults:spec.faults ~progress
+                    ?early_stop:spec.early_stop ~checkpoint:ck ~lo ~hi ~seed:spec.seed
+                    ~trials:spec.trials b);
+              Mavr_campaign.Progress.emit progress ~reason:"final";
+              Ok
+                (J.Obj
+                   [
+                     ("shard", J.Obj [ ("lo", J.Int lo); ("hi", J.Int hi) ]);
+                     ("entries", J.Int (Mavr_campaign.Checkpoint.completed ck));
+                   ])
+          | Some lo, Some hi when 0 <= lo && lo <= hi ->
+              Error (Printf.sprintf "shard [%d,%d) outside the %d-task grid" lo hi tasks)
+          | _ -> Error "shard member needs integer lo <= hi")
     in
     if stdio then begin
       Mavr_campaign.Service.serve_stdio handler;
@@ -1098,8 +1014,8 @@ let cmd_serve =
     Term.(const run $ socket $ stdio $ max_requests $ once $ jobs)
 
 let cmd_dispatch =
-  let run profile trials ms layouts seed jobs faults workers spawn nshards heartbeat_timeout
-      max_attempts connect_timeout progress early_stop es_z es_min es_batch kill_after json =
+  let run (spec : Spec.t) jobs workers spawn nshards heartbeat_timeout max_attempts
+      connect_timeout progress kill_after json =
     let module J = Mavr_telemetry.Json in
     let module D = Mavr_campaign.Dispatch in
     match
@@ -1113,11 +1029,7 @@ let cmd_dispatch =
         2
     | Ok given_rev ->
     let given = List.rev given_rev in
-    if trials < 1 then begin
-      Format.eprintf "error: dispatch needs --trials >= 1@.";
-      2
-    end
-    else if spawn < 0 then begin
+    if spawn < 0 then begin
       Format.eprintf "error: --spawn must be >= 0@.";
       2
     end
@@ -1130,81 +1042,23 @@ let cmd_dispatch =
       2
     end
     else
-      match
-        try
-          Ok
-            (Option.map
-               (fun target ->
-                 Mavr_campaign.Early_stop.create ~z:es_z ~min_trials:es_min ~batch:es_batch
-                   ~target ())
-               early_stop)
-        with Invalid_argument m -> Error m
-      with
-      | Error m ->
-          Format.eprintf "error: %s@." m;
-          2
-      | Ok es ->
-      match
-        try
-          Ok
-            (match progress with
-            | None -> None
-            | Some "-" -> Some ((fun line -> prerr_endline line), None)
-            | Some path ->
-                let oc = open_out path in
-                Some
-                  ( (fun line ->
-                      output_string oc line;
-                      output_char oc '\n';
-                      flush oc),
-                    Some oc ))
-        with Sys_error e -> Error e
-      with
+      match open_sink ~dash:true "progress" progress with
       | Error e ->
-          Format.eprintf "error: cannot open progress sink: %s@." e;
+          Format.eprintf "error: %s@." e;
           1
       | Ok progress_sink ->
       let progress_t =
         Option.map (fun (sink, _) -> Mavr_campaign.Progress.create ~sink ()) progress_sink
       in
-      let name = profile.F.Profile.name in
-      let spec =
-        Mavr_sim.Montecarlo.checkpoint_spec ~ms ~faults ?early_stop:es ~traced:false
-          ~profile:name ~seed ~trials ()
-      in
+      let ck_spec = Spec.checkpoint_spec spec in
       let shards =
-        D.plan ~tasks:spec.Mavr_campaign.Checkpoint.tasks ~block:trials
+        D.plan ~tasks:ck_spec.Mavr_campaign.Checkpoint.tasks ~block:spec.trials
           ~shards:(match nshards with Some n -> n | None -> spawn + List.length given)
       in
-      (* The request a worker receives is the same spec object `serve`
-         already parses, plus the shard range; field defaults match the
-         `campaign` flags, so spec hashes agree end to end. *)
-      let base_fields =
-        [
-          ("profile", J.String name);
-          ("trials", J.Int trials);
-          ("ms", J.Int ms);
-          ("layouts", J.Int layouts);
-          ("seed", J.Int seed);
-          ("faults", J.String faults.Mavr_fault.Profile.name);
-        ]
-        @
-        match es with
-        | None -> []
-        | Some e ->
-            [
-              ( "early_stop",
-                J.Obj
-                  [
-                    ("target_halfwidth", J.Float (Mavr_campaign.Early_stop.target e));
-                    ("z", J.Float (Mavr_campaign.Early_stop.z e));
-                    ("min_trials", J.Int (Mavr_campaign.Early_stop.min_trials e));
-                    ("batch", J.Int (Mavr_campaign.Early_stop.batch e));
-                  ] );
-            ]
-      in
+      (* The request a worker receives is the serve request for this
+         spec plus the shard range, so spec hashes agree end to end. *)
       let request ~lo ~hi =
-        J.Obj (base_fields @ [ ("shard", J.Obj [ ("lo", J.Int lo); ("hi", J.Int hi) ]) ])
+        J.Obj (Spec.to_json_fields spec @ [ ("shard", J.Obj [ ("lo", J.Int lo); ("hi", J.Int hi) ]) ])
       in
       (* Spawned workers come first in the pool, so worker 0 is always
          the one --kill-worker-after SIGKILLs. *)
@@ -1249,89 +1103,52 @@ let cmd_dispatch =
               spawned)
           (fun () ->
             D.run ~heartbeat_timeout_s:heartbeat_timeout ~max_attempts
-              ~connect_timeout_s:connect_timeout ?progress:progress_t ~on_event ~spec ~request
-              ~block:trials ~workers:workers_addrs ~shards ())
+              ~connect_timeout_s:connect_timeout ?progress:progress_t ~on_event ~spec:ck_spec
+              ~request ~block:spec.trials ~workers:workers_addrs ~shards ())
       in
-      match result with
-      | Error e ->
-          Format.eprintf "error: dispatch: %s@." (D.error_to_string e);
-          Option.iter (fun (_, oc) -> Option.iter close_out oc) progress_sink;
+      (* Merge: prime a fresh checkpoint with every shard's entries and
+         run the campaign over it — zero trials execute, the early-stop
+         trajectory replays, and the document comes out of the exact code
+         path `campaign --json` uses. *)
+      let merged =
+        Result.bind (Result.map_error D.error_to_string result) (fun outcome ->
+            let ck = Mavr_campaign.Checkpoint.create ck_spec in
+            List.iter
+              (fun (i, e) ->
+                match e with
+                | Mavr_campaign.Checkpoint.Result r -> Mavr_campaign.Checkpoint.record ck ~index:i r
+                | Mavr_campaign.Checkpoint.Skip reason ->
+                    Mavr_campaign.Checkpoint.skip ck ~index:i ~reason)
+              outcome.D.entries;
+            Result.map
+              (fun (census, grid, _, _) ->
+                Option.iter (fun p -> Mavr_campaign.Progress.emit p ~reason:"final") progress_t;
+                (outcome, census, grid))
+              (Result.map_error (( ^ ) "merge: ") (run_campaign ?jobs ~checkpoint:ck spec)))
+      in
+      close_sink progress_sink;
+      match merged with
+      | Error m ->
+          Format.eprintf "error: dispatch: %s@." m;
           3
-      | Ok outcome -> (
-          (* Merge: prime a fresh checkpoint with every shard's entries
-             and run the campaign over it — zero trials execute, the
-             early-stop trajectory replays, and the document comes out of
-             the exact code path `campaign --json` uses. *)
-          let ck = Mavr_campaign.Checkpoint.create spec in
-          List.iter
-            (fun (i, e) ->
-              match e with
-              | Mavr_campaign.Checkpoint.Result r -> Mavr_campaign.Checkpoint.record ck ~index:i r
-              | Mavr_campaign.Checkpoint.Skip reason ->
-                  Mavr_campaign.Checkpoint.skip ck ~index:i ~reason)
-            outcome.D.entries;
-          let b = build_firmware profile F.Profile.mavr in
-          match
-            try
-              Ok
-                (Mavr_campaign.Pool.with_pool ?jobs (fun pool ->
-                     let census =
-                       Mavr_analysis.Survival.census ~seed:(Mavr_analysis.Survival.Root seed)
-                         ~pool ~layouts b.F.Build.image
-                     in
-                     let grid =
-                       Mavr_sim.Montecarlo.run ~pool ~ms ~faults ?early_stop:es ~checkpoint:ck
-                         ~seed ~trials b
-                     in
-                     (census, grid)))
-            with Mavr_campaign.Checkpoint.Corrupt m -> Error m
-          with
-          | Error m ->
-              Format.eprintf "error: dispatch merge: %s@." m;
-              Option.iter (fun (_, oc) -> Option.iter close_out oc) progress_sink;
-              3
-          | Ok (census, grid) ->
-              Option.iter (fun p -> Mavr_campaign.Progress.emit p ~reason:"final") progress_t;
-              Option.iter (fun (_, oc) -> Option.iter close_out oc) progress_sink;
-              if json then
-                print_endline
-                  (J.to_string ~indent:2 (J.Obj (campaign_doc ~profile_name:name ~seed census grid)))
-              else begin
-                Format.printf
-                  "%s: dispatched %d shard(s) over %d worker(s): %d assignment(s), %d worker \
-                   failure(s), %d heartbeat(s)@."
-                  name (List.length shards) (List.length workers_addrs) outcome.D.assignments
-                  outcome.D.worker_failures outcome.D.heartbeats;
-                Format.printf "  %a@." Mavr_analysis.Survival.pp census;
-                Format.printf "%a@." Mavr_sim.Montecarlo.pp grid
-              end;
-              if
-                census.Mavr_analysis.Survival.feasible_layouts > 0
-                || Mavr_sim.Montecarlo.takeovers grid Mavr_sim.Montecarlo.Mavr_defense > 0
-              then 1
-              else 0)
-  in
-  let trials =
-    Arg.(value & opt int 5 & info [ "trials" ] ~docv:"N" ~doc:"Monte Carlo trials per grid cell.")
-  in
-  let ms =
-    Arg.(value & opt int 900 & info [ "ms" ] ~docv:"MS" ~doc:"Simulated milliseconds per trial.")
-  in
-  let layouts =
-    Arg.(value & opt int 10 & info [ "layouts" ] ~docv:"K" ~doc:"Layouts in the survival census.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "s"; "seed" ] ~docv:"SEED"
-           ~doc:"Campaign root seed; every per-trial seed is split from it.")
+      | Ok (outcome, census, grid) ->
+          if json then
+            print_endline (J.to_string ~indent:2 (J.Obj (campaign_doc spec census grid)))
+          else begin
+            Format.printf
+              "%s: dispatched %d shard(s) over %d worker(s): %d assignment(s), %d worker \
+               failure(s), %d heartbeat(s)@."
+              spec.profile.F.Profile.name (List.length shards) (List.length workers_addrs)
+              outcome.D.assignments outcome.D.worker_failures outcome.D.heartbeats;
+            Format.printf "  %a@." Mavr_analysis.Survival.pp census;
+            Format.printf "%a@." Mavr_sim.Montecarlo.pp grid
+          end;
+          campaign_exit census grid
   in
   let jobs =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS"
            ~doc:"Worker domains per spawned worker and for the local merge (default: the \
                  runtime's recommended count). The output is bit-identical for any value.")
-  in
-  let faults =
-    Arg.(value & opt faults_conv Mavr_fault.Profile.none
-         & info [ "faults" ] ~docv:"PROFILE" ~doc:"Fault-injection profile, as for campaign.")
   in
   let workers =
     Arg.(value & opt_all string []
@@ -1375,24 +1192,6 @@ let cmd_dispatch =
                    one gap-free sequence over every shard's entries, plus a $(b,dispatch) \
                    detail object (shard/worker/re-dispatch counts).")
   in
-  let early_stop =
-    Arg.(value & opt (some float) None
-         & info [ "early-stop" ] ~docv:"W"
-             ~doc:"Per-cell Wilson-interval early stopping, as for campaign; cell-aligned \
-                   shards keep every stop decision identical to a single-host run.")
-  in
-  let es_z =
-    Arg.(value & opt float 1.96 & info [ "early-stop-z" ] ~docv:"Z"
-           ~doc:"Wilson interval critical value (default 1.96).")
-  in
-  let es_min =
-    Arg.(value & opt int 8 & info [ "early-stop-min" ] ~docv:"N"
-           ~doc:"Never stop a cell before $(docv) trials (default 8).")
-  in
-  let es_batch =
-    Arg.(value & opt int 4 & info [ "early-stop-batch" ] ~docv:"N"
-           ~doc:"Grow each open cell by $(docv) trials per adaptive round (default 4).")
-  in
   let kill_after =
     Arg.(value & opt (some int) None
          & info [ "kill-worker-after" ] ~docv:"N"
@@ -1409,9 +1208,8 @@ let cmd_dispatch =
              prints — byte-identical. Exits like campaign (0/1), 2 on usage, 3 when a shard \
              stays unresolved.")
     Term.(
-      const run $ profile_arg $ trials $ ms $ layouts $ seed $ jobs $ faults $ workers $ spawn
-      $ nshards $ heartbeat_timeout $ max_attempts $ connect_timeout $ progress $ early_stop
-      $ es_z $ es_min $ es_batch $ kill_after $ json_flag)
+      const run $ spec_term $ jobs $ workers $ spawn $ nshards $ heartbeat_timeout $ max_attempts
+      $ connect_timeout $ progress $ kill_after $ json_flag)
 
 let cmd_profile =
   let run profile ms attack top json =
@@ -1450,9 +1248,7 @@ let cmd_profile =
       0
     end
   in
-  let ms =
-    Arg.(value & opt int 2000 & info [ "ms" ] ~docv:"MS" ~doc:"Simulated milliseconds to profile.")
-  in
+  let ms = ms_opt 2000 "Simulated milliseconds to profile." in
   let attack =
     Arg.(value & flag & info [ "attack" ] ~doc:"Inject the stealthy V2 attack after warm-up.")
   in

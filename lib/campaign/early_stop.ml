@@ -4,7 +4,7 @@ type t = { target : float; z : float; min_trials : int; batch : int }
 
 let create ?(z = 1.96) ?(min_trials = 8) ?(batch = 4) ~target () =
   if not (target > 0.0 && target < 1.0) then
-    invalid_arg "Campaign.Early_stop.create: target halfwidth must be in (0, 1)";
+    invalid_arg "Campaign.Early_stop.create: target_halfwidth must be in (0, 1)";
   if z <= 0.0 then invalid_arg "Campaign.Early_stop.create: z must be positive";
   if min_trials < 1 then invalid_arg "Campaign.Early_stop.create: min_trials must be >= 1";
   if batch < 1 then invalid_arg "Campaign.Early_stop.create: batch must be >= 1";

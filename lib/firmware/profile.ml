@@ -9,6 +9,21 @@ let all = [ arduplane; arducopter; ardurover ]
 let tiny ~n ~seed =
   { name = Printf.sprintf "tiny-%d" n; n_functions = n; target_size = 0; seed }
 
+let of_string s =
+  let lower = String.lowercase_ascii s in
+  match List.find_opt (fun p -> String.lowercase_ascii p.name = lower) all with
+  | Some p -> Ok p
+  | None -> (
+      let count =
+        if String.starts_with ~prefix:"tiny-" s then String.sub s 5 (String.length s - 5) else s
+      in
+      match int_of_string_opt count with
+      | Some n when n >= 1 -> Ok (tiny ~n ~seed:2024)
+      | _ ->
+          Error
+            (Printf.sprintf
+               "unknown profile %S (use arduplane/arducopter/ardurover or a filler count)" s))
+
 type toolchain = { relax : bool; call_prologues : bool; vulnerable : bool }
 
 let stock = { relax = true; call_prologues = true; vulnerable = true }

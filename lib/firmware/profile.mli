@@ -29,6 +29,14 @@ val all : t list
     brute-force study (n functions, proportional size). *)
 val tiny : n:int -> seed:int -> t
 
+(** [of_string s] parses a profile as the CLI and the campaign wire
+    spell it: any case of a paper profile's name (["arduplane"],
+    ["Arduplane"], ...), or a filler count as a bare number (["60"]) or
+    as the name {!tiny} prints (["tiny-60"]), built with seed 2024.  So
+    the [name] of every {!all} profile and of every seed-2024 tiny
+    profile parses back to that profile. *)
+val of_string : string -> (t, string) result
+
 type toolchain = {
   relax : bool;  (** Binutils linker relaxation ([call]→[rcall]) *)
   call_prologues : bool;  (** shared prologue/epilogue stubs *)

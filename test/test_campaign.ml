@@ -299,6 +299,133 @@ let test_grid_effectiveness_semantics () =
   Alcotest.(check int) "no takeover under software-only diversification" 0
     (Montecarlo.takeovers g Montecarlo.Software_only)
 
+(* ---- campaign spec codec -------------------------------------------- *)
+
+module Spec = Mavr_sim.Campaign_spec
+module J = Mavr_telemetry.Json
+module Profile = Mavr_firmware.Profile
+module Faults = Mavr_fault.Profile
+
+let decode s =
+  match J.of_string s with Ok j -> Spec.of_json j | Error e -> Alcotest.failf "bad JSON %s: %s" s e
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_spec_defaults () =
+  (* An empty request is the `campaign` command with no flags. *)
+  match Spec.of_json (J.Obj []) with
+  | Error m -> Alcotest.fail m
+  | Ok s ->
+      Alcotest.(check bool) "= Spec.default" true (s = Spec.default);
+      Alcotest.(check string) "profile" "tiny-100" s.profile.Profile.name;
+      Alcotest.(check int) "profile seed" 2024 s.profile.Profile.seed;
+      Alcotest.(check (list int)) "trials, ms, layouts, seed" [ 5; 900; 10; 0 ]
+        [ s.trials; s.ms; s.layouts; s.seed ];
+      Alcotest.(check string) "faults" "none" s.faults.Faults.name;
+      Alcotest.(check bool) "no early stop" true (s.early_stop = None)
+
+let test_spec_accepts () =
+  let ok req check =
+    match decode req with Ok s -> check s | Error m -> Alcotest.failf "%s rejected: %s" req m
+  in
+  List.iter
+    (fun (p : Profile.t) ->
+      ok (Printf.sprintf {|{"profile":%S}|} p.name) (fun s ->
+          Alcotest.(check bool) ("printed name " ^ p.name) true (s.profile = p));
+      ok (Printf.sprintf {|{"profile":%S}|} (String.lowercase_ascii p.name)) (fun s ->
+          Alcotest.(check bool) ("lower-case name " ^ p.name) true (s.profile = p)))
+    Profile.all;
+  List.iter
+    (fun name ->
+      ok (Printf.sprintf {|{"profile":%S}|} name) (fun s ->
+          Alcotest.(check bool) name true (s.profile = Profile.tiny ~n:60 ~seed:2024)))
+    [ "60"; "tiny-60" ];
+  ok {|{"trials":2,"layouts":0,"bogus":[1],"shard":{"lo":0,"hi":1}}|} (fun s ->
+      Alcotest.(check (pair int int)) "unknown members ignored" (2, 0) (s.trials, s.layouts));
+  ok {|{"faults":"lossy","early_stop":{"target_halfwidth":0.3}}|} (fun s ->
+      Alcotest.(check string) "faults" "lossy" s.faults.Faults.name;
+      match s.early_stop with
+      | None -> Alcotest.fail "early_stop dropped"
+      | Some e ->
+          let module E = Mavr_campaign.Early_stop in
+          Alcotest.(check (list (float 0.))) "policy defaults" [ 0.3; 1.96; 8.; 4. ]
+            [ E.target e; E.z e; float_of_int (E.min_trials e); float_of_int (E.batch e) ])
+
+let test_spec_rejects () =
+  (* Each malformed request is an error naming the offending member —
+     never a silent default. *)
+  List.iter
+    (fun (req, field) ->
+      match decode req with
+      | Ok _ -> Alcotest.failf "%s accepted" req
+      | Error m ->
+          if not (contains ~sub:field m) then Alcotest.failf "%s: error %S does not name %s" req m field)
+    [
+      ({|{"trials":"2"}|}, "trials");
+      ({|{"seed":1.5}|}, "seed");
+      ({|{"ms":true}|}, "ms");
+      ({|{"layouts":[2]}|}, "layouts");
+      ({|{"profile":60}|}, "profile");
+      ({|{"profile":"arduboat"}|}, "profile");
+      ({|{"profile":"tiny-0"}|}, "profile");
+      ({|{"faults":"hurricane"}|}, "faults");
+      ({|{"faults":null}|}, "faults");
+      ({|{"early_stop":0.3}|}, "early_stop");
+      ({|{"early_stop":{}}|}, "target_halfwidth");
+      ({|{"early_stop":{"z":2.0}}|}, "target_halfwidth");
+      ({|{"early_stop":{"target_halfwidth":"0.3"}}|}, "target_halfwidth");
+      ({|{"early_stop":{"target_halfwidth":0.3,"z":"wide"}}|}, "z");
+      ({|{"early_stop":{"target_halfwidth":0.3,"batch":1.5}}|}, "batch");
+      ({|{"trials":0}|}, "trials");
+      ({|{"ms":0}|}, "ms");
+      ({|{"ms":-5}|}, "ms");
+      ({|{"layouts":-1}|}, "layouts");
+      ({|{"early_stop":{"target_halfwidth":1.5}}|}, "target_halfwidth");
+      ({|{"early_stop":{"target_halfwidth":0.3,"z":0}}|}, "z");
+      ({|{"early_stop":{"target_halfwidth":0.3,"min_trials":0}}|}, "min_trials");
+      ({|{"early_stop":{"target_halfwidth":0.3,"batch":0}}|}, "batch");
+      ({|[1,2]|}, "spec");
+    ]
+
+let spec_arb =
+  let open QCheck.Gen in
+  let profile =
+    oneof [ oneofl Profile.all; map (fun n -> Profile.tiny ~n ~seed:2024) (int_range 1 500) ]
+  in
+  let early_stop =
+    opt
+      (let+ target = float_range 0.01 0.99
+       and+ z = float_range 0.5 4.0
+       and+ min_trials = int_range 1 32
+       and+ batch = int_range 1 16 in
+       Mavr_campaign.Early_stop.create ~z ~min_trials ~batch ~target ())
+  in
+  let gen =
+    let+ profile = profile
+    and+ trials = int_range 1 64
+    and+ ms = int_range 1 5000
+    and+ layouts = int_range 0 20
+    and+ seed = int
+    and+ faults = oneofl Faults.all
+    and+ early_stop = early_stop in
+    { Spec.profile; trials; ms; layouts; seed; faults; early_stop }
+  in
+  QCheck.make ~print:(fun s -> J.to_string (Spec.to_json s)) gen
+
+(* The codec round-trips through the wire's bytes, and the decoded spec
+   binds the same checkpoint spec as the one it was encoded from — the
+   equality that lets a worker's streamed header validate at the
+   dispatcher. *)
+let prop_spec_roundtrip =
+  QCheck.Test.make ~name:"of_json (to_json s) = Ok s, same checkpoint spec" ~count:300 spec_arb
+    (fun s ->
+      match Result.bind (J.of_string (J.to_string (Spec.to_json s))) Spec.of_json with
+      | Error m -> QCheck.Test.fail_report m
+      | Ok s' -> s' = s && Spec.checkpoint_spec s' = Spec.checkpoint_spec s)
+
 let () =
   Alcotest.run "campaign"
     [
@@ -340,5 +467,12 @@ let () =
         [
           Alcotest.test_case "jobs-invariant grid" `Slow test_grid_jobs_invariant;
           Alcotest.test_case "effectiveness semantics" `Slow test_grid_effectiveness_semantics;
+        ] );
+      ( "spec",
+        [
+          Alcotest.test_case "empty request = CLI defaults" `Quick test_spec_defaults;
+          Alcotest.test_case "accepted forms" `Quick test_spec_accepts;
+          Alcotest.test_case "malformed members name the field" `Quick test_spec_rejects;
+          QCheck_alcotest.to_alcotest prop_spec_roundtrip;
         ] );
     ]
