@@ -1,108 +1,7 @@
-module Isa = Mavr_avr.Isa
-module Image = Mavr_obj.Image
-module Decode = Mavr_avr.Decode
-module Opcode = Mavr_avr.Opcode
-
-exception Unpatchable of string
-
-let unpatchable fmt = Printf.ksprintf (fun m -> raise (Unpatchable m)) fmt
-
-let in_text (img : Image.t) addr = addr >= img.text_start && addr < img.text_end
-
-(* Remap a byte address through the shuffle, attributing mid-function
-   targets to their containing block by binary search (§VI-B3). *)
-let remap img shuffle addr =
-  if not (in_text img addr) then addr
-  else
-    match Image.function_containing img addr with
-    | Some _ -> Shuffle.map_addr img shuffle addr
-    | None -> unpatchable "target 0x%x inside text but in no function" addr
-
-let blit_words out pos words =
-  List.iteri
-    (fun k w ->
-      Bytes.set out (pos + (2 * k)) (Char.chr (w land 0xFF));
-      Bytes.set out (pos + (2 * k) + 1) (Char.chr ((w lsr 8) land 0xFF)))
-    words
-
-(* Rewrite one executable range.  [old_base] is its address in the source
-   image, [new_base] in the output, [len] its size; [block] bounds the
-   legal span of relative transfers (for text functions, the block
-   itself). *)
-let patch_range img shuffle ~code ~out ~old_base ~new_base ~len ~block_lo ~block_hi =
-  let pos = ref 0 in
-  while !pos + 1 < len do
-    let old_addr = old_base + !pos in
-    let insn, size = Decode.decode_bytes code old_addr in
-    (match insn with
-    | Isa.Call a | Isa.Jmp a ->
-        let target = a * 2 in
-        if in_text img target then begin
-          let target' = remap img shuffle target in
-          let insn' =
-            match insn with
-            | Isa.Call _ -> Isa.Call (target' / 2)
-            | _ -> Isa.Jmp (target' / 2)
-          in
-          blit_words out (new_base + !pos) (Opcode.encode insn')
-        end
-    | Isa.Rcall k | Isa.Rjmp k ->
-        let target = old_addr + 2 + (k * 2) in
-        if target < block_lo || target >= block_hi then
-          unpatchable
-            "relative %s at 0x%x targets 0x%x outside its block [0x%x,0x%x) — image built with linker relaxation?"
-            (match insn with Isa.Rcall _ -> "rcall" | _ -> "rjmp")
-            old_addr target block_lo block_hi
-    | Isa.Brbs (_, k) | Isa.Brbc (_, k) ->
-        let target = old_addr + 2 + (k * 2) in
-        if target < block_lo || target >= block_hi then
-          unpatchable "branch at 0x%x leaves its block" old_addr
-    | _ -> ());
-    pos := !pos + size
-  done
-
-let apply (img : Image.t) (shuffle : Shuffle.t) =
-  let code = img.code in
-  let out = Bytes.of_string code in
-  let syms = Array.of_list img.symbols in
-  (* Stream each function block to its new location, patching absolute
-     targets on the way. *)
-  Array.iteri
-    (fun i (sym : Image.symbol) ->
-      let new_base = shuffle.Shuffle.new_addr.(i) in
-      Bytes.blit_string code sym.addr out new_base sym.size;
-      patch_range img shuffle ~code ~out ~old_base:sym.addr ~new_base ~len:sym.size
-        ~block_lo:sym.addr ~block_hi:(sym.addr + sym.size))
-    syms;
-  (* The low executable region (interrupt vectors) stays in place but its
-     absolute targets move. *)
-  patch_range img shuffle ~code ~out ~old_base:0 ~new_base:0 ~len:img.exec_low_end ~block_lo:0
-    ~block_hi:img.exec_low_end;
-  (* Stored function pointers: 16-bit word addresses. *)
-  List.iter
-    (fun loc ->
-      let w = Char.code code.[loc] lor (Char.code code.[loc + 1] lsl 8) in
-      let target = w * 2 in
-      if in_text img target then begin
-        let target' = remap img shuffle target in
-        let w' = target' / 2 in
-        if w' > 0xFFFF then
-          unpatchable "function pointer at 0x%x remaps to 0x%x, beyond icall's 16-bit reach" loc
-            target';
-        Bytes.set out loc (Char.chr (w' land 0xFF));
-        Bytes.set out (loc + 1) (Char.chr (w' lsr 8))
-      end)
-    img.funptr_locs;
-  let symbols =
-    List.sort
-      (fun (a : Image.symbol) b -> compare a.addr b.addr)
-      (List.mapi
-         (fun i (s : Image.symbol) -> { s with addr = shuffle.Shuffle.new_addr.(i) })
-         img.symbols)
-  in
-  { img with code = Bytes.to_string out; symbols }
+exception Unpatchable = Stream_patch.Unpatchable
 
 let check_randomizable img =
-  match apply img (Shuffle.identity img) with
-  | (_ : Image.t) -> Ok ()
+  let page_bytes = Mavr_avr.Device.atmega2560.flash_page_bytes in
+  match Stream_patch.apply img (Shuffle.identity img) ~page_bytes with
+  | _ -> Ok ()
   | exception Unpatchable m -> Error m

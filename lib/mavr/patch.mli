@@ -1,33 +1,14 @@
-(** Control-flow patching after a block shuffle (§V-B3, §VI-B3).
+(** Whether an image can be randomized at all (§V-B3, §VI-B1).
 
-    When function blocks move, absolute [call]/[jmp] targets and the
-    function pointers stored in the data section become stale.  This
-    module rewrites them for a given {!Shuffle.t}:
-
-    - [call]/[jmp] targets inside the text section are remapped; targets
-      that do not land exactly on a symbol (switch-table trampolines,
-      shared-epilogue entries) are resolved by binary search for the
-      containing function and preserved as block-internal offsets;
-    - relative transfers ([rcall]/[rjmp]/conditional branches) are legal
-      only within their own block (position-independent under the move);
-      a cross-block relative transfer means the image was linked with
-      relaxation enabled and cannot be randomized — exactly why the MAVR
-      toolchain requires [--no-relax] (§VI-B1);
-    - stored function pointers (vtables, call-routing arrays) at the
-      preprocessed [funptr_locs] are remapped as 16-bit word addresses.
-
-    Patching streams over the image the way the master processor streams
-    from the external flash chip: function by function, never holding the
-    whole binary in RAM. *)
+    The control-flow rewriting itself is {!Stream_patch.run}, the one
+    relocation implementation.  It refuses cross-block relative
+    transfers — the image was linked with relaxation enabled, exactly why
+    the MAVR toolchain requires [--no-relax] — and targets or function
+    pointers it cannot remap. *)
 
 exception Unpatchable of string
+(** The same exception as {!Stream_patch.Unpatchable}. *)
 
-(** [apply image shuffle] is the randomized image (new code and symbol
-    table; [funptr_locs] keep their flash offsets with updated contents).
-    @raise Unpatchable on cross-block relative transfers or targets that
-    cannot be attributed to a function. *)
-val apply : Mavr_obj.Image.t -> Shuffle.t -> Mavr_obj.Image.t
-
-(** [check_randomizable image] runs the same analysis without producing
-    output; [Error reason] when the image cannot be safely randomized. *)
+(** [check_randomizable image] streams [image] through the identity
+    layout; [Error reason] when the image cannot be safely randomized. *)
 val check_randomizable : Mavr_obj.Image.t -> (unit, string) result

@@ -1,11 +1,15 @@
 module Image = Mavr_obj.Image
 module Rng = Mavr_prng.Splitmix
 
-let randomize_rng ~rng img = Patch.apply img (Shuffle.draw ~rng img)
+(* In memory, through the master's streaming pipeline and flash page. *)
+let apply img shuffle =
+  fst (Stream_patch.apply img shuffle ~page_bytes:Mavr_avr.Device.atmega2560.flash_page_bytes)
+
+let randomize_rng ~rng img = apply img (Shuffle.draw ~rng img)
 
 let randomize ~seed img = randomize_rng ~rng:(Rng.create ~seed) img
 
-let with_order img order = Patch.apply img (Shuffle.of_order img order)
+let with_order img order = apply img (Shuffle.of_order img order)
 
 let verify_structure ~original ~randomized =
   let open Image in

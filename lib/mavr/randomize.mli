@@ -1,9 +1,10 @@
 (** The complete MAVR randomization pipeline (§V-B).
 
     [randomize] = draw a permutation ({!Shuffle}) + rewrite control flow
-    ({!Patch}).  The result is a firmware image with identical behaviour
-    and a different code layout; an attacker holding the original binary
-    no longer knows any gadget address. *)
+    ({!Stream_patch}, run in memory with the master's flash page size).
+    The result is a firmware image with identical behaviour and a
+    different code layout; an attacker holding the original binary no
+    longer knows any gadget address. *)
 
 (** [randomize ~seed image] produces the randomized image.
     @raise Patch.Unpatchable when the image was not built with the MAVR

@@ -2,8 +2,8 @@
 
     The MAVR master processor draws a uniformly random permutation of the
     application's function symbols and computes the new block layout; the
-    patcher ({!Patch}) then rewrites the control-flow targets.  With [n]
-    symbols the defense offers [log2 n!] bits of layout entropy
+    relocator ({!Stream_patch}) then rewrites the control-flow targets.
+    With [n] symbols the defense offers [log2 n!] bits of layout entropy
     (§VIII-B). *)
 
 type t = {

@@ -4,6 +4,10 @@ module Opcode = Mavr_avr.Opcode
 module Image = Mavr_obj.Image
 module Symtab = Mavr_obj.Symtab
 
+exception Unpatchable of string
+
+let unpatchable fmt = Printf.ksprintf (fun m -> raise (Unpatchable m)) fmt
+
 type stats = { peak_working_set : int; bytes_read : int; pages_emitted : int }
 
 let run ~code_size ~read ~(meta : Symtab.meta) ~order ~page_bytes ~emit_page =
@@ -48,8 +52,7 @@ let run ~code_size ~read ~(meta : Symtab.meta) ~order ~page_bytes ~emit_page =
         if starts.(mid) <= addr then lo := mid else hi := mid - 1
       done;
       let i = !lo in
-      if addr >= starts.(i) + size_of i then
-        raise (Patch.Unpatchable (Printf.sprintf "target 0x%x in no function" addr));
+      if addr >= starts.(i) + size_of i then unpatchable "target 0x%x in no function" addr;
       new_start.(i) + (addr - starts.(i))
     end
   in
@@ -91,15 +94,12 @@ let run ~code_size ~read ~(meta : Symtab.meta) ~order ~page_bytes ~emit_page =
       | Isa.Rcall k | Isa.Rjmp k ->
           let target = old_addr + 2 + (k * 2) in
           if target < block_lo || target >= block_hi then
-            raise
-              (Patch.Unpatchable
-                 (Printf.sprintf "relative transfer at 0x%x leaves its block (relaxed image?)"
-                    old_addr));
+            unpatchable "relative transfer at 0x%x leaves its block (relaxed image?)" old_addr;
           out_string (String.sub block !pos size)
       | Isa.Brbs (_, k) | Isa.Brbc (_, k) ->
           let target = old_addr + 2 + (k * 2) in
           if target < block_lo || target >= block_hi then
-            raise (Patch.Unpatchable (Printf.sprintf "branch at 0x%x leaves its block" old_addr));
+            unpatchable "branch at 0x%x leaves its block" old_addr;
           out_string (String.sub block !pos size)
       | _ -> out_string (String.sub block !pos size));
       pos := !pos + size
@@ -122,16 +122,20 @@ let run ~code_size ~read ~(meta : Symtab.meta) ~order ~page_bytes ~emit_page =
             let off = loc - !pos in
             let w = Char.code s.[off] lor (Char.code s.[off + 1] lsl 8) in
             if in_text (w * 2) then begin
-              let w' = map_addr (w * 2) / 2 in
+              let target' = map_addr (w * 2) in
+              let w' = target' / 2 in
+              if w' > 0xFFFF then
+                unpatchable "function pointer at 0x%x remaps to 0x%x, beyond icall's 16-bit reach"
+                  loc target';
               Bytes.set b off (Char.chr (w' land 0xFF));
-              Bytes.set b (off + 1) (Char.chr ((w' lsr 8) land 0xFF))
+              Bytes.set b (off + 1) (Char.chr (w' lsr 8))
             end
           end
           else if loc = !pos + len - 1 then
             (* A pointer straddling a chunk boundary would need carry-over
                state; the preprocessed layout keeps pointers aligned, so
                treat this as a hard error rather than corrupt silently. *)
-            raise (Patch.Unpatchable (Printf.sprintf "function pointer at 0x%x straddles a chunk" loc)))
+            unpatchable "function pointer at 0x%x straddles a chunk" loc)
         funptrs;
       out_string (Bytes.to_string b);
       pos := !pos + len
@@ -154,14 +158,12 @@ let run ~code_size ~read ~(meta : Symtab.meta) ~order ~page_bytes ~emit_page =
   flush ();
   { peak_working_set = !peak; bytes_read = !bytes_read; pages_emitted = !pages }
 
-let randomize_image_rng ~rng (img : Image.t) ~page_bytes =
-  let shuffle = Shuffle.draw ~rng img in
-  let meta = Symtab.meta_of_image img in
-  let buf = Buffer.create (Image.size img) in
+let apply (img : Image.t) (shuffle : Shuffle.t) ~page_bytes =
+  let buf = Buffer.create (Image.size img + page_bytes) in
   let stats =
     run ~code_size:(Image.size img)
       ~read:(fun ~pos ~len -> String.sub img.code pos len)
-      ~meta ~order:shuffle.Shuffle.order ~page_bytes
+      ~meta:(Symtab.meta_of_image img) ~order:shuffle.Shuffle.order ~page_bytes
       ~emit_page:(fun ~page_addr:_ page -> Buffer.add_string buf page)
   in
   (* Trim the final page padding back to the image size. *)
@@ -174,6 +176,8 @@ let randomize_image_rng ~rng (img : Image.t) ~page_bytes =
          img.symbols)
   in
   ({ img with code; symbols }, stats)
+
+let randomize_image_rng ~rng img ~page_bytes = apply img (Shuffle.draw ~rng img) ~page_bytes
 
 let randomize_image ~seed img ~page_bytes =
   randomize_image_rng ~rng:(Mavr_prng.Splitmix.create ~seed) img ~page_bytes

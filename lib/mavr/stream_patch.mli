@@ -18,7 +18,23 @@
     - one flash page buffer,
 
     and its peak is measured and returned, so tests can assert the whole
-    pipeline fits the master's SRAM for every application profile. *)
+    pipeline fits the master's SRAM for every application profile.
+
+    This is the only relocation implementation: {!Randomize} and
+    {!Patch.check_randomizable} run it over in-memory images through
+    {!apply}.  When function blocks move,
+
+    - [call]/[jmp] targets inside the text section are remapped; targets
+      that do not land exactly on a symbol (switch-table trampolines,
+      shared-epilogue entries) keep their offset inside the containing
+      function;
+    - relative transfers ([rcall]/[rjmp]/conditional branches) are legal
+      only within their own block (position-independent under the move);
+    - stored function pointers (vtables, call-routing arrays) at the
+      preprocessed [funptr_locs] are remapped as 16-bit word addresses,
+      which must stay within [icall]'s reach. *)
+
+exception Unpatchable of string
 
 type stats = {
   peak_working_set : int;  (** bytes of live buffers at the worst moment *)
@@ -35,8 +51,9 @@ type stats = {
     [meta.func_addrs].  Pages are emitted in ascending address order,
     the last one padded with 0xFF.
 
-    @raise Patch.Unpatchable on cross-block relative transfers (images
-    built without [--no-relax]).
+    @raise Unpatchable on cross-block relative transfers (images built
+    without [--no-relax]), targets inside the text section but in no
+    function, and function pointers that remap beyond 16-bit word reach.
     @raise Invalid_argument if [order] is not a permutation. *)
 val run :
   code_size:int ->
@@ -47,12 +64,17 @@ val run :
   emit_page:(page_addr:int -> string -> unit) ->
   stats
 
-(** [randomize_image ~seed image ~page_bytes] — convenience wrapper: runs
-    the streaming pipeline over an in-memory image (standing in for the
-    external chip) and reassembles the emitted pages.  Returns the
-    randomized image (with symbols recomputed) and the stats.  The result
-    is byte-identical to {!Randomize.randomize} with the same seed — this
-    equivalence is property-tested. *)
+(** [apply image shuffle ~page_bytes] runs {!run} over an in-memory
+    image (standing in for the external chip) in the layout of [shuffle]
+    and reassembles the emitted pages.  Returns the randomized image
+    (with symbols recomputed; [funptr_locs] keep their flash offsets) and
+    the stats. *)
+val apply :
+  Mavr_obj.Image.t -> Shuffle.t -> page_bytes:int -> Mavr_obj.Image.t * stats
+
+(** [randomize_image ~seed image ~page_bytes] is {!apply} with the
+    permutation drawn from [seed] — the same image as
+    {!Randomize.randomize} with that seed. *)
 val randomize_image :
   seed:int -> Mavr_obj.Image.t -> page_bytes:int -> Mavr_obj.Image.t * stats
 

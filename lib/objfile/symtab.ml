@@ -68,14 +68,23 @@ let of_blob s =
 let to_hex img = Ihex.encode [ (meta_base, to_blob (meta_of_image img)); (0, img.code) ]
 
 let of_hex text =
+  let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("Symtab.of_hex: " ^ m)) fmt in
   let segments = Ihex.decode text in
   let blob =
     match List.find_opt (fun (a, _) -> a = meta_base) segments with
     | Some (_, b) -> b
-    | None -> invalid_arg "Symtab.of_hex: no MAVR metadata segment"
+    | None -> fail "no MAVR metadata segment"
   in
   let m = of_blob blob in
   let code = Ihex.flatten ~limit:meta_base segments in
+  let size = String.length code in
+  if m.exec_low_end > m.text_start then
+    fail "exec_low_end 0x%x above text_start 0x%x" m.exec_low_end m.text_start;
+  if m.text_start > m.text_end || m.text_end > size then
+    fail "text_start/text_end [0x%x, 0x%x) outside the 0x%x-byte code" m.text_start m.text_end size;
+  List.iter
+    (fun loc -> if loc + 1 >= size then fail "funptr_locs: 0x%x past the 0x%x-byte code" loc size)
+    m.funptr_locs;
   let rec symbols = function
     | [] -> []
     | [ a ] -> [ { Image.name = Printf.sprintf "f_%05x" a; addr = a; size = m.text_end - a; kind = Image.Func } ]
@@ -83,13 +92,16 @@ let of_hex text =
         { Image.name = Printf.sprintf "f_%05x" a; addr = a; size = b - a; kind = Image.Func }
         :: symbols rest
   in
-  {
-    Image.code;
-    exec_low_end = m.exec_low_end;
-    text_start = m.text_start;
-    text_end = m.text_end;
-    symbols = symbols m.func_addrs;
-    funptr_locs = m.funptr_locs;
-  }
+  let img =
+    {
+      Image.code;
+      exec_low_end = m.exec_low_end;
+      text_start = m.text_start;
+      text_end = m.text_end;
+      symbols = symbols m.func_addrs;
+      funptr_locs = m.funptr_locs;
+    }
+  in
+  match Image.validate img with Ok () -> img | Error e -> fail "func_addrs: %s" e
 
 let equal_meta a b = a = b

@@ -35,7 +35,11 @@ val to_hex : Image.t -> string
 (** [of_hex text] parses a preprocessed HEX back into the program image
     and its metadata.  Function symbols are reconstructed from the address
     list (names are synthesized; sizes from consecutive starts).
-    @raise Invalid_argument when the metadata segment is missing. *)
+    @raise Invalid_argument ["Symtab.of_hex: ..."], naming the field, when
+    the metadata segment is missing or disagrees with the code: text
+    bounds outside it, [exec_low_end] above [text_start], [func_addrs]
+    not tiling [[text_start, text_end)] ({!Image.validate}), or a
+    function pointer past its end. *)
 val of_hex : string -> Image.t
 
 (** [equal_meta a b] *)

@@ -122,6 +122,114 @@ let prop_ihex_roundtrip =
       | [ (b, d) ] -> b = base && d = data
       | _ -> false)
 
+(* A stored HEX whose metadata disagrees with its code is refused with a
+   typed error naming the field, before any randomizer sees it. *)
+let test_symtab_inconsistent_meta () =
+  let img = build_image () in
+  let meta = Symtab.meta_of_image img in
+  let hex_of m = Ihex.encode [ (Symtab.meta_base, Symtab.to_blob m); (0, img.Image.code) ] in
+  let size = Image.size img in
+  List.iter
+    (fun (case, m, field) ->
+      match Symtab.of_hex (hex_of m) with
+      | _ -> Alcotest.failf "%s: accepted" case
+      | exception Invalid_argument msg ->
+          let prefix = "Symtab.of_hex: " ^ field in
+          if not (String.starts_with ~prefix msg) then
+            Alcotest.failf "%s: expected %S..., got %S" case prefix msg)
+    [
+      ("reversed func_addrs", { meta with func_addrs = List.rev meta.func_addrs }, "func_addrs");
+      ("empty func_addrs", { meta with func_addrs = [] }, "func_addrs");
+      ("text_end past the code", { meta with text_end = size + 2 }, "text_start/text_end");
+      ("exec_low_end above text_start", { meta with exec_low_end = meta.text_start + 2 }, "exec_low_end");
+      ("funptr beyond the code", { meta with funptr_locs = meta.funptr_locs @ [ size - 1 ] }, "funptr_locs");
+    ]
+
+(* ---- differential: the codec against the previous implementation ---- *)
+
+module Rng = Mavr_prng.Splitmix
+
+let decode_result decode text =
+  match decode text with
+  | segs -> Ok segs
+  | exception Ihex.Parse_error { line; message } -> Error (line, message)
+  | exception Ihex_oracle.Parse_error { line; message } -> Error (line, message)
+
+(* Segment lists the encoder meets and a few it should not: 64 KB
+   crossings, adjacent and overlapping segments, the metadata segment,
+   empty payloads. *)
+let random_segments rng =
+  let prev = ref (0, "") in
+  List.init
+    (1 + Rng.int rng 5)
+    (fun _ ->
+      let data = String.init (Rng.int rng 300) (fun _ -> Char.chr (Rng.int rng 256)) in
+      let pa, pd = !prev in
+      let base =
+        match Rng.int rng 6 with
+        | 0 -> Rng.int rng 0x30000
+        | 1 -> ((1 + Rng.int rng 3) lsl 16) - Rng.int rng 40
+        | 2 -> pa + String.length pd
+        | 3 -> pa + Rng.int rng (String.length pd + 1)
+        | 4 -> Symtab.meta_base
+        | _ -> Rng.int rng 64
+      in
+      prev := (base, data);
+      (base, data))
+
+let prop_ihex_encode_matches_oracle =
+  QCheck.Test.make ~name:"ihex encode/decode match the previous codec" ~count:300 QCheck.int
+    (fun seed ->
+      let segs = random_segments (Rng.create ~seed) in
+      let text = Ihex.encode segs in
+      text = Ihex_oracle.encode segs
+      && decode_result Ihex.decode text = decode_result Ihex_oracle.decode text)
+
+(* A well-formed record line with the given bytes and their checksum. *)
+let raw_record bytes =
+  let sum = List.fold_left ( + ) 0 bytes in
+  ":" ^ String.concat "" (List.map (Printf.sprintf "%02X") (bytes @ [ (0x100 - (sum land 0xFF)) land 0xFF ]))
+
+(* One mutation of a valid text, mostly line-level. *)
+let mutate rng text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let n = Array.length lines in
+  let pick () = Rng.int rng n in
+  let join ls = String.concat "\n" ls in
+  let insert k l = join (List.concat (List.mapi (fun i x -> if i = k then [ l; x ] else [ x ]) (Array.to_list lines))) in
+  let edit_char f =
+    let k = pick () in
+    let l = lines.(k) in
+    if l <> "" then lines.(k) <- f l (Rng.int rng (String.length l));
+    join (Array.to_list lines)
+  in
+  match Rng.int rng 12 with
+  | 0 -> edit_char (fun l i -> String.mapi (fun j c -> if j = i then "0123456789ABCDEF".[Rng.int rng 16] else c) l)
+  | 1 ->
+      (* One or two stray characters, possibly both digits of one byte. *)
+      let width = 1 + Rng.int rng 2 in
+      edit_char (fun l i ->
+          String.mapi (fun j c -> if j >= i && j < i + width then "Gg: xZ\r\t".[Rng.int rng 8] else c) l)
+  | 2 -> String.lowercase_ascii text
+  | 3 -> join (List.map (fun l -> l ^ "\r") (Array.to_list lines))
+  | 4 -> insert (pick ()) (if Rng.bool rng then "" else "  \t ")
+  | 5 -> text ^ ":zz junk\n:00000001FF\nmore"
+  | 6 -> join (List.filter (fun l -> not (String.starts_with ~prefix:":00000001" l)) (Array.to_list lines))
+  | 7 -> edit_char (fun l i -> String.sub l 0 i ^ String.sub l (i + 1) (String.length l - i - 1))
+  | 8 -> insert (pick ()) (raw_record [ 2; 0x12; 0x34; Rng.pick rng [| 2; 3; 5; 6; 0x42 |]; 0x12; 0x34 ])
+  | 9 ->
+      let len = Rng.pick rng [| 0; 1; 3 |] in
+      insert (pick ()) (raw_record ([ len; 0; 0; 4 ] @ List.init len (fun _ -> 0xA)))
+  | 10 -> insert (pick ()) (raw_record [ 2 + Rng.int rng 4; 0x00; 0x10; 0; 0xAB ])
+  | _ -> String.sub text 0 (Rng.int rng (String.length text + 1))
+
+let prop_ihex_decode_mutants_match_oracle =
+  QCheck.Test.make ~name:"ihex decode of mutated texts matches the previous codec" ~count:600
+    QCheck.int (fun seed ->
+      let rng = Rng.create ~seed in
+      let text = mutate rng (Ihex.encode (random_segments rng)) in
+      decode_result Ihex.decode text = decode_result Ihex_oracle.decode text)
+
 let () =
   Alcotest.run "objfile"
     [
@@ -146,6 +254,9 @@ let () =
           Alcotest.test_case "blob roundtrip" `Quick test_symtab_blob_roundtrip;
           Alcotest.test_case "bad magic" `Quick test_symtab_bad_magic;
           Alcotest.test_case "preprocessed hex roundtrip" `Quick test_preprocessed_hex_roundtrip;
+          Alcotest.test_case "inconsistent metadata refused" `Quick test_symtab_inconsistent_meta;
         ] );
-      ("properties", [ Helpers.qtest prop_ihex_roundtrip ]);
+      ( "properties",
+        List.map Helpers.qtest
+          [ prop_ihex_roundtrip; prop_ihex_encode_matches_oracle; prop_ihex_decode_mutants_match_oracle ] );
     ]

@@ -5,7 +5,7 @@
    function-pointer dispatch — randomize each with several permutations,
    run original and randomized to completion, and require identical final
    machine state.  This is the strongest correctness statement about
-   Shuffle+Patch. *)
+   Shuffle+Stream_patch. *)
 
 module Asm = Mavr_asm.Assembler
 module Isa = Mavr_avr.Isa
@@ -133,7 +133,7 @@ let prop_identity_is_noop =
       let count = max 3 count in
       let img = gen_program seed ~count in
       let id = Mavr_core.Shuffle.identity img in
-      (Mavr_core.Patch.apply img id).Image.code = img.Image.code)
+      (Mavr_core.Randomize.with_order img id.order).Image.code = img.Image.code)
 
 let () =
   Alcotest.run "patch-property"

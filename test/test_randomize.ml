@@ -39,7 +39,7 @@ let test_identity_shuffle () =
   let img = image () in
   let s = Shuffle.identity img in
   Alcotest.(check bool) "is identity" true (Shuffle.is_identity s);
-  let img' = Patch.apply img s in
+  let img' = Randomize.with_order img s.order in
   Alcotest.(check string) "identity patch is byte-identical" img.Image.code img'.Image.code
 
 let test_map_addr () =
@@ -125,7 +125,7 @@ let test_mavr_image_accepted () =
 let test_funptrs_remapped () =
   let img = image () in
   let s = Shuffle.draw ~rng:(Rng.create ~seed:21) img in
-  let img' = Patch.apply img s in
+  let img' = Randomize.with_order img s.order in
   List.iter
     (fun loc ->
       let w = Char.code img.Image.code.[loc] lor (Char.code img.Image.code.[loc + 1] lsl 8) in
@@ -157,30 +157,57 @@ let test_double_randomization () =
 
 (* ---- streaming randomization (§VI-B3) ---- *)
 
-let test_streaming_matches_batch () =
-  let img = image () in
-  for seed = 1 to 6 do
-    let batch = Randomize.randomize ~seed img in
-    let streamed, stats = Mavr_core.Stream_patch.randomize_image ~seed img ~page_bytes:256 in
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d byte-identical" seed)
-      true
-      (streamed.Image.code = batch.Image.code);
-    Alcotest.(check int) "pages emitted"
-      ((Image.size img + 255) / 256)
-      stats.pages_emitted;
-    Alcotest.(check bool) "read at least the whole image" true (stats.bytes_read >= Image.size img)
-  done
+(* [Image.fingerprint] of [Randomize.randomize ~seed:1..5] on each paper
+   profile, recorded while a separate batch patcher still existed and was
+   checked byte for byte against the streaming one. *)
+let pinned_fingerprints =
+  [
+    ( "Arduplane",
+      [ 0x276f1e02cf2150c0; 0x119f83286466c57b; 0x3bc5e4f3e1e2567e; 0x28e6d8400c4d724a; 0x839be8fd4a60dc ] );
+    ( "Arducopter",
+      [ 0x1c616235e42746ce; 0x3ee700b88196c706; 0x1890cbd1eba05dae; 0x12d483e6ef4f4424; 0x12b75505ce404ae3 ] );
+    ( "Ardurover",
+      [ 0x2b8644278cc7b4ff; 0x29bf75e283249276; 0x12d782695062eaf7; 0x16b287307275c609; 0x26d083513e3b6951 ] );
+  ]
+
+let test_streaming_pinned_layouts () =
+  List.iter
+    (fun (profile : Mavr_firmware.Profile.t) ->
+      let img = (Mavr_firmware.Build.build profile Mavr_firmware.Profile.mavr).image in
+      List.iteri
+        (fun k expected ->
+          let seed = k + 1 in
+          Alcotest.(check int)
+            (Printf.sprintf "%s seed %d fingerprint" profile.name seed)
+            expected
+            (Image.fingerprint (Randomize.randomize ~seed img)))
+        (List.assoc profile.name pinned_fingerprints);
+      let _, stats = Mavr_core.Stream_patch.randomize_image ~seed:1 img ~page_bytes:256 in
+      Alcotest.(check int) "pages emitted" ((Image.size img + 255) / 256) stats.pages_emitted;
+      Alcotest.(check bool) "read at least the whole image" true (stats.bytes_read >= Image.size img))
+    Mavr_firmware.Profile.all
 
 let test_streaming_symbols_match () =
+  (* Each symbol's new address holds its own block: byte for byte, except
+     the absolute call/jmp instructions the relocation rewrote. *)
   let img = image () in
-  let batch = Randomize.randomize ~seed:9 img in
   let streamed, _ = Mavr_core.Stream_patch.randomize_image ~seed:9 img ~page_bytes:256 in
-  List.iter2
-    (fun (a : Image.symbol) (b : Image.symbol) ->
-      Alcotest.(check string) "name" a.name b.name;
-      Alcotest.(check int) "addr" a.addr b.addr)
-    batch.Image.symbols streamed.Image.symbols
+  List.iter
+    (fun (s : Image.symbol) ->
+      let s' = List.find (fun (x : Image.symbol) -> x.name = s.name) streamed.Image.symbols in
+      let block = Image.code_of img s and moved = Image.code_of streamed s' in
+      let pos = ref 0 in
+      while !pos + 1 < s.size do
+        let insn, size = Mavr_avr.Decode.decode_bytes block !pos in
+        (match insn with
+        | Mavr_avr.Isa.Call _ | Mavr_avr.Isa.Jmp _ -> ()
+        | _ ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s+0x%x" s.name !pos)
+              (String.sub block !pos size) (String.sub moved !pos size));
+        pos := !pos + size
+      done)
+    img.symbols
 
 let test_streaming_fits_master_sram () =
   (* The §VI-B3 memory claim: randomization of every profile fits the
@@ -199,6 +226,44 @@ let test_streaming_refuses_relaxed () =
   let stock = Helpers.build_stock () in
   match Mavr_core.Stream_patch.randomize_image ~seed:1 stock.image ~page_bytes:256 with
   | _ -> Alcotest.fail "relaxed image must be refused"
+  | exception Patch.Unpatchable _ -> ()
+
+(* A 128 KB+ image whose pointed-to function ("target") the layout
+   [| 0; 2; 1 |] moves above 0x1FFFF: its word address no longer fits
+   the 16-bit function pointer, so the relocator must refuse instead of
+   truncating it. *)
+let test_streaming_funptr_reach () =
+  let nop = "\x00\x00" and ret = "\x08\x95" in
+  let filler = 0x20000 in
+  let text_end = 10 + filler in
+  let code =
+    String.concat ""
+      [ nop ^ nop; nop ^ ret; ret; String.concat "" (List.init ((filler / 2) - 1) (fun _ -> nop)); ret; "\x04\x00" ]
+  in
+  let sym name addr size = { Image.name; addr; size; kind = Image.Func } in
+  let img =
+    {
+      Image.code;
+      exec_low_end = 4;
+      text_start = 4;
+      text_end;
+      symbols = [ sym "main" 4 4; sym "target" 8 2; sym "filler" 10 filler ];
+      funptr_locs = [ text_end ];
+    }
+  in
+  Helpers.assert_ok (Image.validate img);
+  Helpers.assert_ok (Patch.check_randomizable img);
+  let order = [| 0; 2; 1 |] in
+  (match
+     Mavr_core.Stream_patch.run ~code_size:(Image.size img)
+       ~read:(fun ~pos ~len -> String.sub code pos len)
+       ~meta:(Mavr_obj.Symtab.meta_of_image img) ~order ~page_bytes:256
+       ~emit_page:(fun ~page_addr:_ _ -> ())
+   with
+  | _ -> Alcotest.fail "pointer beyond icall reach streamed"
+  | exception Patch.Unpatchable _ -> ());
+  match Randomize.with_order img order with
+  | _ -> Alcotest.fail "pointer beyond icall reach randomized"
   | exception Patch.Unpatchable _ -> ()
 
 let prop_random_seed_equivalence =
@@ -235,10 +300,11 @@ let () =
         ] );
       ( "streaming",
         [
-          Alcotest.test_case "matches batch patcher" `Quick test_streaming_matches_batch;
+          Alcotest.test_case "pinned layout fingerprints" `Slow test_streaming_pinned_layouts;
           Alcotest.test_case "symbols match" `Quick test_streaming_symbols_match;
           Alcotest.test_case "fits master SRAM (all profiles)" `Slow test_streaming_fits_master_sram;
           Alcotest.test_case "refuses relaxed images" `Quick test_streaming_refuses_relaxed;
+          Alcotest.test_case "function pointer beyond icall reach" `Quick test_streaming_funptr_reach;
         ] );
       ("properties", [ Helpers.qtest prop_random_seed_equivalence ]);
     ]
