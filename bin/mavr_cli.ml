@@ -667,16 +667,30 @@ let domains_json st =
               Obj [ ("tasks", Int d.tasks_run); ("busy_s", Float d.busy_s) ])
             st)))
 
-(* The campaign itself — census, then grid, on one pool — shared by
-   `campaign`, the serve handler and the dispatch merge.  Per-task seeds
-   come from the spec's root seed, so the result depends only on the
-   spec, never on [jobs] or scheduling.  A [progress] stream also gets
-   per-domain pool utilization and the final heartbeat.  Returns the
-   pool's stats and the wall/cpu span of the pool's work, or the message
-   of a corrupt [checkpoint]. *)
-let run_campaign ?jobs ?tracer ?progress ?checkpoint (spec : Spec.t) =
-  let module Pool = Mavr_campaign.Pool in
+(* The firmware every campaign entry point flies: the MAVR-toolchain
+   build of the spec's profile, or a usage error naming the image size
+   when it is larger than the app CPU's flash (loading it would raise in
+   the first trial).  [Profile.of_string] already refused any count too
+   large to build quickly; this is the exact check. *)
+let campaign_firmware (spec : Spec.t) =
   let b = build_firmware spec.profile F.Profile.mavr in
+  let size = Image.size b.F.Build.image and flash = Mavr_avr.Device.atmega2560.flash_bytes in
+  if size <= flash then Ok b
+  else
+    Error
+      (Printf.sprintf "profile %s: the %d-byte image does not fit the %d-byte flash"
+         spec.profile.F.Profile.name size flash)
+
+(* The campaign itself — census, then grid, on one pool, flying the
+   build [b] from [campaign_firmware] — shared by `campaign`, the serve
+   handler and the dispatch merge.  Per-task seeds come from the spec's
+   root seed, so the result depends only on the spec, never on [jobs]
+   or scheduling.  A [progress] stream also gets per-domain pool
+   utilization and the final heartbeat.  Returns the pool's stats and
+   the wall/cpu span of the pool's work, or the message of a corrupt
+   [checkpoint]. *)
+let run_campaign ?jobs ?tracer ?progress ?checkpoint (spec : Spec.t) b =
+  let module Pool = Mavr_campaign.Pool in
   (* Coordinator lane: the census and grid phases as top-level spans. *)
   let top_lane = Option.map (fun tr -> Mavr_telemetry.Span.lane tr ~sort:(-1) "campaign") tracer in
   let phase name f = match top_lane with None -> f () | Some l -> Mavr_telemetry.Span.span l name f in
@@ -739,6 +753,11 @@ let cmd_campaign =
        identical either way. *)
     if no_superblocks then Mavr_avr.Cpu.set_superblocks_default false;
     let tracer = Option.map (fun _ -> Mavr_campaign.Clock.tracer ()) trace in
+    match campaign_firmware spec with
+    | Error m ->
+        Format.eprintf "error: %s@." m;
+        2
+    | Ok b -> (
     match (open_sink ~dash:true "progress" progress, open_sink "results" results) with
     | Error e, _ | _, Error e ->
         Format.eprintf "error: %s@." e;
@@ -768,7 +787,7 @@ let cmd_campaign =
             let progress =
               Option.map (fun (sink, _) -> Mavr_campaign.Progress.create ~sink ()) progress_sink
             in
-            match run_campaign ?jobs ?tracer ?progress ?checkpoint:ck spec with
+            match run_campaign ?jobs ?tracer ?progress ?checkpoint:ck spec b with
             | Error m ->
                 Format.eprintf "error: checkpoint: %s@." m;
                 2
@@ -834,7 +853,7 @@ let cmd_campaign =
                       pool_stats
                   end
                 end;
-                campaign_exit census grid))
+                campaign_exit census grid)))
   in
   let jobs =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS"
@@ -922,14 +941,16 @@ let cmd_serve =
        flags, a malformed one a terminal error naming it), so a served
        result byte-matches `campaign --json` for the same configuration. *)
     let handler req ~progress:send =
-      match (Spec.of_json req, J.member "shard" req) with
-      | Error m, _ -> Error m
-      | Ok spec, None ->
+      let ( let* ) = Result.bind in
+      let* spec = Spec.of_json req in
+      let* b = campaign_firmware spec in
+      match J.member "shard" req with
+      | None ->
           let progress = Mavr_campaign.Progress.create ~sink:send () in
           Result.map
             (fun (census, grid, _, _) -> J.Obj (campaign_doc spec census grid))
-            (run_campaign ?jobs ~progress spec)
-      | Ok spec, Some shard_j -> (
+            (run_campaign ?jobs ~progress spec b)
+      | Some shard_j -> (
           (* Shard request: run only the grid tasks in [lo, hi),
              streaming every checkpoint entry line down the connection
              (the dispatcher merges them); the census is the dispatcher's
@@ -944,7 +965,6 @@ let cmd_serve =
               Option.bind (J.member "hi" shard_j) J.to_int )
           with
           | Some lo, Some hi when 0 <= lo && lo <= hi && hi <= tasks ->
-              let b = build_firmware spec.profile F.Profile.mavr in
               let send_mu = Mutex.create () in
               let send_locked line = Mutex.protect send_mu (fun () -> send line) in
               let ck = Mavr_campaign.Checkpoint.create ~stream:send_locked ck_spec in
@@ -1042,6 +1062,13 @@ let cmd_dispatch =
       2
     end
     else
+      (* Built before any worker spawns: an image that cannot fly is a
+         usage error here, not a shard failure retried on every worker. *)
+      match campaign_firmware spec with
+      | Error m ->
+          Format.eprintf "error: %s@." m;
+          2
+      | Ok b ->
       match open_sink ~dash:true "progress" progress with
       | Error e ->
           Format.eprintf "error: %s@." e;
@@ -1124,7 +1151,7 @@ let cmd_dispatch =
               (fun (census, grid, _, _) ->
                 Option.iter (fun p -> Mavr_campaign.Progress.emit p ~reason:"final") progress_t;
                 (outcome, census, grid))
-              (Result.map_error (( ^ ) "merge: ") (run_campaign ?jobs ~checkpoint:ck spec)))
+              (Result.map_error (( ^ ) "merge: ") (run_campaign ?jobs ~checkpoint:ck spec b)))
       in
       close_sink progress_sink;
       match merged with

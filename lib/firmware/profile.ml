@@ -9,6 +9,13 @@ let all = [ arduplane; arducopter; ardurover ]
 let tiny ~n ~seed =
   { name = Printf.sprintf "tiny-%d" n; n_functions = n; target_size = 0; seed }
 
+(* Every function of a tiny image, runtime kernel included, takes at
+   least 12 bytes (a filler has five or more one-word body units and a
+   one-word return), so a count past this cannot fit the app CPU's flash
+   and is refused before a build that would take minutes starts.  Counts
+   below it are checked exactly against the built image by the campaign. *)
+let min_function_bytes = 12
+
 let of_string s =
   let lower = String.lowercase_ascii s in
   match List.find_opt (fun p -> String.lowercase_ascii p.name = lower) all with
@@ -17,7 +24,13 @@ let of_string s =
       let count =
         if String.starts_with ~prefix:"tiny-" s then String.sub s 5 (String.length s - 5) else s
       in
+      let flash = Mavr_avr.Device.atmega2560.flash_bytes in
       match int_of_string_opt count with
+      | Some n when n > flash / min_function_bytes ->
+          Error
+            (Printf.sprintf
+               "%S cannot fit the %d-byte flash: its %d functions take at least %d bytes each"
+               s flash n min_function_bytes)
       | Some n when n >= 1 -> Ok (tiny ~n ~seed:2024)
       | _ ->
           Error

@@ -34,7 +34,9 @@ val tiny : n:int -> seed:int -> t
     ["Arduplane"], ...), or a filler count as a bare number (["60"]) or
     as the name {!tiny} prints (["tiny-60"]), built with seed 2024.  So
     the [name] of every {!all} profile and of every seed-2024 tiny
-    profile parses back to that profile. *)
+    profile parses back to that profile.  A filler count too large for
+    any image of it to fit the ATmega2560's flash is an error, found
+    without building anything. *)
 val of_string : string -> (t, string) result
 
 type toolchain = {

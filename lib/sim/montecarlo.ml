@@ -165,7 +165,11 @@ let trial ?lanes ~image ~inject ~defense ~level ~ms ~rng () =
         (match Scenario.master s with Some m -> Master.attacks_detected m | None -> 0);
     }
   in
-  (outcome, registry)
+  (* Sampled cells close over the rig (CPU, both flashes, compiled
+     blocks); materializing them now lets the rig die with this frame. *)
+  let owned = Metrics.create () in
+  Metrics.merge ~into:owned registry;
+  (outcome, owned)
 
 (* ---- checkpoint codec ------------------------------------------------ *)
 

@@ -21,9 +21,14 @@
     - [Mavr_defense] — the full master: randomize at boot, watchdog
       detection, re-randomize + reflash on failure.
 
-    Each trial owns a private telemetry registry; they are merged
-    ({!Mavr_telemetry.Metrics.merge}, commutative) into {!type-t}'s
-    [metrics] at the join — no locks anywhere near the emulator. *)
+    Each trial owns a private telemetry registry — no locks anywhere
+    near the emulator.  When the trial ends its sampled cells are
+    materialized ({!Mavr_telemetry.Metrics.merge} into a fresh
+    registry), so a finished trial keeps only numbers: its rig (app CPU,
+    flashes, compiled blocks, master) is garbage as soon as the trial
+    returns, and a campaign's peak memory does not grow with its trial
+    count beyond those numbers.  The owned registries are merged
+    (commutatively) into {!type-t}'s [metrics] at the join. *)
 
 type defense = Undefended | Software_only | Mavr_defense
 type attack = V1 | V2 | V3

@@ -89,8 +89,9 @@ val reset : registry -> unit
     - histograms combine pointwise (count/sum add, min/max widen);
     - a {e sampled} gauge in [src] is read once, at merge time, and lands
       in [into] as a plain (max-combined) gauge — its sampler belongs to
-      the worker's finished rig, so the value is final and [into] must
-      own it outright;
+      a finished rig, so the value is final and [into] must own it
+      outright.  A campaign trial merges its registry into a fresh one
+      when it ends, so no sampler (and no rig) outlives the trial;
     - a {e sampled counter} likewise materializes once, into an owned
       counter, and therefore adds across sources.
 

@@ -343,6 +343,10 @@ let test_spec_accepts () =
       ok (Printf.sprintf {|{"profile":%S}|} name) (fun s ->
           Alcotest.(check bool) name true (s.profile = Profile.tiny ~n:60 ~seed:2024)))
     [ "60"; "tiny-60" ];
+  (* The largest count the cheap flash bound lets through; whether its
+     image fits is the campaign's exact check on the build. *)
+  ok {|{"profile":"21845"}|} (fun s ->
+      Alcotest.(check int) "largest count the bound passes" 21845 s.profile.n_functions);
   ok {|{"trials":2,"layouts":0,"bogus":[1],"shard":{"lo":0,"hi":1}}|} (fun s ->
       Alcotest.(check (pair int int)) "unknown members ignored" (2, 0) (s.trials, s.layouts));
   ok {|{"faults":"lossy","early_stop":{"target_halfwidth":0.3}}|} (fun s ->
@@ -371,6 +375,9 @@ let test_spec_rejects () =
       ({|{"profile":60}|}, "profile");
       ({|{"profile":"arduboat"}|}, "profile");
       ({|{"profile":"tiny-0"}|}, "profile");
+      (* Too many functions to fit the flash: refused before any build. *)
+      ({|{"profile":"100000000"}|}, "profile");
+      ({|{"profile":"tiny-21846"}|}, "262144-byte flash");
       ({|{"faults":"hurricane"}|}, "faults");
       ({|{"faults":null}|}, "faults");
       ({|{"early_stop":0.3}|}, "early_stop");
