@@ -21,8 +21,6 @@ let required =
     [ "superblock"; "legacy_insn_per_s" ];
     [ "superblock"; "off_insn_per_s" ];
     [ "superblock"; "on_insn_per_s" ];
-    [ "superblock"; "precompiled_insn_per_s" ];
-    [ "superblock"; "blocks_precompiled" ];
     [ "superblock"; "speedup_vs_step" ];
     [ "superblock"; "speedup_vs_cached" ];
     [ "superblock"; "arch_state_identical" ];

@@ -499,20 +499,14 @@ let superblock_bench () =
   let _, _, arduplane = List.hd (Lazy.force builds) in
   let image = arduplane.F.Build.image in
   let budget = if !quick then 2_000_000 else 20_000_000 in
-  let prep ?(cache = true) ~superblocks ~precompiled () =
+  let prep ?(cache = true) ~superblocks () =
     let cpu = Cpu.create () in
     Cpu.set_decode_cache cpu cache;
     Cpu.set_superblocks cpu superblocks;
     Cpu.load_program cpu image.Image.code;
-    let compiled =
-      if precompiled then
-        Cpu.precompile cpu
-          (Mavr_analysis.Cfg.block_start_words (Mavr_analysis.Cfg.recover image))
-      else 0
-    in
     ignore (Cpu.run_until_halt cpu ~max_cycles:200_000);
     if Cpu.halted cpu <> None then Cpu.reset cpu;
-    (cpu, compiled)
+    cpu
   in
   let measure run_slice cpu =
     let retired, span =
@@ -539,17 +533,12 @@ let superblock_bench () =
       Cpu.step cpu
     done
   in
-  let legacy, legacy_span =
-    measure per_step (fst (prep ~cache:false ~superblocks:false ~precompiled:false ()))
-  in
-  let off, off_span = measure batched (fst (prep ~superblocks:false ~precompiled:false ())) in
-  let on, on_span = measure batched (fst (prep ~superblocks:true ~precompiled:false ())) in
-  let pre_cpu, compiled = prep ~superblocks:true ~precompiled:true () in
-  let pre, pre_span = measure batched pre_cpu in
+  let legacy, legacy_span = measure per_step (prep ~cache:false ~superblocks:false ()) in
+  let off, off_span = measure batched (prep ~superblocks:false ()) in
+  let on, on_span = measure batched (prep ~superblocks:true ()) in
   Printf.printf "  legacy: per-step loop, decode per instruction  : %12.0f insn/s\n" legacy;
   Printf.printf "  off: batched run + predecode cache (PR-5 row)  : %12.0f insn/s\n" off;
   Printf.printf "  on:  superblocks, lazily compiled              : %12.0f insn/s\n" on;
-  Printf.printf "  on:  superblocks, %5d CFG blocks precompiled : %12.0f insn/s\n" compiled pre;
   Printf.printf "  speedup (superblocks / per-step legacy)        : %12.2fx\n" (on /. legacy);
   Printf.printf "  speedup (superblocks / cached stepping)        : %12.2fx\n" (on /. off);
   (* The equivalence contract, re-checked in the measured configuration:
@@ -584,19 +573,15 @@ let superblock_bench () =
        [ ("legacy_insn_per_s", J.Float legacy);
          ("off_insn_per_s", J.Float off);
          ("on_insn_per_s", J.Float on);
-         ("precompiled_insn_per_s", J.Float pre);
-         ("blocks_precompiled", J.Int compiled);
          ("speedup_vs_step", J.Float (on /. legacy));
          ("speedup_vs_cached", J.Float (on /. off));
          ("arch_state_identical", J.Bool identical);
          ("wall_s",
           J.Float
-            (legacy_span.Clock.wall_s +. off_span.Clock.wall_s +. on_span.Clock.wall_s
-            +. pre_span.Clock.wall_s));
+            (legacy_span.Clock.wall_s +. off_span.Clock.wall_s +. on_span.Clock.wall_s));
          ("cpu_s",
           J.Float
-            (legacy_span.Clock.cpu_s +. off_span.Clock.cpu_s +. on_span.Clock.cpu_s
-            +. pre_span.Clock.cpu_s)) ])
+            (legacy_span.Clock.cpu_s +. off_span.Clock.cpu_s +. on_span.Clock.cpu_s)) ])
 
 (* ---------------------------------------------------------------- *)
 (* The PR-2 overhead contract: with no probes attached the CPU hot path
@@ -1178,7 +1163,7 @@ let microbenchmarks () =
 let write_json path =
   let doc =
     J.Obj
-      ([ ("schema", J.String "mavr-bench"); ("pr", J.Int 9); ("quick", J.Bool !quick) ]
+      ([ ("schema", J.String "mavr-bench"); ("quick", J.Bool !quick) ]
       @ List.rev !results)
   in
   let oc = open_out path in

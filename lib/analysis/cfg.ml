@@ -134,8 +134,6 @@ let block_starts t =
   let starts = Hashtbl.fold (fun a _ acc -> if Hashtbl.mem t.reachable a then a :: acc else acc) t.leaders [] in
   List.sort compare starts
 
-let block_start_words t = List.map (fun a -> a / 2) (block_starts t)
-
 let iter_reachable t f =
   List.iter
     (fun a ->

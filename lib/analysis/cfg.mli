@@ -54,13 +54,8 @@ val is_reachable : t -> int -> bool
 val reachable_addrs : t -> int list
 
 (** Reachable basic-block leader {e byte} addresses, sorted: recovery
-    entries plus every branch/call target.  The static complement to the
-    superblock engine's dynamic block discovery. *)
+    entries plus every branch/call target. *)
 val block_starts : t -> int list
-
-(** {!block_starts} as {e word} addresses — the exact input
-    {!Mavr_avr.Cpu.precompile} expects. *)
-val block_start_words : t -> int list
 
 (** [iter_reachable t f] calls [f addr insn size] in ascending address
     order over every descent-reached instruction. *)

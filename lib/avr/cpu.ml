@@ -24,7 +24,6 @@ let pp_halt fmt = function
 type block_info = {
   bi_key : int;
   bi_pc : int; (* entry word address *)
-  bi_pcs : int array; (* word address of each instruction *)
   bi_insns : Isa.t array;
 }
 
@@ -87,17 +86,15 @@ type t = {
      telemetry taps fire per instruction or per superblock. *)
   mutable sp_min : int;
   (* Scratch for the cycle cost of the instruction being executed; a
-     field rather than a [ref] so [exec_one] does not allocate. *)
+     field rather than a [ref] so [exec_insn] does not allocate. *)
   mutable cyc : int;
-  (* Telemetry taps.  The instruction tap is the only one on the hot
-     path, so it is guarded by a plain bool ([tap_on]) with a no-op
-     closure behind it: when tracing is off the per-instruction cost is
-     one load + one predictable branch, nothing else.  The interrupt and
-     halt taps sit on cold paths and stay options. *)
+  (* Telemetry taps.  The block tap is the only one on the hot path, so
+     it is guarded by a plain bool ([tap_on]) with no-op closures behind
+     it: when tracing is off each block and each single-stepped
+     instruction pays one load + one predictable branch, nothing else.
+     The interrupt and halt taps sit on cold paths and stay options. *)
   mutable tap_on : bool;
-  mutable tap_insn : int -> Isa.t -> unit; (* word PC of the insn, decoded insn *)
-  mutable tap_insn_user : bool; (* a user per-insn tap: forces single-stepping *)
-  mutable tap_block_on : bool;
+  mutable tap_step : int -> Isa.t -> unit; (* word PC of the insn, decoded insn *)
   mutable tap_block : block_info -> int -> unit; (* block, instructions executed *)
   mutable tap_irq : (latency:int -> masked:int -> unit) option;
   mutable tap_halt : (halt -> unit) option;
@@ -127,12 +124,12 @@ and block = {
   b_shadow_sites : int;
 }
 
-let dummy_block_info = { bi_key = -1; bi_pc = -1; bi_pcs = [||]; bi_insns = [||] }
+let dummy_block_info = { bi_key = -1; bi_pc = -1; bi_insns = [||] }
 
 let dummy_block =
   { b_info = dummy_block_info; b_entry = (fun _ -> ()); b_cyc_max = 0; b_shadow_sites = 0 }
 
-let no_insn_tap _ _ = ()
+let no_step_tap _ _ = ()
 let no_block_tap _ _ = ()
 
 (* Process-wide default for new CPUs, so harness layers (campaign CLI,
@@ -176,9 +173,7 @@ let create ?(device = Device.atmega2560) () =
     sp_min = max_int;
     cyc = 0;
     tap_on = false;
-    tap_insn = no_insn_tap;
-    tap_insn_user = false;
-    tap_block_on = false;
+    tap_step = no_step_tap;
     tap_block = no_block_tap;
     tap_irq = None;
     tap_halt = None;
@@ -220,48 +215,24 @@ let force_halt t h = set_halt t h
 
 (* ---- Telemetry taps ------------------------------------------------- *)
 
-(* The per-instruction tap and the block tap are mutually exclusive:
-   installing one replaces the other.  A user instruction tap demands
-   per-instruction observation, so the batched loops fall back to
-   single-stepping ([tap_insn_user]); the block tap keeps superblocks on
-   and observes whole blocks, with its [on_step] callback covering the
-   instructions the engine must still execute one at a time (timer-near
-   windows, uncompilable edges).  Either change takes effect at the next
-   block boundary — compiled blocks never embed tap state, so there is
-   no stale fused code to worry about, only the loop's per-iteration
-   mode check. *)
-
-let set_insn_tap t = function
-  | None ->
-      if t.tap_insn_user then begin
-        t.tap_on <- false;
-        t.tap_insn <- no_insn_tap;
-        t.tap_insn_user <- false
-      end
-  | Some f ->
-      t.tap_insn <- f;
-      t.tap_on <- true;
-      t.tap_insn_user <- true;
-      t.tap_block_on <- false;
-      t.tap_block <- no_block_tap
+(* The block tap observes whole superblocks, with its [on_step]
+   callback covering the instructions the engine executes one at a time
+   (timer-near windows, budget edges, superblocks off).  Installing or
+   clearing it takes effect at the next block boundary — compiled blocks
+   never embed tap state, so there is no stale fused code to worry
+   about. *)
 
 let set_block_tap t ~on_block ~on_step =
   t.tap_block <- on_block;
-  t.tap_block_on <- true;
-  t.tap_insn <- on_step;
-  t.tap_on <- true;
-  t.tap_insn_user <- false
+  t.tap_step <- on_step;
+  t.tap_on <- true
 
 let clear_block_tap t =
-  if not t.tap_insn_user then begin
-    t.tap_on <- false;
-    t.tap_insn <- no_insn_tap
-  end;
-  t.tap_block_on <- false;
+  t.tap_on <- false;
+  t.tap_step <- no_step_tap;
   t.tap_block <- no_block_tap
 
-let insn_tap_active t = t.tap_insn_user
-let block_tap_active t = t.tap_block_on
+let block_tap_active t = t.tap_on
 let set_irq_tap t f = t.tap_irq <- f
 let set_halt_tap t f = t.tap_halt <- f
 
@@ -600,6 +571,275 @@ let take_timer_interrupt t =
   t.cycles <- t.cycles + 5;
   match t.tap_irq with None -> () | Some f -> f ~latency ~masked
 
+(* The semantics of one decoded instruction, shared by the stepper and
+   by every superblock's final instruction, so control transfers, skips
+   and halts are written once.  Precondition: [t.pc] already holds the
+   fall-through address and [t.retired] counts [insn]; [pc0] is the
+   instruction's own word address.  Charges the instruction's cycles. *)
+let exec_insn t pc0 (insn : Isa.t) =
+  t.cyc <- 1;
+  (match insn with
+  | Nop -> ()
+  | Data w ->
+      set_halt t (Illegal_instruction { byte_addr = pc0 * 2; word = w });
+      t.pc <- pc0
+  | Movw (d, r) ->
+      set_reg t d (reg t r);
+      set_reg t (d + 1) (reg t (r + 1))
+  | Ldi (d, k) -> set_reg t d k
+  | Mov (d, r) -> set_reg t d (reg t r)
+  | Add (d, r) ->
+      let a = reg t d and b = reg t r in
+      let res = a + b in
+      flags_add t a b res;
+      set_reg t d res
+  | Adc (d, r) ->
+      let a = reg t d and b = reg t r in
+      let res = a + b + if get_flag t Flag.c then 1 else 0 in
+      flags_add t a b res;
+      set_reg t d res
+  | Sub (d, r) ->
+      let a = reg t d and b = reg t r in
+      let res = a - b in
+      flags_sub t a b res;
+      set_reg t d res
+  | Sbc (d, r) ->
+      let a = reg t d and b = reg t r in
+      let res = a - b - if get_flag t Flag.c then 1 else 0 in
+      flags_sub ~keep_z:true t a b res;
+      set_reg t d res
+  | And (d, r) ->
+      let res = reg t d land reg t r in
+      flags_logic t res;
+      set_reg t d res
+  | Or (d, r) ->
+      let res = reg t d lor reg t r in
+      flags_logic t res;
+      set_reg t d res
+  | Eor (d, r) ->
+      let res = reg t d lxor reg t r in
+      flags_logic t res;
+      set_reg t d res
+  | Cp (d, r) -> flags_sub t (reg t d) (reg t r) (reg t d - reg t r)
+  | Cpc (d, r) ->
+      let c = if get_flag t Flag.c then 1 else 0 in
+      flags_sub ~keep_z:true t (reg t d) (reg t r) (reg t d - reg t r - c)
+  | Cpse (d, r) -> if reg t d = reg t r then skip_next t
+  | Mul (d, r) ->
+      let p = reg t d * reg t r in
+      set_reg t 0 (p land 0xFF);
+      set_reg t 1 ((p lsr 8) land 0xFF);
+      update_flags t
+        ~mask:((1 lsl Flag.c) lor (1 lsl Flag.z))
+        (fbit Flag.c (p land 0x8000 <> 0) lor fbit Flag.z (p land 0xFFFF = 0));
+      t.cyc <- 2
+  | Subi (d, k) ->
+      let a = reg t d in
+      let res = a - k in
+      flags_sub t a k res;
+      set_reg t d res
+  | Sbci (d, k) ->
+      let a = reg t d in
+      let res = a - k - if get_flag t Flag.c then 1 else 0 in
+      flags_sub ~keep_z:true t a k res;
+      set_reg t d res
+  | Andi (d, k) ->
+      let res = reg t d land k in
+      flags_logic t res;
+      set_reg t d res
+  | Ori (d, k) ->
+      let res = reg t d lor k in
+      flags_logic t res;
+      set_reg t d res
+  | Cpi (d, k) -> flags_sub t (reg t d) k (reg t d - k)
+  | Com d ->
+      let res = 0xFF - reg t d in
+      update_flags t ~mask:mask_cvzns ((1 lsl Flag.c) lor zns_bits res ~v:false);
+      set_reg t d res
+  | Neg d ->
+      let a = reg t d in
+      let res = (0x100 - a) land 0xFF in
+      let v = res = 0x80 in
+      update_flags t ~mask:mask_hcvzns
+        (fbit Flag.c (res <> 0) lor fbit Flag.v v
+        lor fbit Flag.h ((res lor a) land 0x08 <> 0)
+        lor zns_bits res ~v);
+      set_reg t d res
+  | Inc d ->
+      let res = (reg t d + 1) land 0xFF in
+      let v = res = 0x80 in
+      update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
+      set_reg t d res
+  | Dec d ->
+      let res = (reg t d - 1) land 0xFF in
+      let v = res = 0x7F in
+      update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
+      set_reg t d res
+  | Lsr d ->
+      let a = reg t d in
+      let res = a lsr 1 in
+      (* n = 0, v = c, s = n xor v = v. *)
+      let c = a land 1 <> 0 in
+      update_flags t ~mask:mask_cvzns
+        (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.v c lor fbit Flag.s c);
+      set_reg t d res
+  | Ror d ->
+      let a = reg t d in
+      let res = (a lsr 1) lor (if get_flag t Flag.c then 0x80 else 0) in
+      let c = a land 1 <> 0 in
+      let n = res land 0x80 <> 0 in
+      let v = n <> c in
+      update_flags t ~mask:mask_cvzns
+        (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n lor fbit Flag.v v
+        lor fbit Flag.s (n <> v));
+      set_reg t d res
+  | Asr d ->
+      let a = reg t d in
+      let res = (a lsr 1) lor (a land 0x80) in
+      let s0 = sreg t in
+      let c = a land 1 <> 0 in
+      let n = res land 0x80 <> 0 in
+      (* Net effect of the former sequence: S pairs N with the
+         pre-update V, then V becomes n xor c. *)
+      let v_old = (s0 lsr Flag.v) land 1 = 1 in
+      set_sreg t
+        (s0 land lnot mask_cvzns
+        lor fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n
+        lor fbit Flag.v (n <> c) lor fbit Flag.s (n <> v_old));
+      set_reg t d res
+  | Swap d ->
+      let a = reg t d in
+      set_reg t d (((a lsl 4) lor (a lsr 4)) land 0xFF)
+  | Push r ->
+      push_byte t (reg t r);
+      t.cyc <- 2
+  | Pop r ->
+      set_reg t r (pop_byte t);
+      t.cyc <- 2
+  | Ret ->
+      t.pc <- pop_pc t;
+      shadow_ret t t.pc;
+      t.cyc <- (if t.dev.Device.pc_bytes = 3 then 5 else 4)
+  | Reti ->
+      t.pc <- pop_pc t;
+      shadow_ret t t.pc;
+      if not (get_flag t Flag.i) then t.i_up_cycle <- t.cycles;
+      set_flag t Flag.i true;
+      t.cyc <- (if t.dev.Device.pc_bytes = 3 then 5 else 4)
+  | Icall ->
+      push_pc t t.pc;
+      shadow_call t t.pc;
+      t.pc <- word_reg t z_reg;
+      t.cyc <- (if t.dev.Device.pc_bytes = 3 then 4 else 3)
+  | Ijmp ->
+      t.pc <- word_reg t z_reg;
+      t.cyc <- 2
+  | Call a ->
+      push_pc t t.pc;
+      shadow_call t t.pc;
+      t.pc <- a;
+      t.cyc <- (if t.dev.Device.pc_bytes = 3 then 5 else 4)
+  | Jmp a ->
+      t.pc <- a;
+      t.cyc <- 3
+  | Rcall k ->
+      push_pc t t.pc;
+      shadow_call t t.pc;
+      t.pc <- t.pc + k;
+      t.cyc <- (if t.dev.Device.pc_bytes = 3 then 4 else 3)
+  | Rjmp k ->
+      t.pc <- t.pc + k;
+      t.cyc <- 2
+  | Brbs (b, k) -> branch t (get_flag t b) k
+  | Brbc (b, k) -> branch t (not (get_flag t b)) k
+  | In (d, a) -> set_reg t d (io_read t a)
+  | Out (a, r) -> io_write t a (reg t r)
+  | Lds (d, a) ->
+      set_reg t d (data_read t a);
+      t.cyc <- 2
+  | Sts (a, r) ->
+      data_write t a (reg t r);
+      t.cyc <- 2
+  | Ldd (d, b, q) ->
+      let base = if b = Y then y_reg else z_reg in
+      set_reg t d (data_read t (word_reg t base + q));
+      t.cyc <- 2
+  | Std (b, q, r) ->
+      let base = if b = Y then y_reg else z_reg in
+      data_write t (word_reg t base + q) (reg t r);
+      t.cyc <- 2
+  | Ld (d, p) ->
+      set_reg t d (data_read t (ptr_access t p ~write:false));
+      t.cyc <- 2
+  | St (p, r) ->
+      data_write t (ptr_access t p ~write:true) (reg t r);
+      t.cyc <- 2
+  | Adiw (d, k) ->
+      let v = word_reg t d in
+      let res = (v + k) land 0xFFFF in
+      update_flags t ~mask:mask_cvzn
+        (fbit Flag.c (v + k > 0xFFFF)
+        lor fbit Flag.z (res = 0)
+        lor fbit Flag.n (res land 0x8000 <> 0)
+        lor fbit Flag.v (res land 0x8000 <> 0 && v land 0x8000 = 0));
+      set_word_reg t d res;
+      t.cyc <- 2
+  | Sbiw (d, k) ->
+      let v = word_reg t d in
+      let res = (v - k) land 0xFFFF in
+      update_flags t ~mask:mask_cvzn
+        (fbit Flag.c (v < k)
+        lor fbit Flag.z (res = 0)
+        lor fbit Flag.n (res land 0x8000 <> 0)
+        lor fbit Flag.v (res land 0x8000 = 0 && v land 0x8000 <> 0));
+      set_word_reg t d res;
+      t.cyc <- 2
+  | Lpm0 ->
+      set_reg t 0 (Memory.flash_byte t.mem (word_reg t z_reg));
+      t.cyc <- 3
+  | Lpm (d, inc) ->
+      let z = word_reg t z_reg in
+      set_reg t d (Memory.flash_byte t.mem z);
+      if inc then set_word_reg t z_reg ((z + 1) land 0xFFFF);
+      t.cyc <- 3
+  | Elpm0 ->
+      let rampz = Memory.data_get t.mem (io_addr t 0x3B) in
+      set_reg t 0 (Memory.flash_byte t.mem ((rampz lsl 16) lor word_reg t z_reg));
+      t.cyc <- 3
+  | Elpm (d, inc) ->
+      let rampz = Memory.data_get t.mem (io_addr t 0x3B) in
+      let z = word_reg t z_reg in
+      set_reg t d (Memory.flash_byte t.mem ((rampz lsl 16) lor z));
+      if inc then begin
+        (* 24-bit post-increment carries into RAMPZ. *)
+        let full = ((rampz lsl 16) lor z) + 1 in
+        set_word_reg t z_reg (full land 0xFFFF);
+        Memory.data_set t.mem (io_addr t 0x3B) ((full lsr 16) land 0xFF)
+      end;
+      t.cyc <- 3
+  | Sbi (a, b) ->
+      io_write t a (io_read t a lor (1 lsl b));
+      t.cyc <- 2
+  | Cbi (a, b) ->
+      io_write t a (io_read t a land lnot (1 lsl b));
+      t.cyc <- 2
+  | Sbic (a, b) -> if io_read t a land (1 lsl b) = 0 then skip_next t
+  | Sbis (a, b) -> if io_read t a land (1 lsl b) <> 0 then skip_next t
+  | Bld (d, b) ->
+      let v = reg t d in
+      set_reg t d (if get_flag t Flag.t then v lor (1 lsl b) else v land lnot (1 lsl b))
+  | Bst (d, b) -> set_flag t Flag.t (reg t d land (1 lsl b) <> 0)
+  | Sbrc (r, b) -> if reg t r land (1 lsl b) = 0 then skip_next t
+  | Sbrs (r, b) -> if reg t r land (1 lsl b) <> 0 then skip_next t
+  | Bset b ->
+      if b = Flag.i && not (get_flag t Flag.i) then t.i_up_cycle <- t.cycles;
+      set_flag t b true
+  | Bclr b -> set_flag t b false
+  | Wdr -> ()
+  | Sleep -> set_halt t Sleep_mode
+  | Break -> set_halt t Break_hit);
+  t.cycles <- t.cycles + t.cyc
+
 (* Execute exactly one instruction (or take a pending interrupt).
    Precondition: not halted — the halt check lives in the callers so the
    batched [run] loops pay for it once per iteration condition rather
@@ -610,296 +850,35 @@ let exec_one t =
   if t.cycles >= t.timer_next_fire && get_flag t Flag.i then take_timer_interrupt t
   else if t.pc < 0 || t.pc * 2 >= t.program_bytes then set_halt t (Wild_pc (t.pc * 2))
   else begin
-        let pc0 = t.pc in
-        (* Inline fetch, split so the cache-hit path allocates nothing
-           (building the (insn, words) pair costs a heap block per
-           instruction without flambda).  No bounds check: the wild-PC
-           guard above bounds pc0 by program_bytes, and a sync'd cache
-           spans exactly (program_bytes + 1) / 2 entries. *)
-        let insn =
-          if t.use_icache then begin
-            let words = Array.unsafe_get t.icache_words pc0 in
-            if words <> 0 then begin
-              t.pc <- pc0 + words;
-              Array.unsafe_get t.icache_insn pc0
-            end
-            else begin
-              let insn = fill_entry t pc0 in
-              t.pc <- pc0 + Array.unsafe_get t.icache_words pc0;
-              insn
-            end
-          end
-          else begin
-            let insn, words = decode_raw t pc0 in
-            t.pc <- pc0 + words;
-            insn
-          end
-        in
-        if t.tap_on then t.tap_insn pc0 insn;
-        t.retired <- t.retired + 1;
-        t.cyc <- 1;
-        (match insn with
-        | Nop -> ()
-        | Data w ->
-            set_halt t (Illegal_instruction { byte_addr = pc0 * 2; word = w });
-            t.pc <- pc0
-        | Movw (d, r) ->
-            set_reg t d (reg t r);
-            set_reg t (d + 1) (reg t (r + 1))
-        | Ldi (d, k) -> set_reg t d k
-        | Mov (d, r) -> set_reg t d (reg t r)
-        | Add (d, r) ->
-            let a = reg t d and b = reg t r in
-            let res = a + b in
-            flags_add t a b res;
-            set_reg t d res
-        | Adc (d, r) ->
-            let a = reg t d and b = reg t r in
-            let res = a + b + if get_flag t Flag.c then 1 else 0 in
-            flags_add t a b res;
-            set_reg t d res
-        | Sub (d, r) ->
-            let a = reg t d and b = reg t r in
-            let res = a - b in
-            flags_sub t a b res;
-            set_reg t d res
-        | Sbc (d, r) ->
-            let a = reg t d and b = reg t r in
-            let res = a - b - if get_flag t Flag.c then 1 else 0 in
-            flags_sub ~keep_z:true t a b res;
-            set_reg t d res
-        | And (d, r) ->
-            let res = reg t d land reg t r in
-            flags_logic t res;
-            set_reg t d res
-        | Or (d, r) ->
-            let res = reg t d lor reg t r in
-            flags_logic t res;
-            set_reg t d res
-        | Eor (d, r) ->
-            let res = reg t d lxor reg t r in
-            flags_logic t res;
-            set_reg t d res
-        | Cp (d, r) -> flags_sub t (reg t d) (reg t r) (reg t d - reg t r)
-        | Cpc (d, r) ->
-            let c = if get_flag t Flag.c then 1 else 0 in
-            flags_sub ~keep_z:true t (reg t d) (reg t r) (reg t d - reg t r - c)
-        | Cpse (d, r) -> if reg t d = reg t r then skip_next t
-        | Mul (d, r) ->
-            let p = reg t d * reg t r in
-            set_reg t 0 (p land 0xFF);
-            set_reg t 1 ((p lsr 8) land 0xFF);
-            update_flags t
-              ~mask:((1 lsl Flag.c) lor (1 lsl Flag.z))
-              (fbit Flag.c (p land 0x8000 <> 0) lor fbit Flag.z (p land 0xFFFF = 0));
-            t.cyc <- 2
-        | Subi (d, k) ->
-            let a = reg t d in
-            let res = a - k in
-            flags_sub t a k res;
-            set_reg t d res
-        | Sbci (d, k) ->
-            let a = reg t d in
-            let res = a - k - if get_flag t Flag.c then 1 else 0 in
-            flags_sub ~keep_z:true t a k res;
-            set_reg t d res
-        | Andi (d, k) ->
-            let res = reg t d land k in
-            flags_logic t res;
-            set_reg t d res
-        | Ori (d, k) ->
-            let res = reg t d lor k in
-            flags_logic t res;
-            set_reg t d res
-        | Cpi (d, k) -> flags_sub t (reg t d) k (reg t d - k)
-        | Com d ->
-            let res = 0xFF - reg t d in
-            update_flags t ~mask:mask_cvzns ((1 lsl Flag.c) lor zns_bits res ~v:false);
-            set_reg t d res
-        | Neg d ->
-            let a = reg t d in
-            let res = (0x100 - a) land 0xFF in
-            let v = res = 0x80 in
-            update_flags t ~mask:mask_hcvzns
-              (fbit Flag.c (res <> 0) lor fbit Flag.v v
-              lor fbit Flag.h ((res lor a) land 0x08 <> 0)
-              lor zns_bits res ~v);
-            set_reg t d res
-        | Inc d ->
-            let res = (reg t d + 1) land 0xFF in
-            let v = res = 0x80 in
-            update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
-            set_reg t d res
-        | Dec d ->
-            let res = (reg t d - 1) land 0xFF in
-            let v = res = 0x7F in
-            update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
-            set_reg t d res
-        | Lsr d ->
-            let a = reg t d in
-            let res = a lsr 1 in
-            (* n = 0, v = c, s = n xor v = v. *)
-            let c = a land 1 <> 0 in
-            update_flags t ~mask:mask_cvzns
-              (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.v c lor fbit Flag.s c);
-            set_reg t d res
-        | Ror d ->
-            let a = reg t d in
-            let res = (a lsr 1) lor (if get_flag t Flag.c then 0x80 else 0) in
-            let c = a land 1 <> 0 in
-            let n = res land 0x80 <> 0 in
-            let v = n <> c in
-            update_flags t ~mask:mask_cvzns
-              (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n lor fbit Flag.v v
-              lor fbit Flag.s (n <> v));
-            set_reg t d res
-        | Asr d ->
-            let a = reg t d in
-            let res = (a lsr 1) lor (a land 0x80) in
-            let s0 = sreg t in
-            let c = a land 1 <> 0 in
-            let n = res land 0x80 <> 0 in
-            (* Net effect of the former sequence: S pairs N with the
-               pre-update V, then V becomes n xor c. *)
-            let v_old = (s0 lsr Flag.v) land 1 = 1 in
-            set_sreg t
-              (s0 land lnot mask_cvzns
-              lor fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n
-              lor fbit Flag.v (n <> c) lor fbit Flag.s (n <> v_old));
-            set_reg t d res
-        | Swap d ->
-            let a = reg t d in
-            set_reg t d (((a lsl 4) lor (a lsr 4)) land 0xFF)
-        | Push r ->
-            push_byte t (reg t r);
-            t.cyc <- 2
-        | Pop r ->
-            set_reg t r (pop_byte t);
-            t.cyc <- 2
-        | Ret ->
-            t.pc <- pop_pc t;
-            shadow_ret t t.pc;
-            t.cyc <- (if t.dev.Device.pc_bytes = 3 then 5 else 4)
-        | Reti ->
-            t.pc <- pop_pc t;
-            shadow_ret t t.pc;
-            if not (get_flag t Flag.i) then t.i_up_cycle <- t.cycles;
-            set_flag t Flag.i true;
-            t.cyc <- (if t.dev.Device.pc_bytes = 3 then 5 else 4)
-        | Icall ->
-            push_pc t t.pc;
-            shadow_call t t.pc;
-            t.pc <- word_reg t z_reg;
-            t.cyc <- (if t.dev.Device.pc_bytes = 3 then 4 else 3)
-        | Ijmp ->
-            t.pc <- word_reg t z_reg;
-            t.cyc <- 2
-        | Call a ->
-            push_pc t t.pc;
-            shadow_call t t.pc;
-            t.pc <- a;
-            t.cyc <- (if t.dev.Device.pc_bytes = 3 then 5 else 4)
-        | Jmp a ->
-            t.pc <- a;
-            t.cyc <- 3
-        | Rcall k ->
-            push_pc t t.pc;
-            shadow_call t t.pc;
-            t.pc <- t.pc + k;
-            t.cyc <- (if t.dev.Device.pc_bytes = 3 then 4 else 3)
-        | Rjmp k ->
-            t.pc <- t.pc + k;
-            t.cyc <- 2
-        | Brbs (b, k) -> branch t (get_flag t b) k
-        | Brbc (b, k) -> branch t (not (get_flag t b)) k
-        | In (d, a) -> set_reg t d (io_read t a)
-        | Out (a, r) -> io_write t a (reg t r)
-        | Lds (d, a) ->
-            set_reg t d (data_read t a);
-            t.cyc <- 2
-        | Sts (a, r) ->
-            data_write t a (reg t r);
-            t.cyc <- 2
-        | Ldd (d, b, q) ->
-            let base = if b = Y then y_reg else z_reg in
-            set_reg t d (data_read t (word_reg t base + q));
-            t.cyc <- 2
-        | Std (b, q, r) ->
-            let base = if b = Y then y_reg else z_reg in
-            data_write t (word_reg t base + q) (reg t r);
-            t.cyc <- 2
-        | Ld (d, p) ->
-            set_reg t d (data_read t (ptr_access t p ~write:false));
-            t.cyc <- 2
-        | St (p, r) ->
-            data_write t (ptr_access t p ~write:true) (reg t r);
-            t.cyc <- 2
-        | Adiw (d, k) ->
-            let v = word_reg t d in
-            let res = (v + k) land 0xFFFF in
-            update_flags t ~mask:mask_cvzn
-              (fbit Flag.c (v + k > 0xFFFF)
-              lor fbit Flag.z (res = 0)
-              lor fbit Flag.n (res land 0x8000 <> 0)
-              lor fbit Flag.v (res land 0x8000 <> 0 && v land 0x8000 = 0));
-            set_word_reg t d res;
-            t.cyc <- 2
-        | Sbiw (d, k) ->
-            let v = word_reg t d in
-            let res = (v - k) land 0xFFFF in
-            update_flags t ~mask:mask_cvzn
-              (fbit Flag.c (v < k)
-              lor fbit Flag.z (res = 0)
-              lor fbit Flag.n (res land 0x8000 <> 0)
-              lor fbit Flag.v (res land 0x8000 = 0 && v land 0x8000 <> 0));
-            set_word_reg t d res;
-            t.cyc <- 2
-        | Lpm0 ->
-            set_reg t 0 (Memory.flash_byte t.mem (word_reg t z_reg));
-            t.cyc <- 3
-        | Lpm (d, inc) ->
-            let z = word_reg t z_reg in
-            set_reg t d (Memory.flash_byte t.mem z);
-            if inc then set_word_reg t z_reg ((z + 1) land 0xFFFF);
-            t.cyc <- 3
-        | Elpm0 ->
-            let rampz = Memory.data_get t.mem (io_addr t 0x3B) in
-            set_reg t 0 (Memory.flash_byte t.mem ((rampz lsl 16) lor word_reg t z_reg));
-            t.cyc <- 3
-        | Elpm (d, inc) ->
-            let rampz = Memory.data_get t.mem (io_addr t 0x3B) in
-            let z = word_reg t z_reg in
-            set_reg t d (Memory.flash_byte t.mem ((rampz lsl 16) lor z));
-            if inc then begin
-              (* 24-bit post-increment carries into RAMPZ. *)
-              let full = ((rampz lsl 16) lor z) + 1 in
-              set_word_reg t z_reg (full land 0xFFFF);
-              Memory.data_set t.mem (io_addr t 0x3B) ((full lsr 16) land 0xFF)
-            end;
-            t.cyc <- 3
-        | Sbi (a, b) ->
-            io_write t a (io_read t a lor (1 lsl b));
-            t.cyc <- 2
-        | Cbi (a, b) ->
-            io_write t a (io_read t a land lnot (1 lsl b));
-            t.cyc <- 2
-        | Sbic (a, b) -> if io_read t a land (1 lsl b) = 0 then skip_next t
-        | Sbis (a, b) -> if io_read t a land (1 lsl b) <> 0 then skip_next t
-        | Bld (d, b) ->
-            let v = reg t d in
-            set_reg t d (if get_flag t Flag.t then v lor (1 lsl b) else v land lnot (1 lsl b))
-        | Bst (d, b) -> set_flag t Flag.t (reg t d land (1 lsl b) <> 0)
-        | Sbrc (r, b) -> if reg t r land (1 lsl b) = 0 then skip_next t
-        | Sbrs (r, b) -> if reg t r land (1 lsl b) <> 0 then skip_next t
-        | Bset b ->
-            if b = Flag.i && not (get_flag t Flag.i) then t.i_up_cycle <- t.cycles;
-            set_flag t b true
-        | Bclr b -> set_flag t b false
-        | Wdr -> ()
-        | Sleep -> set_halt t Sleep_mode
-        | Break -> set_halt t Break_hit);
-        t.cycles <- t.cycles + t.cyc
+    let pc0 = t.pc in
+    (* Inline fetch, split so the cache-hit path allocates nothing
+       (building the (insn, words) pair costs a heap block per
+       instruction without flambda).  No bounds check: the wild-PC guard
+       above bounds pc0 by program_bytes, and a sync'd cache spans
+       exactly (program_bytes + 1) / 2 entries. *)
+    let insn =
+      if t.use_icache then begin
+        let words = Array.unsafe_get t.icache_words pc0 in
+        if words <> 0 then begin
+          t.pc <- pc0 + words;
+          Array.unsafe_get t.icache_insn pc0
+        end
+        else begin
+          let insn = fill_entry t pc0 in
+          t.pc <- pc0 + Array.unsafe_get t.icache_words pc0;
+          insn
+        end
       end
+      else begin
+        let insn, words = decode_raw t pc0 in
+        t.pc <- pc0 + words;
+        insn
+      end
+    in
+    if t.tap_on then t.tap_step pc0 insn;
+    t.retired <- t.retired + 1;
+    exec_insn t pc0 insn
+  end
 
 let step t =
   match t.halt with
@@ -1384,193 +1363,22 @@ let compile_body (insn : Isa.t) : fuse option =
   | Jmp _ | Rcall _ | Rjmp _ | Brbs _ | Brbc _ | Sleep | Break | Data _ ->
       None
 
-(* Compile a terminator: the block's final closure, which performs the
-   instruction *and* writes [t.pc] (body ops never do).  Returns the
-   closure, its worst-case cycle cost, and whether it runs a shadow-
-   stack hook (so the entry-time interrupt margin can add the current
-   shadow overhead).  [pc0] is the instruction's word address, [next]
-   the static fallthrough.  Halting forms replicate [exec_one]'s PC
-   ordering exactly, because the halt tap observes [t.pc] mid-way. *)
-let compile_term t (insn : Isa.t) ~pc0 ~next : (t -> unit) * int * bool =
+(* A terminator — an instruction [compile_body] rejects — ends the
+   trace and runs through [exec_insn], the stepper's own code.  The
+   compiler only needs its worst-case cycle cost and whether it runs a
+   shadow-stack hook (so the entry-time interrupt margin can add the
+   current shadow overhead).  [next] is the static fallthrough, used to
+   size a skip. *)
+let term_cost t (insn : Isa.t) ~next : int * bool =
   let rc = if t.dev.Device.pc_bytes = 3 then 5 else 4 in
   let ic = if t.dev.Device.pc_bytes = 3 then 4 else 3 in
   match insn with
-  | Rjmp k ->
-      let target = next + k in
-      ((fun t -> t.pc <- target; t.cycles <- t.cycles + 2), 2, false)
-  | Jmp a -> ((fun t -> t.pc <- a; t.cycles <- t.cycles + 3), 3, false)
-  | Ijmp ->
-      ((fun t -> t.pc <- word_reg t z_reg; t.cycles <- t.cycles + 2), 2, false)
-  | Brbs (b, k) ->
-      let target = next + k in
-      ( (fun t ->
-          if get_flag t b then begin
-            t.pc <- target;
-            t.cycles <- t.cycles + 2
-          end
-          else begin
-            t.pc <- next;
-            t.cycles <- t.cycles + 1
-          end),
-        2,
-        false )
-  | Brbc (b, k) ->
-      let target = next + k in
-      ( (fun t ->
-          if get_flag t b then begin
-            t.pc <- next;
-            t.cycles <- t.cycles + 1
-          end
-          else begin
-            t.pc <- target;
-            t.cycles <- t.cycles + 2
-          end),
-        2,
-        false )
-  | Ret ->
-      ( (fun t ->
-          t.pc <- pop_pc t;
-          shadow_ret t t.pc;
-          t.cycles <- t.cycles + rc),
-        rc,
-        true )
-  | Reti ->
-      ( (fun t ->
-          t.pc <- pop_pc t;
-          shadow_ret t t.pc;
-          if not (get_flag t Flag.i) then t.i_up_cycle <- t.cycles;
-          set_flag t Flag.i true;
-          t.cycles <- t.cycles + rc),
-        rc,
-        true )
-  | Call a ->
-      ( (fun t ->
-          push_pc t next;
-          shadow_call t next;
-          t.pc <- a;
-          t.cycles <- t.cycles + rc),
-        rc,
-        true )
-  | Rcall k ->
-      let target = next + k in
-      ( (fun t ->
-          push_pc t next;
-          shadow_call t next;
-          t.pc <- target;
-          t.cycles <- t.cycles + ic),
-        ic,
-        true )
-  | Icall ->
-      ( (fun t ->
-          push_pc t next;
-          shadow_call t next;
-          t.pc <- word_reg t z_reg;
-          t.cycles <- t.cycles + ic),
-        ic,
-        true )
-  | Cpse (d, r) ->
-      let _, sw = fetch t next in
-      ( (fun t ->
-          if reg t d = reg t r then begin
-            t.pc <- next + sw;
-            t.cycles <- t.cycles + 1 + sw
-          end
-          else begin
-            t.pc <- next;
-            t.cycles <- t.cycles + 1
-          end),
-        1 + sw,
-        false )
-  | Sbic (a, b) ->
-      let _, sw = fetch t next in
-      ( (fun t ->
-          if io_read t a land (1 lsl b) = 0 then begin
-            t.pc <- next + sw;
-            t.cycles <- t.cycles + 1 + sw
-          end
-          else begin
-            t.pc <- next;
-            t.cycles <- t.cycles + 1
-          end),
-        1 + sw,
-        false )
-  | Sbis (a, b) ->
-      let _, sw = fetch t next in
-      ( (fun t ->
-          if io_read t a land (1 lsl b) <> 0 then begin
-            t.pc <- next + sw;
-            t.cycles <- t.cycles + 1 + sw
-          end
-          else begin
-            t.pc <- next;
-            t.cycles <- t.cycles + 1
-          end),
-        1 + sw,
-        false )
-  | Sbrc (r, b) ->
-      let _, sw = fetch t next in
-      ( (fun t ->
-          if reg t r land (1 lsl b) = 0 then begin
-            t.pc <- next + sw;
-            t.cycles <- t.cycles + 1 + sw
-          end
-          else begin
-            t.pc <- next;
-            t.cycles <- t.cycles + 1
-          end),
-        1 + sw,
-        false )
-  | Sbrs (r, b) ->
-      let _, sw = fetch t next in
-      ( (fun t ->
-          if reg t r land (1 lsl b) <> 0 then begin
-            t.pc <- next + sw;
-            t.cycles <- t.cycles + 1 + sw
-          end
-          else begin
-            t.pc <- next;
-            t.cycles <- t.cycles + 1
-          end),
-        1 + sw,
-        false )
-  | Bset b ->
-      (* Only reached for b = I (sei): other bits compile as body ops.
-         Ends the block so a masked pending compare dispatches at the
-         very next boundary, exactly where the stepping engine takes
-         it. *)
-      ( (fun t ->
-          if not (get_flag t Flag.i) then t.i_up_cycle <- t.cycles;
-          set_flag t b true;
-          t.pc <- next;
-          t.cycles <- t.cycles + 1),
-        1,
-        false )
-  | Sleep ->
-      ( (fun t ->
-          t.pc <- next;
-          set_halt t Sleep_mode;
-          t.cycles <- t.cycles + 1),
-        1,
-        false )
-  | Break ->
-      ( (fun t ->
-          t.pc <- next;
-          set_halt t Break_hit;
-          t.cycles <- t.cycles + 1),
-        1,
-        false )
-  | Data w ->
-      ( (fun t ->
-          t.pc <- next;
-          set_halt t (Illegal_instruction { byte_addr = pc0 * 2; word = w });
-          t.pc <- pc0;
-          t.cycles <- t.cycles + 1),
-        1,
-        false )
-  | _ ->
-      (* Fusible instructions never reach [compile_term]: the trace
-         compiler builds their cap/edge cut closures itself. *)
-      assert false
+  | Rjmp _ | Ijmp | Brbs _ | Brbc _ -> (2, false)
+  | Jmp _ -> (3, false)
+  | Ret | Reti | Call _ -> (rc, true)
+  | Rcall _ | Icall -> (ic, true)
+  | Cpse _ | Sbic _ | Sbis _ | Sbrc _ | Sbrs _ -> (1 + snd (fetch t next), false)
+  | _ -> (1, false) (* sei, sleep, break, illegal *)
 
 (* ------------------------------------------------------------------ *)
 (* Per-flag SREG dataflow metadata for the trace compiler.             *)
@@ -1794,7 +1602,7 @@ type skind =
   | KCond of ctest * int * int * int
       (* test, continue cost, exit word pc, exit cost *)
 
-type slot = { s_insn : Isa.t; s_pc : int; s_next : int; s_kind : skind }
+type slot = { s_insn : Isa.t; s_next : int; s_kind : skind }
 
 let compile_block t entry_pc =
   let prog_ok pc = pc >= 0 && pc * 2 < t.program_bytes in
@@ -1806,10 +1614,12 @@ let compile_block t entry_pc =
   let ic = if t.dev.Device.pc_bytes = 3 then 4 else 3 in
   (* Scan forward along the predicted path, stopping at the first
      instruction that must end the trace (dynamic-target transfer,
-     halt class, sei, cap, program edge, off-trace continue).  When the
-     path reaches a pc that already has a compiled block, the trace
-     *links* to it — it ends with a plain hand-off exit instead of
-     unrolling over the same instructions.  Without this, every side
+     halt class, sei, cap, program edge, off-trace continue).  A body
+     instruction cut by the cap or the program edge becomes the last
+     slot, and the trace leaves to its fallthrough.  When the path
+     reaches a pc that already has a compiled block, the trace *links*
+     to it — it ends with a plain hand-off exit instead of unrolling
+     over the same instructions.  Without this, every side
      exit seeds a fresh shifted trace over code that is already
      compiled, and the closure working set balloons by up to the
      length cap times the program size, trading the dispatch win for
@@ -1823,12 +1633,12 @@ let compile_block t entry_pc =
     let insn, w = fetch t pc in
     let next = pc + w in
     let room = !count < max_block_insns - 1 in
-    let emit kind cost cont =
-      slots := { s_insn = insn; s_pc = pc; s_next = next; s_kind = kind } :: !slots;
+    let push kind cost =
+      slots := { s_insn = insn; s_next = next; s_kind = kind } :: !slots;
       incr count;
-      cyc_max := !cyc_max + cost;
-      go cont
+      cyc_max := !cyc_max + cost
     in
+    let emit kind cost cont = push kind cost; go cont in
     let finish () = final := Some (insn, pc, next) in
     let cond c ~cont_cost ~cont_pc ~exit_pc ~exit_cost ~worst =
       if room && prog_ok cont_pc then
@@ -1882,17 +1692,22 @@ let compile_block t entry_pc =
           ~exit_pc:(next + sw) ~exit_cost:(1 + sw) ~worst:(1 + sw)
     | _ -> (
         match compile_body insn with
-        | Some f when room && prog_ok next ->
+        | None -> finish ()
+        | Some f ->
             let cost = match f with FPure (c, _) | FLoad (c, _) | FStore (c, _) -> c in
-            emit (KBody f) cost next
-        | Some _ | None -> finish ())
+            if room && prog_ok next then emit (KBody f) cost next
+            else begin
+              push (KBody f) cost;
+              link := next
+            end)
   in
   go entry_pc;
   let arr = Array.of_list (List.rev !slots) in
   let nslots = Array.length arr in
-  (* [fin] is [None] exactly when the trace ends by linking to an
-     already-compiled block; then the trace has no final instruction of
-     its own and executes [nslots] instructions. *)
+  (* [fin] is [None] exactly when the trace ends by leaving to [!link]
+     (an already-compiled block, or the fallthrough of a cut body
+     instruction); then the trace has no final instruction of its own
+     and executes [nslots] instructions. *)
   let fin = !final in
   let n_total = match fin with Some _ -> nslots + 1 | None -> nslots in
   (* Forward pass: [pend.(i)] is the cycle debt accumulated since the
@@ -1941,32 +1756,21 @@ let compile_block t entry_pc =
     ks.(nslots) <-
       (match fin with
       | None ->
-          (* Linked trace: hand off to the block compiled at the link
-             pc; the exit closure does all the bookkeeping. *)
+          (* Linked or cut trace: the exit closure does all the
+             bookkeeping. *)
           mk_exit fl !link nslots
-      | Some (fin_insn, fin_pc, fin_next) -> (
-          match compile_body fin_insn with
-          | Some f -> (
-              (* Fusible instruction cut by the cap or the program
-                 edge: run it, then fall through out of the block (the
-                 exit closure does all the bookkeeping). *)
-              match f with
-              | FPure (c, mk) -> mk (mk_exit (fl + c) fin_next n_total)
-              | FLoad (c, mk) -> mk fl (mk_exit c fin_next n_total)
-              | FStore (c, mk) ->
-                  let cut = mk_exit c fin_next n_total in
-                  mk fl cut cut)
-          | None ->
-              let op, cost, sh =
-                compile_term t fin_insn ~pc0:fin_pc ~next:fin_next
-              in
-              if sh then incr shadow_sites;
-              cyc_max := !cyc_max + cost;
-              fun t ->
-                t.cycles <- t.cycles + fl;
-                t.retired <- t.retired + n_total;
-                t.block_insns <- n_total;
-                op t));
+      | Some (fin_insn, fin_pc, fin_next) ->
+          (* A terminator runs the stepper's own instruction code, with
+             [t.pc] at the fallthrough as [exec_one] leaves it. *)
+          let cost, sh = term_cost t fin_insn ~next:fin_next in
+          if sh then incr shadow_sites;
+          cyc_max := !cyc_max + cost;
+          fun t ->
+            t.cycles <- t.cycles + fl;
+            t.retired <- t.retired + n_total;
+            t.block_insns <- n_total;
+            t.pc <- fin_next;
+            exec_insn t fin_pc fin_insn);
     for i = nslots - 1 downto 0 do
       let s = arr.(i) in
       let cnt = i + 1 in
@@ -2042,19 +1846,12 @@ let compile_block t entry_pc =
   in
   let key = t.block_keys in
   t.block_keys <- key + 1;
-  let init_insn =
-    if nslots > 0 then arr.(0).s_insn
-    else match fin with Some (i, _, _) -> i | None -> assert false
+  let insns =
+    let body = Array.map (fun s -> s.s_insn) arr in
+    match fin with Some (fi, _, _) -> Array.append body [| fi |] | None -> body
   in
-  let pcs = Array.make n_total 0 and insns = Array.make n_total init_insn in
-  Array.iteri (fun i s -> pcs.(i) <- s.s_pc; insns.(i) <- s.s_insn) arr;
-  (match fin with
-  | Some (fi, fp, _) ->
-      pcs.(nslots) <- fp;
-      insns.(nslots) <- fi
-  | None -> ());
   {
-    b_info = { bi_key = key; bi_pc = entry_pc; bi_pcs = pcs; bi_insns = insns };
+    b_info = { bi_key = key; bi_pc = entry_pc; bi_insns = insns };
     b_entry = entry;
     b_cyc_max = !cyc_max;
     b_shadow_sites = !shadow_sites;
@@ -2076,7 +1873,7 @@ let get_block t pc =
 let exec_block t b =
   t.block_stop <- false;
   b.b_entry t;
-  if t.tap_block_on then t.tap_block b.b_info t.block_insns
+  if t.tap_on then t.tap_block b.b_info t.block_insns
 
 (* One batched-loop iteration through the superblock engine.  The
    correctness carve-out: with a compare match armed and interrupts
@@ -2088,8 +1885,7 @@ let exec_block t b =
    instead, so a batched run ends at exactly the instruction boundary
    pure stepping would end at — the property that makes campaign
    documents byte-identical with superblocks on or off.  [exec_one]
-   also serves as the fallback that fires the per-instruction tap when
-   a block tap's [on_step] is installed. *)
+   fires the block tap's [on_step] for each instruction it steps. *)
 let block_step t stop =
   if t.cycles >= t.timer_next_fire && get_flag t Flag.i then take_timer_interrupt t
   else if t.pc < 0 || t.pc * 2 >= t.program_bytes then set_halt t (Wild_pc (t.pc * 2))
@@ -2105,20 +1901,6 @@ let sync_caches t =
   sync_icache t;
   sync_blocks t
 
-let precompile t word_pcs =
-  sync_caches t;
-  if not t.use_superblocks then 0
-  else
-    List.fold_left
-      (fun n pc ->
-        if pc >= 0 && pc * 2 < t.program_bytes && Array.get t.blocks pc == dummy_block
-        then begin
-          Array.set t.blocks pc (compile_block t pc);
-          n + 1
-        end
-        else n)
-      0 word_pcs
-
 (* ---- Batched execution ---------------------------------------------- *)
 
 (* Budget clamp: the former [t.cycles + max_cycles] overflowed to a
@@ -2131,12 +1913,9 @@ let precompile t word_pcs =
 let stop_cycle t max_cycles =
   if max_cycles >= max_int - t.cycles then max_int else t.cycles + max_cycles
 
-(* Mode is re-read every iteration, not latched at entry: a tap
-   installed or removed from inside a callback mid-run takes effect at
-   the next block boundary (compiled blocks carry no tap state, so none
-   of the fused code goes stale — the loop just stops using it). *)
-let[@inline] use_blocks t = t.use_superblocks && not t.tap_insn_user
-
+(* The engine switch is re-read every iteration, not latched at entry,
+   so [set_superblocks] from inside a tap callback takes effect at the
+   next block boundary. *)
 let run t ~max_cycles =
   sync_caches t;
   let stop = stop_cycle t max_cycles in
@@ -2146,26 +1925,14 @@ let run t ~max_cycles =
     | None ->
         if t.cycles >= stop then `Budget_exhausted
         else begin
-          if use_blocks t then block_step t stop else exec_one t;
+          if t.use_superblocks then block_step t stop else exec_one t;
           go ()
         end
   in
   go ()
 
 let run_until_halt t ~max_cycles =
-  sync_caches t;
-  let stop = stop_cycle t max_cycles in
-  let rec go () =
-    match t.halt with
-    | Some h -> Some h
-    | None ->
-        if t.cycles >= stop then None
-        else begin
-          if use_blocks t then block_step t stop else exec_one t;
-          go ()
-        end
-  in
-  go ()
+  match run t ~max_cycles with `Halted h -> Some h | `Budget_exhausted -> None
 
 (* [run_until] single-steps regardless of the superblock switch: the
    predicate is specified to be observed between *instructions* (the

@@ -83,29 +83,13 @@ val force_halt : t -> halt -> unit
 
 (** {2 Telemetry taps}
 
-    Low-level instrumentation hooks the telemetry layer
-    ({!Mavr_avr.Probes}, {!Mavr_avr.Trace}) builds on.  They fire from
-    inside [exec_one], so they compose with the batched {!run} loops and
-    the predecode cache — unlike the retired step-only tracing sidecar.
-    With no tap installed the hot path pays a single flag test per
-    instruction; the interrupt and halt taps are entirely off the
-    per-instruction path. *)
-
-(** [set_insn_tap t (Some f)] — [f pc insn] fires before each instruction
-    executes, with [pc] the instruction's {e word} address and [insn] its
-    decode (from the predecode cache when enabled).  SP, SREG and the
-    cycle counter still hold their pre-execution values when [f] runs.
-    [None] uninstalls.
-
-    Installing a per-instruction tap forces the batched loops to
-    single-step (fused superblocks batch accounting the tap must
-    observe); installing one displaces any block tap.  Install/remove
-    from inside a tap callback is safe: the engine re-reads the tap
-    state at every block boundary, so the change takes effect at the
-    next boundary and no stale fused code runs. *)
-val set_insn_tap : t -> (int -> Isa.t -> unit) option -> unit
-
-val insn_tap_active : t -> bool
+    Low-level instrumentation hooks {!Mavr_avr.Probes} builds on: the
+    block tap (instruction-level, fired per superblock and per
+    single-stepped instruction), the interrupt tap and the halt tap.
+    They fire from inside the engine, so they compose with the batched
+    {!run} loops, the superblocks and the predecode cache.  With no tap
+    installed each block and each stepped instruction pays a single flag
+    test; the interrupt and halt taps are entirely off those paths. *)
 
 (** Compile-time cap on instructions per fused superblock — the bound on
     [count] in block-tap callbacks and on the batched-run overshoot past
@@ -114,15 +98,10 @@ val insn_tap_active : t -> bool
 val max_block_insns : int
 
 (** Identity of a compiled superblock, exposed to the block tap: entry
-    word address, the per-instruction word addresses and decodes, and a
-    small dense key ([bi_key]) that is unique per compiled block within
-    a CPU lifetime — suitable for memoizing per-block aggregates. *)
-type block_info = private {
-  bi_key : int;
-  bi_pc : int;
-  bi_pcs : int array;
-  bi_insns : Isa.t array;
-}
+    word address, the per-instruction decodes, and a small dense key
+    ([bi_key]) that is unique per compiled block within a CPU lifetime —
+    suitable for memoizing per-block aggregates. *)
+type block_info = private { bi_key : int; bi_pc : int; bi_insns : Isa.t array }
 
 (** [set_block_tap t ~on_block ~on_step] installs boundary-grained
     instrumentation: when the superblock engine executes a block,
@@ -130,9 +109,13 @@ type block_info = private {
     number of instructions actually retired from [info] (< the block
     length when a mid-block exit fired); whenever the engine
     single-steps instead (interrupt windows, superblocks disabled),
-    [on_step pc insn] fires per instruction exactly like an insn tap.
-    Displaced by {!set_insn_tap}; same boundary semantics for mid-run
-    toggles. *)
+    [on_step pc insn] fires before each instruction, with [pc] the
+    instruction's {e word} address and [insn] its decode; SP, SREG and
+    the cycle counter still hold their pre-execution values.
+    Installing, re-installing or clearing the tap from inside a callback
+    is safe: the engine re-reads the tap state at every block boundary,
+    so the change takes effect at the next boundary and no stale fused
+    code runs. *)
 val set_block_tap :
   t -> on_block:(block_info -> int -> unit) -> on_step:(int -> Isa.t -> unit) -> unit
 
@@ -170,10 +153,9 @@ val step : t -> unit
     interrupt dispatch). *)
 val run : t -> max_cycles:int -> [ `Halted of halt | `Budget_exhausted ]
 
-(** [run_until_halt t ~max_cycles] is [run] for callers that only care
+(** [run_until_halt t ~max_cycles] is {!run} for callers that only care
     whether the CPU faulted: [Some halt] on a fault within the budget,
-    [None] when the budget is exhausted with the CPU still healthy.
-    Same budget/overshoot contract as {!run}. *)
+    [None] when the budget is exhausted with the CPU still healthy. *)
 val run_until_halt : t -> max_cycles:int -> halt option
 
 (** [run_until t ~max_cycles pred] additionally stops when [pred t]
@@ -199,17 +181,19 @@ val decode_cache_enabled : t -> bool
 
 (** {2 Superblock threaded-code engine}
 
-    The batched loops compile straight-line runs of instructions into
-    fused superinstruction arrays — one closure per instruction, with
-    PC updates, retirement counting, interrupt polling and tap
-    dispatch hoisted to block boundaries.  Observable semantics are
-    bit-identical to single-[step] execution: a block is never entered
-    when an enabled timer compare could fire inside its worst-case
-    cycle span, and any in-block write that could change that (timer
-    re-arm, SREG.I set) exits the block after the writing instruction.
-    Compiled blocks are dropped whenever the flash epoch moves, exactly
-    like the predecode cache, so reflash and SEU page writes never
-    execute stale fused code.  Enabled by default. *)
+    The batched loops compile traces of instructions along the
+    predicted path into continuation-threaded closures — one closure per
+    body instruction, with PC updates, retirement counting, interrupt
+    polling and tap dispatch hoisted to block boundaries.  A trace's
+    final control-transfer, skip or halting instruction runs the
+    stepper's own instruction code, so those semantics exist once.
+    Observable semantics are bit-identical to single-[step] execution:
+    a block is never entered when an enabled timer compare could fire
+    inside its worst-case cycle span, and any in-block write that could
+    change that (timer re-arm, SREG.I set) exits the block after the
+    writing instruction.  Compiled blocks are dropped whenever the flash
+    epoch moves, exactly like the predecode cache, so reflash and SEU
+    page writes never execute stale fused code.  Enabled by default. *)
 
 val set_superblocks : t -> bool -> unit
 val superblocks_enabled : t -> bool
@@ -219,13 +203,6 @@ val superblocks_enabled : t -> bool
     inside worker domains) without threading a flag through the
     scenario layers. *)
 val set_superblocks_default : bool -> unit
-
-(** [precompile t word_pcs] eagerly compiles blocks at the given entry
-    word addresses (e.g. {!Mavr_analysis.Cfg} block starts) instead of
-    discovering them lazily at execution time; returns the number of
-    blocks compiled.  Out-of-range or already-compiled entries are
-    skipped.  No-op (returning 0) when superblocks are disabled. *)
-val precompile : t -> int list -> int
 
 (** {2 Peripherals} *)
 

@@ -23,37 +23,3 @@ let pp_snapshot fmt s =
     end
   in
   go 0
-
-type event = { byte_addr : int; insn : Isa.t; sp_before : int; cycle : int }
-
-type recorder = { limit : int; q : event Queue.t }
-
-let recorder ~limit = { limit; q = Queue.create () }
-
-(* The recorder rides the CPU's instruction tap: the tap fires before
-   each instruction executes (SP/cycles still pre-execution), with the
-   decode coming straight from the predecode cache.  Tracing therefore
-   composes with the batched [Cpu.run] loops — the former implementation
-   decoded a second time from flash and forced single-step drivers. *)
-let attach r cpu =
-  Cpu.set_insn_tap cpu
-    (Some
-       (fun pc insn ->
-         Queue.push
-           { byte_addr = pc * 2; insn; sp_before = Cpu.sp cpu; cycle = Cpu.cycles cpu }
-           r.q;
-         while Queue.length r.q > r.limit do
-           ignore (Queue.pop r.q)
-         done))
-
-let detach cpu = Cpu.set_insn_tap cpu None
-
-let step_traced r cpu =
-  attach r cpu;
-  Cpu.step cpu;
-  detach cpu
-
-let events r = List.of_seq (Queue.to_seq r.q)
-
-let pp_event fmt e =
-  Format.fprintf fmt "[%8d] %6x:\t%a\t(SP=0x%04x)" e.cycle e.byte_addr Isa.pp e.insn e.sp_before

@@ -1,8 +1,6 @@
-(** Execution and stack tracing.
-
-    Captures the artefacts the paper displays: per-instruction execution
-    traces and the labelled stack-window snapshots of Fig. 6 ("stack
-    progression during attack"). *)
+(** Stack tracing: the labelled stack-window snapshots of Fig. 6
+    ("stack progression during attack").  Instruction-level observation
+    lives in {!Probes}. *)
 
 (** A labelled snapshot of a data-space window. *)
 type stack_snapshot = {
@@ -17,33 +15,3 @@ val snapshot : Cpu.t -> label:string -> window_start:int -> window_len:int -> st
 (** Renders in the paper's Fig. 6 style: rows of eight hex bytes prefixed
     with the row's data-space address. *)
 val pp_snapshot : Format.formatter -> stack_snapshot -> unit
-
-(** {2 Instruction tracing} *)
-
-type event = { byte_addr : int; insn : Isa.t; sp_before : int; cycle : int }
-
-type recorder
-
-(** [recorder ~limit] keeps the most recent [limit] events. *)
-val recorder : limit:int -> recorder
-
-(** [attach rec cpu] installs the recorder on the CPU's instruction tap:
-    every instruction executed by {e any} entry point — [Cpu.step] or the
-    batched [Cpu.run] family — is recorded, with the decode taken from
-    the predecode cache.  Replaces any previously installed instruction
-    tap. *)
-val attach : recorder -> Cpu.t -> unit
-
-(** [detach cpu] uninstalls the instruction tap. *)
-val detach : Cpu.t -> unit
-
-(** [step_traced rec cpu] records and executes one instruction —
-    equivalent to [attach]/[Cpu.step]/[detach].  Kept for callers that
-    interleave tracing with other work; batch users should [attach] once
-    and use [Cpu.run]. *)
-val step_traced : recorder -> Cpu.t -> unit
-
-(** Events oldest-first. *)
-val events : recorder -> event list
-
-val pp_event : Format.formatter -> event -> unit

@@ -1,5 +1,5 @@
 (* Coverage for the host-side inspection tools: the linear-sweep
-   disassembler, the execution/stack tracer, and the serial timing model's
+   disassembler, the Fig. 6 stack snapshot, and the serial timing model's
    edges. *)
 
 module Cpu = Mavr_avr.Cpu
@@ -42,31 +42,6 @@ let test_listing_format () =
   let code = program Isa.[ Out (0x3E, 29); Ret ] in
   let text = Disasm.listing code in
   Alcotest.(check bool) "contains mnemonic" true (contains text "out 0x3e, r29")
-
-let test_trace_recorder () =
-  let cpu = Cpu.create () in
-  Cpu.load_program cpu (program Isa.[ Ldi (16, 1); Ldi (17, 2); Push 16; Break ]);
-  let r = Trace.recorder ~limit:2 in
-  for _ = 1 to 4 do
-    Trace.step_traced r cpu
-  done;
-  let events = Trace.events r in
-  Alcotest.(check int) "ring keeps last 2" 2 (List.length events);
-  match events with
-  | [ a; b ] ->
-      Alcotest.(check bool) "push recorded" true (a.insn = Isa.Push 16);
-      Alcotest.(check bool) "break recorded" true (b.insn = Isa.Break);
-      Alcotest.(check bool) "sp before push > sp after" true (a.sp_before = b.sp_before + 1)
-  | _ -> Alcotest.fail "unexpected events"
-
-let test_trace_stops_at_halt () =
-  let cpu = Cpu.create () in
-  Cpu.load_program cpu (program Isa.[ Break ]);
-  let r = Trace.recorder ~limit:8 in
-  for _ = 1 to 5 do
-    Trace.step_traced r cpu
-  done;
-  Alcotest.(check int) "one event before halt" 1 (List.length (Trace.events r))
 
 let test_snapshot_contents () =
   let cpu = Cpu.create () in
@@ -117,8 +92,6 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "ring recorder" `Quick test_trace_recorder;
-          Alcotest.test_case "stops at halt" `Quick test_trace_stops_at_halt;
           Alcotest.test_case "snapshot contents" `Quick test_snapshot_contents;
         ] );
       ( "serial",

@@ -1,13 +1,11 @@
-(* The CPU probe bundle and the tap-based Trace recorder: exact
-   instruction-mix accounting, architectural invariance of the
-   instrumentation, the flight-recorder dump on a ROP-induced fault, and
-   tracing through the batched run loop. *)
+(* The CPU probe bundle: exact instruction-mix accounting, architectural
+   invariance of the instrumentation, and the flight-recorder dump on a
+   ROP-induced fault. *)
 
 module Cpu = Mavr_avr.Cpu
 module Isa = Mavr_avr.Isa
 module Opcode = Mavr_avr.Opcode
 module Probes = Mavr_avr.Probes
-module Trace = Mavr_avr.Trace
 module Metrics = Mavr_telemetry.Metrics
 module Json = Mavr_telemetry.Json
 module Rop = Mavr_core.Rop
@@ -116,41 +114,6 @@ let test_fault_dump_on_crash_probe () =
   | Some (Json.List l) -> Alcotest.(check int) "json events" 32 (List.length l)
   | _ -> Alcotest.fail "json flight record missing"
 
-(* ---- Trace on the instruction tap ---- *)
-
-let test_trace_batched_run_wraparound () =
-  (* A two-instruction infinite loop driven by the batched entry point:
-     the recorder must see every executed instruction and keep only the
-     most recent [limit]. *)
-  let cpu = load Isa.[ Nop; Rjmp (-2) ] in
-  let r = Trace.recorder ~limit:8 in
-  Trace.attach r cpu;
-  ignore (Cpu.run cpu ~max_cycles:100);
-  let events = Trace.events r in
-  Alcotest.(check int) "ring bounded" 8 (List.length events);
-  List.iter
-    (fun (e : Trace.event) ->
-      Alcotest.(check bool) "loop addresses only" true (e.byte_addr = 0 || e.byte_addr = 2))
-    events;
-  let cycles = List.map (fun (e : Trace.event) -> e.cycle) events in
-  Alcotest.(check bool) "cycles ascend" true (List.sort compare cycles = cycles);
-  (* Detach stops recording. *)
-  Trace.detach cpu;
-  ignore (Cpu.run cpu ~max_cycles:100);
-  Alcotest.(check int) "detached" 8 (List.length (Trace.events r))
-
-let test_step_traced_still_works () =
-  let cpu = load Isa.[ Ldi (17, 9); Nop; Break ] in
-  let r = Trace.recorder ~limit:4 in
-  Trace.step_traced r cpu;
-  Trace.step_traced r cpu;
-  match Trace.events r with
-  | [ a; b ] ->
-      Alcotest.(check int) "first at 0" 0 a.Trace.byte_addr;
-      Alcotest.(check int) "second at 2" 2 b.Trace.byte_addr;
-      Alcotest.(check int) "r17 written" 9 (Cpu.reg cpu 17)
-  | l -> Alcotest.failf "expected 2 events, got %d" (List.length l)
-
 let () =
   Alcotest.run "probes"
     [
@@ -162,9 +125,4 @@ let () =
         ] );
       ( "flight-recorder",
         [ Alcotest.test_case "dump on ROP fault" `Quick test_fault_dump_on_crash_probe ] );
-      ( "trace",
-        [
-          Alcotest.test_case "batched run + wraparound" `Quick test_trace_batched_run_wraparound;
-          Alcotest.test_case "step_traced compat" `Quick test_step_traced_still_works;
-        ] );
     ]

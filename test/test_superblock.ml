@@ -1,16 +1,18 @@
 (* Superblock engine equivalence and the cycle-accounting bugfix sweep:
    differential fuzz against single-step ground truth over randomized
    firmware of all three profiles (with mid-run SEU flash flips and
-   corrupted reflash lifetimes bumping the flash epoch), the saturating
-   run budget, masked-vs-dispatch interrupt latency, and mid-run tap
-   toggling from inside a tap callback. *)
+   corrupted reflash lifetimes bumping the flash epoch), on both the
+   flight controller's ATmega2560 and the master's ATmega1284P, with the
+   shadow-stack monitor off and on; the saturating run budget,
+   masked-vs-dispatch interrupt latency, and mid-run block-tap
+   toggling. *)
 
 module Cpu = Mavr_avr.Cpu
 module Isa = Mavr_avr.Isa
 module Io = Mavr_avr.Device.Io
 module Opcode = Mavr_avr.Opcode
 module Image = Mavr_obj.Image
-module Cfg = Mavr_analysis.Cfg
+module Device = Mavr_avr.Device
 module Splitmix = Mavr_prng.Splitmix
 module Seu = Mavr_fault.Seu
 module Reflash = Mavr_fault.Reflash
@@ -31,13 +33,17 @@ let arch_state cpu =
     Cpu.interrupts_taken cpu,
     Cpu.watchdog_feeds cpu,
     Cpu.sp_watermark cpu,
+    Cpu.shadow_depth cpu,
     List.init 32 (Cpu.reg cpu) )
 
-let boot_pair (image : Image.t) =
+(* [shadow] arms the shadow-stack monitor with that per-call/ret
+   overhead, the cost the superblock entry margin must cover. *)
+let boot_pair ?(device = Device.atmega2560) ?shadow (image : Image.t) =
   let mk superblocks =
-    let cpu = Cpu.create () in
+    let cpu = Cpu.create ~device () in
     Cpu.set_superblocks cpu superblocks;
     Cpu.load_program cpu image.Image.code;
+    Option.iter (fun overhead_cycles -> Cpu.enable_shadow_stack cpu ~overhead_cycles) shadow;
     cpu
   in
   (mk true, mk false)
@@ -73,8 +79,8 @@ let frame seq =
    identically seeded SEU upsets (SRAM pokes and flash bit flips — the
    latter bump the flash epoch mid-run, the stale-fused-code hazard) and
    one corrupted-reflash lifetime halfway through. *)
-let diff_run name (image : Image.t) ~seed ~slices ~slice_cycles ~fault =
-  let fused, stepped = boot_pair image in
+let diff_run ?device ?shadow name (image : Image.t) ~seed ~slices ~slice_cycles ~fault =
+  let fused, stepped = boot_pair ?device ?shadow image in
   let seu_for s =
     Seu.create
       ~rng:(Splitmix.create ~seed:(s * 7919))
@@ -145,6 +151,31 @@ let test_differential_faulted () =
         (fun seed -> diff_run name image ~seed ~slices:10 ~slice_cycles:25_000 ~fault:true)
         [ 5; 23 ])
     (Lazy.force fuzz_profiles)
+
+(* The master's ATmega1284P has a 2-byte PC: calls and returns push one
+   byte less and cost one cycle less, and the trace compiler's static
+   costs must agree with the stepper on that.  The shadow-stack monitor charges its overhead on every call
+   and return, which the superblock entry margin must cover, or a timer
+   interrupt lands inside a fused block. *)
+let test_differential_1284p () =
+  List.iter
+    (fun (name, image) ->
+      diff_run ~device:Device.atmega1284p (name ^ "@1284p") image ~seed:11 ~slices:8
+        ~slice_cycles:40_000 ~fault:false)
+    (Lazy.force fuzz_profiles)
+
+let test_differential_shadow_stack () =
+  List.iter
+    (fun (device : Device.t) ->
+      List.iter
+        (fun (name, image) ->
+          let name = Printf.sprintf "%s@%s+shadow" name device.name in
+          diff_run ~device ~shadow:40 name image ~seed:11 ~slices:8 ~slice_cycles:40_000
+            ~fault:false;
+          diff_run ~device ~shadow:40 name image ~seed:5 ~slices:10 ~slice_cycles:25_000
+            ~fault:true)
+        (Lazy.force fuzz_profiles))
+    [ Device.atmega2560; Device.atmega1284p ]
 
 let test_attack_identical_on_and_off () =
   (* The stealthy ROP chain exercises mid-instruction gadget entries and
@@ -267,35 +298,49 @@ let test_tap_removed_from_inside_callback () =
   let reference = load counting_program in
   ignore (Cpu.run reference ~max_cycles:1_000);
   let cpu = load counting_program in
-  let fired = ref 0 in
-  Cpu.set_insn_tap cpu
-    (Some
-       (fun _ _ ->
-         incr fired;
-         if !fired = 5 then Cpu.set_insn_tap cpu None));
+  let blocks = ref 0 and late = ref 0 and cleared = ref false in
+  let on_block _info _count =
+    if !cleared then incr late;
+    incr blocks;
+    if !blocks = 2 then begin
+      (* Clear from inside the callback: the tap must stop at the next
+         boundary, neither firing again nor perturbing execution. *)
+      Cpu.clear_block_tap cpu;
+      cleared := true
+    end
+  in
+  Cpu.set_block_tap cpu ~on_block ~on_step:(fun _ _ -> if !cleared then incr late);
   ignore (Cpu.run cpu ~max_cycles:1_000);
-  Alcotest.(check int) "tap stopped firing after self-removal" 5 !fired;
-  Alcotest.(check bool) "tap inactive" false (Cpu.insn_tap_active cpu);
+  Alcotest.(check int) "block tap fired until self-removal" 2 !blocks;
+  Alcotest.(check int) "nothing fired after removal" 0 !late;
+  Alcotest.(check bool) "tap inactive" false (Cpu.block_tap_active cpu);
   Alcotest.(check bool) "execution unperturbed" true
     (arch_state cpu = arch_state reference)
 
-let test_tap_installed_from_inside_block_tap () =
+let test_tap_reinstalled_on_later_run () =
+  (* Three slices: tapped, untapped, tapped again.  The loop needs ~600
+     cycles, so each slice has work left to observe. *)
   let reference = load counting_program in
-  ignore (Cpu.run reference ~max_cycles:1_000);
+  List.iter (fun max_cycles -> ignore (Cpu.run reference ~max_cycles)) [ 200; 200; 1_000 ];
   let cpu = load counting_program in
-  let blocks = ref 0 and insns = ref 0 in
-  let on_block _info _count =
-    incr blocks;
-    if !blocks = 2 then
-      (* Switch granularity mid-run, from inside the callback: the insn
-         tap must take over at the next boundary, never re-running or
-         skipping fused code. *)
-      Cpu.set_insn_tap cpu (Some (fun _ _ -> incr insns))
+  let fired = Array.make 3 0 and phase = ref 0 in
+  let install () =
+    Cpu.set_block_tap cpu
+      ~on_block:(fun _ n -> fired.(!phase) <- fired.(!phase) + n)
+      ~on_step:(fun _ _ -> fired.(!phase) <- fired.(!phase) + 1)
   in
-  Cpu.set_block_tap cpu ~on_block ~on_step:(fun _ _ -> ());
+  install ();
+  ignore (Cpu.run cpu ~max_cycles:200);
+  Cpu.clear_block_tap cpu;
+  phase := 1;
+  ignore (Cpu.run cpu ~max_cycles:200);
+  phase := 2;
+  install ();
   ignore (Cpu.run cpu ~max_cycles:1_000);
-  Alcotest.(check int) "block tap fired before the switch" 2 !blocks;
-  Alcotest.(check bool) "insn tap took over" true (!insns > 0);
+  Alcotest.(check bool) "tap fired on the first run" true (fired.(0) > 0);
+  Alcotest.(check int) "silent while cleared" 0 fired.(1);
+  Alcotest.(check bool) "re-installed tap fires again" true (fired.(2) > 0);
+  Alcotest.(check bool) "halted on break" true (Cpu.halted cpu = Some Cpu.Break_hit);
   Alcotest.(check bool) "execution unperturbed" true
     (arch_state cpu = arch_state reference)
 
@@ -329,24 +374,6 @@ let test_superblocks_toggle_mid_run () =
   Alcotest.(check bool) "mid-run toggle equivalent" true
     (arch_state toggled = arch_state plain)
 
-(* ---- static precompile hint ----------------------------------------- *)
-
-let test_precompile_from_cfg () =
-  let image = (Helpers.build_mavr ()).image in
-  let cfg = Cfg.recover image in
-  let starts = Cfg.block_start_words cfg in
-  Alcotest.(check bool) "cfg exports block starts" true (List.length starts > 10);
-  let cpu = Cpu.create () in
-  Cpu.load_program cpu image.Image.code;
-  let compiled = Cpu.precompile cpu starts in
-  Alcotest.(check bool) "blocks compiled eagerly" true (compiled > 10);
-  ignore (Cpu.run cpu ~max_cycles:200_000);
-  let lazy_cpu = Cpu.create () in
-  Cpu.load_program lazy_cpu image.Image.code;
-  ignore (Cpu.run lazy_cpu ~max_cycles:200_000);
-  Alcotest.(check bool) "precompiled run identical" true
-    (arch_state cpu = arch_state lazy_cpu)
-
 let () =
   Alcotest.run "superblock"
     [
@@ -355,6 +382,9 @@ let () =
           Alcotest.test_case "clean profiles vs single-step" `Quick test_differential_clean;
           Alcotest.test_case "SEU + corrupted reflash epochs" `Quick
             test_differential_faulted;
+          Alcotest.test_case "ATmega1284P vs single-step" `Quick test_differential_1284p;
+          Alcotest.test_case "shadow stack on, both chips" `Quick
+            test_differential_shadow_stack;
           Alcotest.test_case "ROP attack identical on/off" `Quick
             test_attack_identical_on_and_off;
         ] );
@@ -370,12 +400,10 @@ let () =
         [
           Alcotest.test_case "self-removal from callback" `Quick
             test_tap_removed_from_inside_callback;
-          Alcotest.test_case "install from block tap" `Quick
-            test_tap_installed_from_inside_block_tap;
+          Alcotest.test_case "re-install on a later run" `Quick
+            test_tap_reinstalled_on_later_run;
           Alcotest.test_case "block counts partition retired" `Quick
             test_block_tap_counts_partition_retired;
           Alcotest.test_case "engine toggle mid-run" `Quick test_superblocks_toggle_mid_run;
         ] );
-      ( "precompile",
-        [ Alcotest.test_case "cfg block starts" `Quick test_precompile_from_cfg ] );
     ]
