@@ -58,15 +58,18 @@ type t = {
   mutable icache_epoch : int;
   mutable use_icache : bool;
   (* Superblock engine: straight-line runs of instructions fused into
-     closure arrays ([block]), compiled lazily at whatever word address
-     the batched run loop reaches and indexed by entry PC.  Like the
-     predecode cache the whole table is discarded when the flash epoch
-     moves, so reflashes and SEU page writes can never execute stale
-     fused code.  [block_stop] is raised by [io_write] when a guest
-     store re-arms the timer or sets SREG.I mid-block — the two events
-     that can make the remainder of a fused block unsound — and makes
-     the block exit after the current instruction. *)
+     closure arrays ([block]), compiled lazily at a word address the
+     batched run loop has entered [hot_entries] times ([block_hits]
+     counts the entries of addresses with no block yet) and indexed by
+     entry PC.  Like the predecode cache the whole table, counters
+     included, is discarded when the flash epoch moves, so reflashes and
+     SEU page writes can never execute stale fused code.  [block_stop]
+     is raised by [io_write] when a guest store re-arms the timer or
+     sets SREG.I mid-block — the two events that can make the remainder
+     of a fused block unsound — and makes the block exit after the
+     current instruction. *)
   mutable blocks : block array;
+  mutable block_hits : Bytes.t; (* entries of each word with no block, saturating *)
   mutable blocks_epoch : int;
   mutable block_keys : int; (* next bi_key to assign *)
   mutable use_superblocks : bool;
@@ -113,21 +116,23 @@ type t = {
    (predicted-branch fall-out, skip taken, [block_stop] after an I/O
    write, terminator) writes [t.pc], credits [t.retired] once, and
    records the executed prefix length in [t.block_insns] for the block
-   tap.  [b_cyc_max] bounds the cycles a full execution can consume
-   (used to keep timer interrupts out of fused runs); [b_shadow_sites]
-   counts the call/ret sites whose shadow-stack overhead must be added
-   to that bound at entry time. *)
+   tap.  [b_lead] bounds the cycles from entry to the start of the
+   trace's last instruction — the span in which a stepping engine would
+   reach an internal instruction boundary, where a timer interrupt or
+   the run budget could stop it (used to keep both out of fused runs);
+   [b_lead_calls] counts the static calls in that span, whose
+   shadow-stack overhead is added to the bound at entry time. *)
 and block = {
   b_info : block_info;
   b_entry : t -> unit;
-  b_cyc_max : int;
-  b_shadow_sites : int;
+  b_lead : int;
+  b_lead_calls : int;
 }
 
 let dummy_block_info = { bi_key = -1; bi_pc = -1; bi_insns = [||] }
 
 let dummy_block =
-  { b_info = dummy_block_info; b_entry = (fun _ -> ()); b_cyc_max = 0; b_shadow_sites = 0 }
+  { b_info = dummy_block_info; b_entry = (fun _ -> ()); b_lead = 0; b_lead_calls = 0 }
 
 let no_step_tap _ _ = ()
 let no_block_tap _ _ = ()
@@ -163,6 +168,7 @@ let create ?(device = Device.atmega2560) () =
     icache_epoch = -1;
     use_icache = true;
     blocks = [||];
+    block_hits = Bytes.empty;
     blocks_epoch = -1;
     block_keys = 0;
     use_superblocks = !superblocks_default;
@@ -271,9 +277,6 @@ let load_program t image =
 
 (* ---- Predecode cache ------------------------------------------------ *)
 
-let set_decode_cache t enabled = t.use_icache <- enabled
-let decode_cache_enabled t = t.use_icache
-
 (* Rebuild (or first-build) the cache skeleton for the current flash
    epoch.  Entries are decoded lazily on first execution: per-lifetime
    randomized images rarely execute every word, and ROP gadgets enter
@@ -307,6 +310,15 @@ let fill_entry t pc =
    per instruction. *)
 let sync_icache t =
   if t.use_icache && t.icache_epoch <> Memory.flash_epoch t.mem then refresh_icache t
+
+(* Both switches sync their cache when flipped: the batched loops sync
+   only at entry, and a tap callback may flip a switch mid-run, after a
+   reflash made while the cache was off. *)
+let set_decode_cache t enabled =
+  t.use_icache <- enabled;
+  sync_icache t
+
+let decode_cache_enabled t = t.use_icache
 
 (* Fetch the (insn, length-in-words) pair at word address [pc].
    Precondition: the cache is sync'd ([sync_icache]).  [skip_next] can
@@ -889,13 +901,16 @@ let step t =
 
 (* ---- Superblock threaded-code engine -------------------------------- *)
 
-let set_superblocks t enabled = t.use_superblocks <- enabled
-let superblocks_enabled t = t.use_superblocks
-
 let refresh_blocks t =
   let nwords = (t.program_bytes + 1) / 2 in
-  if Array.length t.blocks = nwords then Array.fill t.blocks 0 nwords dummy_block
-  else t.blocks <- Array.make nwords dummy_block;
+  if Array.length t.blocks = nwords then begin
+    Array.fill t.blocks 0 nwords dummy_block;
+    Bytes.fill t.block_hits 0 nwords '\000'
+  end
+  else begin
+    t.blocks <- Array.make nwords dummy_block;
+    t.block_hits <- Bytes.make nwords '\000'
+  end;
   t.blocks_epoch <- Memory.flash_epoch t.mem
 
 (* Same invalidation argument as [sync_icache]: guest execution cannot
@@ -904,6 +919,12 @@ let refresh_blocks t =
    compiled block. *)
 let sync_blocks t =
   if t.use_superblocks && t.blocks_epoch <> Memory.flash_epoch t.mem then refresh_blocks t
+
+let set_superblocks t enabled =
+  t.use_superblocks <- enabled;
+  sync_blocks t
+
+let superblocks_enabled t = t.use_superblocks
 
 (* ---- Trace compiler ------------------------------------------------- *)
 
@@ -1363,23 +1384,6 @@ let compile_body (insn : Isa.t) : fuse option =
   | Jmp _ | Rcall _ | Rjmp _ | Brbs _ | Brbc _ | Sleep | Break | Data _ ->
       None
 
-(* A terminator — an instruction [compile_body] rejects — ends the
-   trace and runs through [exec_insn], the stepper's own code.  The
-   compiler only needs its worst-case cycle cost and whether it runs a
-   shadow-stack hook (so the entry-time interrupt margin can add the
-   current shadow overhead).  [next] is the static fallthrough, used to
-   size a skip. *)
-let term_cost t (insn : Isa.t) ~next : int * bool =
-  let rc = if t.dev.Device.pc_bytes = 3 then 5 else 4 in
-  let ic = if t.dev.Device.pc_bytes = 3 then 4 else 3 in
-  match insn with
-  | Rjmp _ | Ijmp | Brbs _ | Brbc _ -> (2, false)
-  | Jmp _ -> (3, false)
-  | Ret | Reti | Call _ -> (rc, true)
-  | Rcall _ | Icall -> (ic, true)
-  | Cpse _ | Sbic _ | Sbis _ | Sbrc _ | Sbrs _ -> (1 + snd (fetch t next), false)
-  | _ -> (1, false) (* sei, sleep, break, illegal *)
-
 (* ------------------------------------------------------------------ *)
 (* Per-flag SREG dataflow metadata for the trace compiler.             *)
 (*                                                                     *)
@@ -1608,8 +1612,10 @@ let compile_block t entry_pc =
   let prog_ok pc = pc >= 0 && pc * 2 < t.program_bytes in
   let slots = ref [] in
   let count = ref 0 in
-  let cyc_max = ref 0 in
-  let shadow_sites = ref 0 in
+  (* Worst-case cycles and static calls of every slot, and the last
+     slot's share of each. *)
+  let span = ref 0 and calls = ref 0 in
+  let last_cost = ref 0 and last_call = ref 0 in
   let rc = if t.dev.Device.pc_bytes = 3 then 5 else 4 in
   let ic = if t.dev.Device.pc_bytes = 3 then 4 else 3 in
   (* Scan forward along the predicted path, stopping at the first
@@ -1636,7 +1642,10 @@ let compile_block t entry_pc =
     let push kind cost =
       slots := { s_insn = insn; s_next = next; s_kind = kind } :: !slots;
       incr count;
-      cyc_max := !cyc_max + cost
+      span := !span + cost;
+      last_cost := cost;
+      last_call := (match kind with KCall _ -> 1 | _ -> 0);
+      calls := !calls + !last_call
     in
     let emit kind cost cont = push kind cost; go cont in
     let finish () = final := Some (insn, pc, next) in
@@ -1648,12 +1657,8 @@ let compile_block t entry_pc =
     match insn with
     | Rjmp k when room && prog_ok (next + k) -> emit (KGoto 2) 2 (next + k)
     | Jmp a when room && prog_ok a -> emit (KGoto 3) 3 a
-    | Rcall k when room && prog_ok (next + k) ->
-        incr shadow_sites;
-        emit (KCall (next, ic, next + k)) ic (next + k)
-    | Call a when room && prog_ok a ->
-        incr shadow_sites;
-        emit (KCall (next, rc, a)) rc a
+    | Rcall k when room && prog_ok (next + k) -> emit (KCall (next, ic, next + k)) ic (next + k)
+    | Call a when room && prog_ok a -> emit (KCall (next, rc, a)) rc a
     | Brbs (b, k) ->
         let target = next + k in
         if target <= pc then
@@ -1762,9 +1767,6 @@ let compile_block t entry_pc =
       | Some (fin_insn, fin_pc, fin_next) ->
           (* A terminator runs the stepper's own instruction code, with
              [t.pc] at the fallthrough as [exec_one] leaves it. *)
-          let cost, sh = term_cost t fin_insn ~next:fin_next in
-          if sh then incr shadow_sites;
-          cyc_max := !cyc_max + cost;
           fun t ->
             t.cycles <- t.cycles + fl;
             t.retired <- t.retired + n_total;
@@ -1850,21 +1852,22 @@ let compile_block t entry_pc =
     let body = Array.map (fun s -> s.s_insn) arr in
     match fin with Some (fi, _, _) -> Array.append body [| fi |] | None -> body
   in
+  (* The entry margin covers every instruction but the last: a timer
+     compare or the run budget can only stop a stepping engine at an
+     instruction boundary, and the last one a trace crosses is its exit,
+     where [block_step] checks again.  A terminator is never a slot; a
+     linked or cut trace's last instruction is its last slot. *)
+  let lead, lead_calls =
+    match fin with
+    | Some _ -> (!span, !calls)
+    | None -> (!span - !last_cost, !calls - !last_call)
+  in
   {
     b_info = { bi_key = key; bi_pc = entry_pc; bi_insns = insns };
     b_entry = entry;
-    b_cyc_max = !cyc_max;
-    b_shadow_sites = !shadow_sites;
+    b_lead = lead;
+    b_lead_calls = lead_calls;
   }
-
-let get_block t pc =
-  let b = Array.unsafe_get t.blocks pc in
-  if b != dummy_block then b
-  else begin
-    let b = compile_block t pc in
-    Array.unsafe_set t.blocks pc b;
-    b
-  end
 
 (* Execute one compiled trace.  All per-instruction work lives inside
    the continuation-threaded closures; the wrapper only clears the
@@ -1875,26 +1878,56 @@ let exec_block t b =
   b.b_entry t;
   if t.tap_on then t.tap_block b.b_info t.block_insns
 
-(* One batched-loop iteration through the superblock engine.  The
-   correctness carve-out: with a compare match armed and interrupts
-   enabled, a block whose worst-case span could cross the fire cycle is
-   not entered — the engine single-steps through [exec_one] (which
-   takes the interrupt at the exact cycle stepping would) until the
-   window passes.  The same carve-out applies to the run budget [stop]:
-   a block whose worst-case span could cross it is single-stepped
-   instead, so a batched run ends at exactly the instruction boundary
-   pure stepping would end at — the property that makes campaign
-   documents byte-identical with superblocks on or off.  [exec_one]
-   fires the block tap's [on_step] for each instruction it steps. *)
+(* Compile policy.  Every lifetime starts with no blocks, and most
+   code of a large image runs only a few times per lifetime, so a trace
+   is compiled only at a word address the engine has entered
+   [hot_entries] times, and only when that entry is at least
+   [compile_window] cycles clear of the next compare match and the run
+   budget — closer in, the new block could not be entered anyway. *)
+let hot_entries = 16
+let compile_window = 2 * max_block_insns
+
+(* Whether an instruction boundary up to [lead] cycles ahead could be
+   where stepping takes an interrupt or ends the run. *)
+let near_stop t stop lead =
+  (t.cycles + lead >= t.timer_next_fire && get_flag t Flag.i) || t.cycles + lead >= stop
+
+(* The correctness carve-out: with a compare match armed and interrupts
+   enabled, a block with an internal instruction boundary at or past
+   the fire cycle is not entered — the engine single-steps through
+   [exec_one] (which takes the interrupt at the exact cycle stepping
+   would) until the window passes.  The same carve-out applies to the
+   run budget [stop], so a batched run ends at exactly the instruction
+   boundary pure stepping would end at — the property that makes
+   campaign documents byte-identical with superblocks on or off.
+   [exec_one] fires the block tap's [on_step] for each instruction it
+   steps. *)
+let enter_block t b stop =
+  if near_stop t stop (b.b_lead + (b.b_lead_calls * t.shadow_overhead)) then exec_one t
+  else exec_block t b
+
+(* One batched-loop iteration through the superblock engine: run the
+   block at [t.pc], or step one instruction and count the entry. *)
 let block_step t stop =
   if t.cycles >= t.timer_next_fire && get_flag t Flag.i then take_timer_interrupt t
   else if t.pc < 0 || t.pc * 2 >= t.program_bytes then set_halt t (Wild_pc (t.pc * 2))
   else begin
-    let b = get_block t t.pc in
-    let margin = b.b_cyc_max + (b.b_shadow_sites * t.shadow_overhead) in
-    if (t.cycles + margin >= t.timer_next_fire && get_flag t Flag.i) || t.cycles + margin > stop
-    then exec_one t
-    else exec_block t b
+    let pc = t.pc in
+    let b = Array.unsafe_get t.blocks pc in
+    if b != dummy_block then enter_block t b stop
+    else begin
+      let hits = Char.code (Bytes.unsafe_get t.block_hits pc) + 1 in
+      if hits < hot_entries then begin
+        Bytes.unsafe_set t.block_hits pc (Char.unsafe_chr hits);
+        exec_one t
+      end
+      else if near_stop t stop compile_window then exec_one t
+      else begin
+        let b = compile_block t pc in
+        Array.unsafe_set t.blocks pc b;
+        enter_block t b stop
+      end
+    end
   end
 
 let sync_caches t =
@@ -1908,8 +1941,9 @@ let sync_caches t =
    the loop exit before a single instruction — saturate instead.  The
    overshoot contract for all batched entry points: at most one
    instruction plus one interrupt dispatch past the budget, identical
-   under both engines (a superblock is only entered when its worst-case
-   span fits inside the remaining budget; see [block_step]). *)
+   under both engines (a superblock is only entered when every
+   instruction boundary inside it comes before the budget; see
+   [enter_block]). *)
 let stop_cycle t max_cycles =
   if max_cycles >= max_int - t.cycles then max_int else t.cycles + max_cycles
 

@@ -173,7 +173,9 @@ val run_until :
     invalidated whenever the flash epoch moves — [load_program] or a
     bootloader page write — so a freshly randomized image never executes
     a stale decode.  Enabled by default; the switch exists for the
-    differential tests and before/after benchmarks. *)
+    differential tests and before/after benchmarks.  Like
+    {!set_superblocks}, it may be flipped at any time, including from a
+    tap callback in the middle of a run. *)
 
 val set_decode_cache : t -> bool -> unit
 
@@ -187,13 +189,26 @@ val decode_cache_enabled : t -> bool
     polling and tap dispatch hoisted to block boundaries.  A trace's
     final control-transfer, skip or halting instruction runs the
     stepper's own instruction code, so those semantics exist once.
-    Observable semantics are bit-identical to single-[step] execution:
-    a block is never entered when an enabled timer compare could fire
-    inside its worst-case cycle span, and any in-block write that could
-    change that (timer re-arm, SREG.I set) exits the block after the
-    writing instruction.  Compiled blocks are dropped whenever the flash
+
+    Blocks are compiled only where they will be entered: a word address
+    with no block is single-stepped and its entries counted, and its
+    trace is compiled on the 16th entry, once that entry is at least 128
+    cycles (twice {!max_block_insns}) clear of the next enabled compare
+    match and of the run budget.  Both are fixed constants.
+
+    Observable semantics are bit-identical to single-[step] execution: a
+    block is entered only when the worst-case cycles of every
+    instruction before its last (plus the shadow-stack overhead of the
+    static calls among them) end before the next enabled compare match
+    and before the run budget — a stepping engine can only take the
+    interrupt or stop at an instruction boundary, and the block's exit
+    is checked again.  Any in-block write that could change that (timer
+    re-arm, SREG.I set) exits the block after the writing instruction.
+    Compiled blocks and entry counts are dropped whenever the flash
     epoch moves, exactly like the predecode cache, so reflash and SEU
-    page writes never execute stale fused code.  Enabled by default. *)
+    page writes never execute stale fused code.  Enabled by default;
+    the switch may be flipped at any time, including from a tap callback
+    mid-run, and takes effect at the next block boundary. *)
 
 val set_superblocks : t -> bool -> unit
 val superblocks_enabled : t -> bool

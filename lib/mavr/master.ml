@@ -54,6 +54,7 @@ type telemetry = {
 type t = {
   config : config;
   ext_flash : Flash.t;
+  mutable stored : Image.t option; (* the external flash contents, decoded *)
   rng : Rng.t;
   mutable boots : int;
   mutable reflashes : int;
@@ -73,6 +74,7 @@ let create ?(config = default_config) () =
   {
     config;
     ext_flash = Flash.create ~bytes:(1 lsl 20);
+    stored = None;
     rng = Rng.create ~seed:config.seed;
     boots = 0;
     reflashes = 0;
@@ -110,14 +112,19 @@ let attach_telemetry ?(prefix = "master") t ~registry ~recorder =
         flash_retries = M.histogram registry (name "flash.retries");
       }
 
-let provision t image = Flash.program t.ext_flash (Symtab.to_hex image)
+(* Nothing but [provision] writes the external flash, so its contents
+   are decoded once here rather than at every flash session; a HEX the
+   master could not decode is refused before it is stored. *)
+let provision t image =
+  let hex = Symtab.to_hex image in
+  let decoded = Symtab.of_hex hex in
+  Flash.program t.ext_flash hex;
+  t.stored <- Some decoded
 
 let stored_hex t = Flash.read t.ext_flash ~pos:0 ~len:(Flash.content_length t.ext_flash)
 
-let read_stored_image t =
-  let hex = stored_hex t in
-  if String.length hex = 0 then invalid_arg "Master: not provisioned";
-  Symtab.of_hex hex
+let stored_image t =
+  match t.stored with Some img -> img | None -> invalid_arg "Master: not provisioned"
 
 let startup_overhead_ms t bytes = Serial.programming_ms t.config.link bytes
 
@@ -211,7 +218,7 @@ let program_app t ~app image =
   t.current <- Some image
 
 let boot t ~app =
-  let stored = read_stored_image t in
+  let stored = stored_image t in
   t.boots <- t.boots + 1;
   let randomize =
     t.config.randomize_every_boots <= 1
@@ -251,8 +258,7 @@ let rerandomize_after_attack t ~app ~reason =
       Mavr_telemetry.Recorder.record tel.recorder ~cycle:(Cpu.cycles app)
         ~value:(Cpu.pc_byte_addr app) "master.attack_detected");
   t.events <- Attack_detected { at_cycles = Cpu.cycles app; reason } :: t.events;
-  let stored = read_stored_image t in
-  let image = randomize_streaming t stored in
+  let image = randomize_streaming t (stored_image t) in
   program_app t ~app image;
   t.events <- Reflashed { generation = t.reflashes; overhead_ms = t.last_overhead_ms } :: t.events
 

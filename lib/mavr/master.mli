@@ -34,14 +34,20 @@ val create : ?config:config -> unit -> t
 
 (** [provision t image] is the host-side flashing step: the preprocessed
     HEX (symbol table prepended, §VI-B2) is stored verbatim on the
-    external flash chip. *)
+    external flash chip.  The master decodes that HEX once, here, and
+    every later {!boot} and re-randomization starts from the decoded
+    image — provisioning is the only writer of the external flash.
+    @raise Invalid_argument when the master cannot decode the HEX
+    (e.g. function-pointer locations past the code); the external flash
+    then keeps its previous contents. *)
 val provision : t -> Mavr_obj.Image.t -> unit
 
 (** Raw HEX text currently on the external flash. *)
 val stored_hex : t -> string
 
 (** [boot t ~app] programs the application processor and starts it.  The
-    binary is randomized when the boot counter hits the schedule.
+    binary is randomized, from the image decoded at {!provision}, when
+    the boot counter hits the schedule.
     @raise Invalid_argument when not provisioned. *)
 val boot : t -> app:Mavr_avr.Cpu.t -> unit
 

@@ -16,6 +16,7 @@ let test_provision_stores_hex () =
   let hex = Master.stored_hex m in
   Alcotest.(check bool) "hex text stored" true (String.length hex > 0);
   Alcotest.(check char) "intel hex records" ':' hex.[0];
+  Alcotest.(check string) "stored verbatim" (Mavr_obj.Symtab.to_hex (image ())) hex;
   (* The stored file round-trips to the original image. *)
   let img = Mavr_obj.Symtab.of_hex hex in
   Alcotest.(check string) "image preserved" (image ()).Image.code img.Image.code
@@ -56,6 +57,45 @@ let test_unprovisioned_boot_fails () =
   match Master.boot m ~app with
   | () -> Alcotest.fail "boot without provisioning must fail"
   | exception Invalid_argument _ -> ()
+
+(* The master decodes the HEX once, at provisioning, so a HEX it could
+   not decode is refused there, not at the first boot, and the external
+   flash keeps what it held. *)
+let test_provision_refuses_undecodable () =
+  let m = fresh_master () in
+  let before = Master.stored_hex m in
+  let img = image () in
+  let bad = { img with Image.funptr_locs = [ String.length img.Image.code ] } in
+  (match Master.provision m bad with
+  | () -> Alcotest.fail "provision must refuse a HEX the master cannot decode"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check string) "previous HEX kept" before (Master.stored_hex m);
+  let app = Cpu.create () in
+  Master.boot m ~app;
+  Alcotest.(check int) "boots from the previous provision" 1 (Master.boots m)
+
+(* Provisioning before every session makes the master decode the stored
+   HEX afresh each time; boots, cached-layout boots and recoveries must
+   produce the same layouts as from the one decode. *)
+let test_decode_once_same_layouts () =
+  let config = { Master.default_config with randomize_every_boots = 2 } in
+  let sessions ~reprovision =
+    let m = fresh_master ~config () in
+    let app = Cpu.create () in
+    List.map
+      (fun recover ->
+        if reprovision then Master.provision m (image ());
+        if recover then begin
+          Cpu.force_halt app (Cpu.Wild_pc 0);
+          ignore (Master.check_and_recover m ~app)
+        end
+        else Master.boot m ~app;
+        Image.fingerprint (Master.current_image m))
+      [ false; false; true; false; true; false ]
+  in
+  let once = sessions ~reprovision:false in
+  Alcotest.(check (list int)) "same layouts" (sessions ~reprovision:true) once;
+  Alcotest.(check bool) "layouts change" true (List.length (List.sort_uniq compare once) >= 4)
 
 let test_detects_halt_and_rerandomizes () =
   let m = fresh_master () in
@@ -199,6 +239,9 @@ let () =
           Alcotest.test_case "boot schedule" `Quick test_boot_schedule;
           Alcotest.test_case "streaming stats" `Quick test_streaming_stats_exposed;
           Alcotest.test_case "unprovisioned boot fails" `Quick test_unprovisioned_boot_fails;
+          Alcotest.test_case "undecodable HEX refused at provision" `Quick
+            test_provision_refuses_undecodable;
+          Alcotest.test_case "decode once, same layouts" `Quick test_decode_once_same_layouts;
         ] );
       ( "watchdog",
         [

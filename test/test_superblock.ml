@@ -81,6 +81,13 @@ let frame seq =
    one corrupted-reflash lifetime halfway through. *)
 let diff_run ?device ?shadow name (image : Image.t) ~seed ~slices ~slice_cycles ~fault =
   let fused, stepped = boot_pair ?device ?shadow image in
+  (* The block tap splits the fused engine's retirements into fused and
+     single-stepped ones, so the compile threshold cannot quietly turn
+     this comparison into stepping against stepping. *)
+  let in_blocks = ref 0 and stepped_insns = ref 0 in
+  Cpu.set_block_tap fused
+    ~on_block:(fun _ n -> in_blocks := !in_blocks + n)
+    ~on_step:(fun _ _ -> incr stepped_insns);
   let seu_for s =
     Seu.create
       ~rng:(Splitmix.create ~seed:(s * 7919))
@@ -111,7 +118,11 @@ let diff_run ?device ?shadow name (image : Image.t) ~seed ~slices ~slice_cycles 
         Cpu.load_program stepped streamed
       end
     end
-  done
+  done;
+  (* Every case retires 21% or more in blocks; a tenth is the floor. *)
+  let share = 100 * !in_blocks / max 1 (!in_blocks + !stepped_insns) in
+  if share < 10 then
+    Alcotest.failf "%s seed=%d: blocks retired only %d%% of the instructions" name seed share
 
 (* Randomized firmware: a fresh generator seed rebuilds each profile
    with different code layout; the mavr profile additionally gets
@@ -207,6 +218,116 @@ let test_attack_identical_on_and_off () =
   Alcotest.(check int) "attack landed under superblocks" 0x4000 (cfg on);
   Alcotest.(check int) "attack landed when stepping" 0x4000 (cfg off);
   Alcotest.(check bool) "identical attack outcome" true (arch_state on = arch_state off)
+
+(* ---- timer- and budget-dense differential ----------------------------- *)
+
+(* A timer-driven loop whose traces end every way a trace can: in a
+   terminator ([ret], after a static call inside the trace, whose
+   shadow-stack overhead the entry margin must cover), linked to a
+   compiled callee with the static call as the last slot, linked after
+   a jump, and cut by the length cap in the middle of a straight run.
+   [sub] is first made hot through [icall], so it has a block of its
+   own before the loop's trace reaches [rcall sub]; [leaf] is only
+   reached by [rcall], so the caller's trace runs through it.  [pad]
+   nops before the loop shift every instruction boundary against the
+   compare matches and the run budgets; the ISR folds the loop counters
+   into r3/r4 at each interrupt, so an interrupt taken one instruction
+   late changes the state. *)
+let timer_dense_program ~ocr ~pad =
+  let module A = Mavr_asm.Assembler in
+  let i x = A.Insn x in
+  let program =
+    {
+      A.vectors = [ A.Jmp_sym "main"; A.Jmp_sym "isr" ];
+      funcs =
+        [
+          {
+            A.name = "main";
+            items =
+              List.map i Isa.[ Ldi (24, ocr); Out (Io.ocr, 24); Ldi (24, 1); Out (Io.tccr, 24) ]
+              @ [ A.Ldi_sym (30, A.Lo8_word, "sub"); A.Ldi_sym (31, A.Hi8_word, "sub") ]
+              @ List.map i Isa.[ Ldi (19, 20); Bset 7 ]
+              @ [ A.Label "warm"; i Isa.Icall; i (Isa.Dec 19); A.Br (`Cbit 1, "warm") ]
+              @ List.init pad (fun _ -> i Isa.Nop)
+              @ [ A.Label "loop" ]
+              @ List.map i Isa.[ Inc 16; Adiw (24, 1) ]
+              @ [ A.Rcall_sym "sub" ]
+              @ List.map i Isa.[ Inc 16; Sbrc (16, 1); Inc 20 ]
+              @ [ A.Rcall_sym "leaf" ]
+              @ List.init 70 (fun _ -> i (Isa.Inc 21))
+              @ [ A.Rjmp_sym "loop" ];
+          };
+          { A.name = "sub"; items = List.map i Isa.[ Inc 17; Inc 17; Ret ] };
+          { A.name = "leaf"; items = List.map i Isa.[ Inc 22; Ret ] };
+          { A.name = "isr"; items = List.map i Isa.[ Add (3, 16); Add (4, 17); Reti ] };
+        ];
+      data = [];
+      defines = [];
+    }
+  in
+  (A.assemble ~relax:false program).A.code
+
+(* Sweep the loop's phase against compare matches (two periods) and run
+   budgets (a different length every slice), with the shadow-stack
+   monitor off and on.  Both engines stop at the same instruction
+   boundary for every budget, so states are compared at every slice
+   end with no alignment, and so are the interrupts each engine took. *)
+let test_differential_timer_dense () =
+  List.iter
+    (fun shadow ->
+      List.iter
+        (fun ocr ->
+          for pad = 0 to 63 do
+            let code = timer_dense_program ~ocr ~pad in
+            let mk superblocks =
+              let cpu = Cpu.create () in
+              Cpu.set_superblocks cpu superblocks;
+              Cpu.load_program cpu code;
+              Option.iter (fun overhead_cycles -> Cpu.enable_shadow_stack cpu ~overhead_cycles) shadow;
+              let irqs = ref [] in
+              Cpu.set_irq_tap cpu
+                (Some (fun ~latency ~masked -> irqs := (Cpu.cycles cpu, latency, masked) :: !irqs));
+              (cpu, irqs)
+            in
+            let (fused, fused_irqs), (stepped, stepped_irqs) = (mk true, mk false) in
+            let in_blocks = ref 0 in
+            Cpu.set_block_tap fused
+              ~on_block:(fun _ n -> in_blocks := !in_blocks + n)
+              ~on_step:(fun _ _ -> ());
+            for slice = 1 to 40 do
+              let max_cycles = 150 + (slice * 37 mod 331) in
+              ignore (Cpu.run fused ~max_cycles);
+              ignore (Cpu.run stepped ~max_cycles);
+              let name =
+                Printf.sprintf "ocr=%d pad=%d shadow=%b slice=%d" ocr pad (shadow <> None) slice
+              in
+              check_same name fused stepped;
+              Alcotest.(check bool) (name ^ ": identical interrupts") true
+                (!fused_irqs = !stepped_irqs)
+            done;
+            Alcotest.(check bool) "interrupts were taken" true (Cpu.interrupts_taken fused > 10);
+            (* 32% or more on every program; a tenth is the floor. *)
+            Alcotest.(check bool) "blocks retired a tenth of the instructions" true
+              (10 * !in_blocks >= Cpu.instructions_retired fused)
+          done)
+        [ 3; 9 ])
+    [ None; Some 40 ]
+
+(* The compile threshold: a loop head entered 15 times is only ever
+   stepped; entered 16 times, it is compiled and run as a block.  Both
+   end in the state single-stepping reaches. *)
+let test_compile_threshold () =
+  List.iter
+    (fun (n, compiled) ->
+      let prog = Isa.[ Ldi (16, n); (* word 1 *) Dec 16; Brbc (1, -2); Break ] in
+      let fused = load prog and stepped = load ~superblocks:false prog in
+      let blocks = ref 0 in
+      Cpu.set_block_tap fused ~on_block:(fun _ _ -> incr blocks) ~on_step:(fun _ _ -> ());
+      ignore (Cpu.run fused ~max_cycles:10_000);
+      ignore (Cpu.run stepped ~max_cycles:10_000);
+      Alcotest.(check bool) (Printf.sprintf "%d entries: block ran" n) compiled (!blocks > 0);
+      check_same (Printf.sprintf "%d entries" n) fused stepped)
+    [ (15, false); (16, true); (40, true) ]
 
 (* ---- satellite 1: saturating run budget ----------------------------- *)
 
@@ -374,6 +495,37 @@ let test_superblocks_toggle_mid_run () =
   Alcotest.(check bool) "mid-run toggle equivalent" true
     (arch_state toggled = arch_state plain)
 
+(* The batched loops sync the decode cache and the blocks at entry only.
+   A switch flipped on from a tap, mid-run, after a reflash made while
+   it was off, must not run with the previous image's (smaller) tables:
+   that read past their end. *)
+let test_switch_on_after_reflash () =
+  let body = List.init 200 (fun _ -> Isa.Inc 17) @ Isa.[ Rjmp (-201) ] in
+  let two_images ~superblocks =
+    let cpu = load ~superblocks Isa.[ Ldi (16, 1); Rjmp (-1) ] in
+    ignore (Cpu.run cpu ~max_cycles:1_000);
+    cpu
+  in
+  let reflash cpu = Cpu.load_program cpu (String.concat "" (List.map Opcode.encode_bytes body)) in
+  let reference = two_images ~superblocks:false in
+  reflash reference;
+  ignore (Cpu.run reference ~max_cycles:20_000);
+  List.iter
+    (fun (name, flip) ->
+      let cpu = two_images ~superblocks:true in
+      flip cpu false;
+      reflash cpu;
+      let steps = ref 0 in
+      Cpu.set_block_tap cpu
+        ~on_block:(fun _ _ -> ())
+        ~on_step:(fun _ _ ->
+          incr steps;
+          if !steps = 50 then flip cpu true);
+      ignore (Cpu.run cpu ~max_cycles:20_000);
+      Alcotest.(check bool) (name ^ " flipped on mid-run") true
+        (arch_state cpu = arch_state reference))
+    [ ("superblocks", Cpu.set_superblocks); ("decode cache", Cpu.set_decode_cache) ]
+
 let () =
   Alcotest.run "superblock"
     [
@@ -387,6 +539,9 @@ let () =
             test_differential_shadow_stack;
           Alcotest.test_case "ROP attack identical on/off" `Quick
             test_attack_identical_on_and_off;
+          Alcotest.test_case "compare matches and budgets at every offset" `Quick
+            test_differential_timer_dense;
+          Alcotest.test_case "compile threshold" `Quick test_compile_threshold;
         ] );
       ( "budget",
         [
@@ -405,5 +560,6 @@ let () =
           Alcotest.test_case "block counts partition retired" `Quick
             test_block_tap_counts_partition_retired;
           Alcotest.test_case "engine toggle mid-run" `Quick test_superblocks_toggle_mid_run;
+          Alcotest.test_case "switch on after a reflash" `Quick test_switch_on_after_reflash;
         ] );
     ]
