@@ -390,12 +390,12 @@ let runtime_defense_ablation () =
 let randomizability () =
   section "§VI-B1 — toolchain requirements (ablation)";
   let _, stock, mavr = List.hd (Lazy.force builds) in
-  (match Mavr_core.Patch.check_randomizable stock.F.Build.image with
+  (match Mavr_core.Stream_patch.check_randomizable stock.F.Build.image with
   | Error m ->
       Printf.printf "  stock toolchain (relaxation ON) : REFUSED — %s...\n"
         (String.sub m 0 (min 70 (String.length m)))
   | Ok () -> print_endline "  stock toolchain: unexpectedly randomizable");
-  match Mavr_core.Patch.check_randomizable mavr.F.Build.image with
+  match Mavr_core.Stream_patch.check_randomizable mavr.F.Build.image with
   | Ok () -> print_endline "  MAVR toolchain (--no-relax)     : randomizable"
   | Error m -> Printf.printf "  MAVR toolchain: !! %s\n" m
 

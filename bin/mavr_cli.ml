@@ -390,7 +390,7 @@ let cmd_analyze =
       Option.map
         (fun seed ->
           match Mavr_core.Randomize.randomize ~seed img with
-          | exception Mavr_core.Patch.Unpatchable m ->
+          | exception Mavr_core.Stream_patch.Unpatchable m ->
               Error [ { Mavr_analysis.Equiv.at = 0; what = "unpatchable image: " ^ m } ]
           | r -> Mavr_analysis.Equiv.validate ~original:img ~randomized:r)
         validate_seed
@@ -937,8 +937,8 @@ let cmd_serve =
   let run socket stdio max_requests once jobs =
     let module J = Mavr_telemetry.Json in
     (* One request = one campaign spec object ([Campaign_spec.of_json]:
-       unknown members ignored, absent ones default like the `campaign`
-       flags, a malformed one a terminal error naming it), so a served
+       absent members default like the `campaign` flags; a malformed,
+       unknown or repeated one is a terminal error naming it), so a served
        result byte-matches `campaign --json` for the same configuration. *)
     let handler req ~progress:send =
       let ( let* ) = Result.bind in

@@ -72,9 +72,16 @@ let census ?max_len ?(seed = Root 0) ?jobs ?pool ?tracer ?progress ~layouts imag
      for any [jobs] value. *)
   let survivors = Array.make layouts 0 in
   let feasible = Array.make layouts false in
+  (* One relocation plan for every layout: each candidate is
+     [Randomize.randomize] of its seed, without decoding the image again.
+     No layouts, no plan (nor its refusal of a relaxed image). *)
+  let plan = if layouts = 0 then None else Some (Randomize.plan image) in
   let measure i =
     let compute () =
-      let candidate = Randomize.randomize ~seed:seeds.(i) image in
+      let rng = Mavr_prng.Splitmix.create ~seed:seeds.(i) in
+      let candidate =
+        Mavr_core.Stream_patch.layout (Option.get plan) (Mavr_core.Shuffle.draw ~rng image)
+      in
       survivors.(i) <-
         List.fold_left (fun n g -> if gadget_survives ~candidate g then n + 1 else n) 0 base;
       feasible.(i) <-

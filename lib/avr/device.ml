@@ -69,24 +69,30 @@ module Vector = struct
 end
 
 module External_flash = struct
-  type t = { store : Bytes.t; mutable used : int }
+  (* The programmed bytes, with the erased (0xFF) rest of the chip
+     implied.  [program] keeps the caller's immutable string rather than
+     copying it into a chip-sized buffer, so masters provisioned with one
+     HEX share it. *)
+  type t = { size : int; mutable data : string }
 
-  let create ~bytes = { store = Bytes.make bytes '\xff'; used = 0 }
-  let size t = Bytes.length t.store
+  let create ~bytes = { size = bytes; data = "" }
+  let size t = t.size
 
   let program t data =
-    if String.length data > Bytes.length t.store then
+    if String.length data > t.size then
       invalid_arg "External_flash.program: image larger than chip";
-    Bytes.fill t.store 0 (Bytes.length t.store) '\xff';
-    Bytes.blit_string data 0 t.store 0 (String.length data);
-    t.used <- String.length data
+    t.data <- data
+
+  let read_byte t pos =
+    if pos < 0 || pos >= t.size then invalid_arg "External_flash.read_byte: out of range";
+    if pos < String.length t.data then Char.code t.data.[pos] else 0xFF
 
   let read t ~pos ~len =
-    if pos < 0 || len < 0 || pos + len > Bytes.length t.store then
+    if pos < 0 || len < 0 || pos + len > t.size then
       invalid_arg "External_flash.read: out of range";
-    Bytes.sub_string t.store pos len
+    if pos + len <= String.length t.data then String.sub t.data pos len
+    else String.init len (fun i -> Char.chr (read_byte t (pos + i)))
 
-  let read_byte t pos = Char.code (Bytes.get t.store pos)
-  let content_length t = t.used
+  let content_length t = String.length t.data
   let unit_price_usd = 3.94
 end

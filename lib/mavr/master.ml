@@ -51,10 +51,14 @@ type telemetry = {
   flash_retries : Mavr_telemetry.Metrics.histogram;
 }
 
+(* What provisioning leaves on the external flash, and what the master
+   derives from it once: the decoded image and its relocation plan. *)
+type stored = { hex : string; image : Image.t; plan : Stream_patch.plan }
+
 type t = {
   config : config;
   ext_flash : Flash.t;
-  mutable stored : Image.t option; (* the external flash contents, decoded *)
+  mutable stored : stored option;
   rng : Rng.t;
   mutable boots : int;
   mutable reflashes : int;
@@ -112,29 +116,37 @@ let attach_telemetry ?(prefix = "master") t ~registry ~recorder =
         flash_retries = M.histogram registry (name "flash.retries");
       }
 
-(* Nothing but [provision] writes the external flash, so its contents
-   are decoded once here rather than at every flash session; a HEX the
-   master could not decode is refused before it is stored. *)
-let provision t image =
+let page_bytes = Mavr_avr.Device.atmega2560.flash_page_bytes
+
+(* Nothing but provisioning writes the external flash, so its contents
+   are decoded and planned once, when the stored value is made, rather
+   than at every flash session; a HEX the master could not decode or
+   relocate is refused before it is stored. *)
+let store image =
   let hex = Symtab.to_hex image in
   let decoded = Symtab.of_hex hex in
-  Flash.program t.ext_flash hex;
-  t.stored <- Some decoded
+  { hex; image = decoded; plan = Stream_patch.plan decoded ~page_bytes }
+
+let provision_stored t s =
+  Flash.program t.ext_flash s.hex;
+  t.stored <- Some s
+
+let provision t image = provision_stored t (store image)
 
 let stored_hex t = Flash.read t.ext_flash ~pos:0 ~len:(Flash.content_length t.ext_flash)
 
-let stored_image t =
-  match t.stored with Some img -> img | None -> invalid_arg "Master: not provisioned"
+let stored t =
+  match t.stored with Some s -> s | None -> invalid_arg "Master: not provisioned"
 
 let startup_overhead_ms t bytes = Serial.programming_ms t.config.link bytes
 
-(* Run the §VI-B3 streaming pipeline: draw a permutation, stream the
-   patched binary page by page (here collected back into an image for the
-   emulated application processor), and account for the pages programmed
-   and the randomizer's working set. *)
-let randomize_streaming t stored =
-  let page_bytes = Mavr_avr.Device.atmega2560.flash_page_bytes in
-  let image, stats = Stream_patch.randomize_image_rng ~rng:t.rng stored ~page_bytes in
+(* A §VI-B3 streaming session: draw a permutation, lay the stored image
+   out in it (the emulated application processor takes the whole image),
+   and account for the pages programmed and the randomizer's working
+   set. *)
+let randomize_streaming t s =
+  let image = Stream_patch.layout s.plan (Shuffle.draw ~rng:t.rng s.image) in
+  let stats = Stream_patch.ledger s.plan in
   t.pages_programmed <- t.pages_programmed + stats.Stream_patch.pages_emitted;
   t.peak_ws <- max t.peak_ws stats.Stream_patch.peak_working_set;
   image
@@ -218,7 +230,7 @@ let program_app t ~app image =
   t.current <- Some image
 
 let boot t ~app =
-  let stored = stored_image t in
+  let stored = stored t in
   t.boots <- t.boots + 1;
   let randomize =
     t.config.randomize_every_boots <= 1
@@ -258,7 +270,7 @@ let rerandomize_after_attack t ~app ~reason =
       Mavr_telemetry.Recorder.record tel.recorder ~cycle:(Cpu.cycles app)
         ~value:(Cpu.pc_byte_addr app) "master.attack_detected");
   t.events <- Attack_detected { at_cycles = Cpu.cycles app; reason } :: t.events;
-  let image = randomize_streaming t (stored_image t) in
+  let image = randomize_streaming t (stored t) in
   program_app t ~app image;
   t.events <- Reflashed { generation = t.reflashes; overhead_ms = t.last_overhead_ms } :: t.events
 

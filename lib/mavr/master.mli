@@ -32,22 +32,37 @@ type t
 
 val create : ?config:config -> unit -> t
 
-(** [provision t image] is the host-side flashing step: the preprocessed
-    HEX (symbol table prepended, §VI-B2) is stored verbatim on the
-    external flash chip.  The master decodes that HEX once, here, and
-    every later {!boot} and re-randomization starts from the decoded
-    image — provisioning is the only writer of the external flash.
-    @raise Invalid_argument when the master cannot decode the HEX
-    (e.g. function-pointer locations past the code); the external flash
-    then keeps its previous contents. *)
+(** What provisioning puts on the external flash: the preprocessed HEX
+    (symbol table prepended, §VI-B2), with the image the master decodes
+    from it and that image's relocation plan ({!Stream_patch.plan}).
+    Immutable, so one value made per campaign serves every master, on
+    any domain. *)
+type stored
+
+(** [store image] encodes [image] to the preprocessed HEX, decodes it
+    back and plans its relocation.
+    @raise Invalid_argument when the master cannot decode the HEX (e.g.
+    function-pointer locations past the code).
+    @raise Stream_patch.Unpatchable when the decoded image cannot be
+    relocated in any layout. *)
+val store : Mavr_obj.Image.t -> stored
+
+(** [provision_stored t s] is the host-side flashing step: the HEX of [s]
+    is written verbatim to the external flash chip, and every later
+    {!boot} and re-randomization lays out [s]'s decoded image from its
+    plan, without decoding anything again. *)
+val provision_stored : t -> stored -> unit
+
+(** [provision t image] is [provision_stored t (store image)]; when
+    {!store} raises, the external flash keeps its previous contents. *)
 val provision : t -> Mavr_obj.Image.t -> unit
 
 (** Raw HEX text currently on the external flash. *)
 val stored_hex : t -> string
 
 (** [boot t ~app] programs the application processor and starts it.  The
-    binary is randomized, from the image decoded at {!provision}, when
-    the boot counter hits the schedule.
+    binary is randomized, from the stored image's plan, when the boot
+    counter hits the schedule.
     @raise Invalid_argument when not provisioned. *)
 val boot : t -> app:Mavr_avr.Cpu.t -> unit
 

@@ -1,9 +1,10 @@
 module Image = Mavr_obj.Image
 module Rng = Mavr_prng.Splitmix
 
-(* In memory, through the master's streaming pipeline and flash page. *)
-let apply img shuffle =
-  fst (Stream_patch.apply img shuffle ~page_bytes:Mavr_avr.Device.atmega2560.flash_page_bytes)
+(* In memory, with the relocation plan at the master's flash page size. *)
+let plan img = Stream_patch.plan img ~page_bytes:Mavr_avr.Device.atmega2560.flash_page_bytes
+
+let apply img shuffle = Stream_patch.layout (plan img) shuffle
 
 let randomize_rng ~rng img = apply img (Shuffle.draw ~rng img)
 
@@ -37,7 +38,7 @@ let set_translation_validator f = translation_validator := f
 
 let randomize_checked ~seed img =
   match randomize ~seed img with
-  | exception Patch.Unpatchable m -> Error ("unpatchable image: " ^ m)
+  | exception Stream_patch.Unpatchable m -> Error ("unpatchable image: " ^ m)
   | r -> (
       match verify_structure ~original:img ~randomized:r with
       | Error m -> Error m

@@ -1,13 +1,21 @@
 (** The complete MAVR randomization pipeline (§V-B).
 
     [randomize] = draw a permutation ({!Shuffle}) + rewrite control flow
-    ({!Stream_patch}, run in memory with the master's flash page size).
+    ({!Stream_patch}'s plan at the master's flash page size, laid out in
+    memory).
     The result is a firmware image with identical behaviour and a
     different code layout; an attacker holding the original binary no
     longer knows any gadget address. *)
 
+(** [plan image] is {!Stream_patch.plan} at the master's flash page
+    size: decode [image] once, then {!Stream_patch.layout} it as often as
+    needed — each layout is the image {!randomize} makes for the same
+    permutation.
+    @raise Stream_patch.Unpatchable as {!randomize}. *)
+val plan : Mavr_obj.Image.t -> Stream_patch.plan
+
 (** [randomize ~seed image] produces the randomized image.
-    @raise Patch.Unpatchable when the image was not built with the MAVR
+    @raise Stream_patch.Unpatchable when the image was not built with the MAVR
     toolchain flags (cross-block relative transfers present). *)
 val randomize : seed:int -> Mavr_obj.Image.t -> Mavr_obj.Image.t
 

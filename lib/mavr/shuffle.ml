@@ -4,9 +4,8 @@ module Rng = Mavr_prng.Splitmix
 type t = { order : int array; new_addr : int array }
 
 let layout (img : Image.t) order =
-  let syms = Array.of_list img.symbols in
-  let n = Array.length syms in
-  let new_addr = Array.make n 0 in
+  let syms = img.symbol_array in
+  let new_addr = Array.make (Array.length syms) 0 in
   let cursor = ref img.text_start in
   Array.iter
     (fun idx ->
@@ -17,7 +16,7 @@ let layout (img : Image.t) order =
   { order; new_addr }
 
 let of_order img order =
-  let n = List.length img.Image.symbols in
+  let n = Image.function_count img in
   if Array.length order <> n then invalid_arg "Shuffle.of_order: wrong length";
   let seen = Array.make n false in
   Array.iter
@@ -27,10 +26,10 @@ let of_order img order =
     order;
   layout img order
 
-let identity img = layout img (Array.init (List.length img.Image.symbols) (fun i -> i))
+let identity img = layout img (Array.init (Image.function_count img) (fun i -> i))
 
 let draw ~rng img =
-  let order = Array.init (List.length img.Image.symbols) (fun i -> i) in
+  let order = Array.init (Image.function_count img) (fun i -> i) in
   Rng.shuffle rng order;
   layout img order
 
@@ -42,15 +41,6 @@ let is_identity t =
 let map_addr (img : Image.t) t addr =
   if addr < img.text_start || addr >= img.text_end then addr
   else
-    match Image.function_containing img addr with
+    match Image.function_index img addr with
     | None -> addr
-    | Some sym ->
-        (* The symbol's index in the ascending list. *)
-        let idx =
-          let rec find i = function
-            | [] -> raise Not_found
-            | (s : Image.symbol) :: rest -> if s.addr = sym.addr then i else find (i + 1) rest
-          in
-          find 0 img.symbols
-        in
-        t.new_addr.(idx) + (addr - sym.addr)
+    | Some i -> t.new_addr.(i) + (addr - img.symbol_array.(i).addr)

@@ -2,7 +2,6 @@ module Isa = Mavr_avr.Isa
 module Decode = Mavr_avr.Decode
 module Opcode = Mavr_avr.Opcode
 module Image = Mavr_obj.Image
-module Symtab = Mavr_obj.Symtab
 
 exception Unpatchable of string
 
@@ -10,174 +9,138 @@ let unpatchable fmt = Printf.ksprintf (fun m -> raise (Unpatchable m)) fmt
 
 type stats = { peak_working_set : int; bytes_read : int; pages_emitted : int }
 
-let run ~code_size ~read ~(meta : Symtab.meta) ~order ~page_bytes ~emit_page =
-  let starts = Array.of_list meta.func_addrs in
-  let n = Array.length starts in
-  if Array.length order <> n then invalid_arg "Stream_patch.run: order length mismatch";
-  let seen = Array.make n false in
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= n || seen.(i) then invalid_arg "Stream_patch.run: not a permutation";
-      seen.(i) <- true)
-    order;
-  let size_of i = (if i + 1 < n then starts.(i + 1) else meta.text_end) - starts.(i) in
-  (* Assign new start addresses by walking the permutation. *)
-  let new_start = Array.make n 0 in
-  let cursor = ref meta.text_start in
-  Array.iter
-    (fun i ->
-      new_start.(i) <- !cursor;
-      cursor := !cursor + size_of i)
-    order;
-  assert (!cursor = meta.text_end);
-  let funptrs = Array.of_list meta.funptr_locs in
-  (* ---- working-set ledger ---- *)
-  let table_bytes = (4 * n * 2) + (4 * Array.length funptrs) in
-  let peak = ref 0 in
-  let note_ws transient = peak := max !peak (table_bytes + page_bytes + transient) in
-  note_ws 0;
-  let bytes_read = ref 0 in
-  let read ~pos ~len =
+(* A code address as (function index, offset); index -1 is the
+   interrupt-vector block, which never moves. *)
+type site = { block : int; off : int; call : bool; target : int; target_off : int }
+type funptr = { loc : int; fn : int; fn_off : int }
+
+type plan = { image : Image.t; sites : site array; funptrs : funptr array; ledger : stats }
+
+let ledger p = p.ledger
+
+let plan (img : Image.t) ~page_bytes =
+  let code = img.code in
+  let in_text addr = addr >= img.text_start && addr < img.text_end in
+  let locate addr =
+    match Image.function_index img addr with
+    | Some i -> (i, addr - img.symbol_array.(i).addr)
+    | None -> unpatchable "target 0x%x in no function" addr
+  in
+  (* The streamer's ledger: every byte is read and emitted once, and the
+     transient buffer is one block or one data chunk at a time. *)
+  let bytes_read = ref 0 and transient = ref 0 in
+  let read len =
     bytes_read := !bytes_read + len;
-    read ~pos ~len
+    transient := max !transient len
   in
-  (* ---- address remapping (binary search over old starts) ---- *)
-  let in_text addr = addr >= meta.text_start && addr < meta.text_end in
-  let map_addr addr =
-    if not (in_text addr) then addr
-    else begin
-      let lo = ref 0 and hi = ref (n - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if starts.(mid) <= addr then lo := mid else hi := mid - 1
-      done;
-      let i = !lo in
-      if addr >= starts.(i) + size_of i then unpatchable "target 0x%x in no function" addr;
-      new_start.(i) + (addr - starts.(i))
-    end
-  in
-  (* ---- page-buffered emission ---- *)
-  let page = Bytes.make page_bytes '\xff' in
-  let page_fill = ref 0 in
-  let page_addr = ref 0 in
-  let pages = ref 0 in
-  let flush () =
-    if !page_fill > 0 then begin
-      emit_page ~page_addr:!page_addr (Bytes.to_string page);
-      incr pages;
-      Bytes.fill page 0 page_bytes '\xff';
-      page_addr := !page_addr + page_bytes;
-      page_fill := 0
-    end
-  in
-  let out_byte b =
-    Bytes.set page !page_fill (Char.chr (b land 0xFF));
-    incr page_fill;
-    if !page_fill = page_bytes then flush ()
-  in
-  let out_string s = String.iter (fun c -> out_byte (Char.code c)) s in
-  (* ---- one executable block: decode, rewrite, emit ---- *)
-  let patch_block ~old_base ~block ~block_lo ~block_hi =
-    note_ws (String.length block);
-    let len = String.length block in
+  let sites = ref [] and funptrs = ref [] in
+  (* One executable block, decoded on its own so that a two-word
+     instruction cut by the block's end decodes as data. *)
+  let scan_block ~block ~lo ~hi =
+    read (hi - lo);
+    let bytes = String.sub code lo (hi - lo) in
     let pos = ref 0 in
-    while !pos + 1 < len do
-      let insn, size = Decode.decode_bytes block !pos in
-      let old_addr = old_base + !pos in
+    while !pos + 1 < hi - lo do
+      let insn, size = Decode.decode_bytes bytes !pos in
+      let addr = lo + !pos in
+      let leaves k = addr + 2 + (k * 2) < lo || addr + 2 + (k * 2) >= hi in
       (match insn with
-      | Isa.Call a | Isa.Jmp a when in_text (a * 2) ->
-          let target' = map_addr (a * 2) in
-          let insn' =
-            match insn with Isa.Call _ -> Isa.Call (target' / 2) | _ -> Isa.Jmp (target' / 2)
-          in
-          out_string (Opcode.encode_bytes insn')
-      | Isa.Rcall k | Isa.Rjmp k ->
-          let target = old_addr + 2 + (k * 2) in
-          if target < block_lo || target >= block_hi then
-            unpatchable "relative transfer at 0x%x leaves its block (relaxed image?)" old_addr;
-          out_string (String.sub block !pos size)
-      | Isa.Brbs (_, k) | Isa.Brbc (_, k) ->
-          let target = old_addr + 2 + (k * 2) in
-          if target < block_lo || target >= block_hi then
-            unpatchable "branch at 0x%x leaves its block" old_addr;
-          out_string (String.sub block !pos size)
-      | _ -> out_string (String.sub block !pos size));
+      | (Isa.Call a | Isa.Jmp a) when in_text (a * 2) ->
+          let target, target_off = locate (a * 2) in
+          let call = match insn with Isa.Call _ -> true | _ -> false in
+          sites := { block; off = !pos; call; target; target_off } :: !sites
+      | (Isa.Rcall k | Isa.Rjmp k) when leaves k ->
+          unpatchable "relative transfer at 0x%x leaves its block (relaxed image?)" addr
+      | (Isa.Brbs (_, k) | Isa.Brbc (_, k)) when leaves k ->
+          unpatchable "branch at 0x%x leaves its block" addr
+      | _ -> ());
       pos := !pos + size
-    done;
-    (* A trailing odd byte (possible only in data-ish blocks). *)
-    if !pos < len then out_byte (Char.code block.[!pos])
+    done
   in
-  (* ---- non-executable region: copy with function-pointer fixups ---- *)
-  let copy_data_region ~lo ~hi =
-    let chunk = page_bytes in
+  (* A data region, in the streamer's page-sized chunks: a pointer must
+     lie within one chunk. *)
+  let scan_data ~lo ~hi =
     let pos = ref lo in
     while !pos < hi do
-      let len = min chunk (hi - !pos) in
-      let s = read ~pos:!pos ~len in
-      note_ws len;
-      let b = Bytes.of_string s in
-      Array.iter
+      let len = min page_bytes (hi - !pos) in
+      read len;
+      List.iter
         (fun loc ->
           if loc >= !pos && loc + 1 < !pos + len then begin
-            let off = loc - !pos in
-            let w = Char.code s.[off] lor (Char.code s.[off + 1] lsl 8) in
+            let w = Char.code code.[loc] lor (Char.code code.[loc + 1] lsl 8) in
             if in_text (w * 2) then begin
-              let target' = map_addr (w * 2) in
-              let w' = target' / 2 in
-              if w' > 0xFFFF then
-                unpatchable "function pointer at 0x%x remaps to 0x%x, beyond icall's 16-bit reach"
-                  loc target';
-              Bytes.set b off (Char.chr (w' land 0xFF));
-              Bytes.set b (off + 1) (Char.chr (w' lsr 8))
+              let fn, fn_off = locate (w * 2) in
+              funptrs := { loc; fn; fn_off } :: !funptrs
             end
           end
           else if loc = !pos + len - 1 then
-            (* A pointer straddling a chunk boundary would need carry-over
-               state; the preprocessed layout keeps pointers aligned, so
-               treat this as a hard error rather than corrupt silently. *)
             unpatchable "function pointer at 0x%x straddles a chunk" loc)
-        funptrs;
-      out_string (Bytes.to_string b);
+        img.funptr_locs;
       pos := !pos + len
     done
   in
-  (* 1. interrupt-vector code (stays at address 0, targets remapped) *)
-  let vec = read ~pos:0 ~len:meta.exec_low_end in
-  patch_block ~old_base:0 ~block:vec ~block_lo:0 ~block_hi:meta.exec_low_end;
-  (* 2. low rodata (vtable initializer etc.) *)
-  copy_data_region ~lo:meta.exec_low_end ~hi:meta.text_start;
-  (* 3. the text section, streamed function by function in new order *)
-  Array.iter
-    (fun i ->
-      let block = read ~pos:starts.(i) ~len:(size_of i) in
-      patch_block ~old_base:starts.(i) ~block ~block_lo:starts.(i)
-        ~block_hi:(starts.(i) + size_of i))
-    order;
-  (* 4. everything after the text section *)
-  copy_data_region ~lo:meta.text_end ~hi:code_size;
-  flush ();
-  { peak_working_set = !peak; bytes_read = !bytes_read; pages_emitted = !pages }
+  scan_block ~block:(-1) ~lo:0 ~hi:img.exec_low_end;
+  scan_data ~lo:img.exec_low_end ~hi:img.text_start;
+  Array.iteri
+    (fun i (f : Image.symbol) -> scan_block ~block:i ~lo:f.addr ~hi:(f.addr + f.size))
+    img.symbol_array;
+  scan_data ~lo:img.text_end ~hi:(Image.size img);
+  let table_bytes = (4 * Image.function_count img * 2) + (4 * List.length img.funptr_locs) in
+  {
+    image = img;
+    sites = Array.of_list (List.rev !sites);
+    funptrs = Array.of_list (List.rev !funptrs);
+    ledger =
+      {
+        peak_working_set = table_bytes + page_bytes + !transient;
+        bytes_read = !bytes_read;
+        pages_emitted = (!bytes_read + page_bytes - 1) / page_bytes;
+      };
+  }
 
-let apply (img : Image.t) (shuffle : Shuffle.t) ~page_bytes =
-  let buf = Buffer.create (Image.size img + page_bytes) in
-  let stats =
-    run ~code_size:(Image.size img)
-      ~read:(fun ~pos ~len -> String.sub img.code pos len)
-      ~meta:(Symtab.meta_of_image img) ~order:shuffle.Shuffle.order ~page_bytes
-      ~emit_page:(fun ~page_addr:_ page -> Buffer.add_string buf page)
-  in
-  (* Trim the final page padding back to the image size. *)
-  let code = Buffer.sub buf 0 (Image.size img) in
+let layout p (shuffle : Shuffle.t) =
+  let img = p.image in
+  let new_addr = shuffle.Shuffle.new_addr in
+  if Array.length new_addr <> Image.function_count img then
+    invalid_arg "Stream_patch.layout: layout of another image";
+  let code = Bytes.of_string img.code in
+  Array.iteri
+    (fun i (f : Image.symbol) -> Bytes.blit_string img.code f.addr code new_addr.(i) f.size)
+    img.symbol_array;
+  Array.iter
+    (fun s ->
+      let w = (new_addr.(s.target) + s.target_off) / 2 in
+      let at = if s.block < 0 then s.off else new_addr.(s.block) + s.off in
+      Bytes.blit_string (Opcode.encode_bytes (if s.call then Isa.Call w else Isa.Jmp w)) 0 code at 4)
+    p.sites;
+  Array.iter
+    (fun f ->
+      let target = new_addr.(f.fn) + f.fn_off in
+      let w = target / 2 in
+      if w > 0xFFFF then
+        unpatchable "function pointer at 0x%x remaps to 0x%x, beyond icall's 16-bit reach" f.loc
+          target;
+      Bytes.set code f.loc (Char.chr (w land 0xFF));
+      Bytes.set code (f.loc + 1) (Char.chr (w lsr 8)))
+    p.funptrs;
   let symbols =
     List.sort
       (fun (a : Image.symbol) b -> compare a.addr b.addr)
-      (List.mapi
-         (fun i (s : Image.symbol) -> { s with addr = shuffle.Shuffle.new_addr.(i) })
-         img.symbols)
+      (List.mapi (fun i (s : Image.symbol) -> { s with addr = new_addr.(i) }) img.symbols)
   in
-  ({ img with code; symbols }, stats)
+  { img with code = Bytes.unsafe_to_string code; symbols; symbol_array = Array.of_list symbols }
+
+let apply img shuffle ~page_bytes =
+  let p = plan img ~page_bytes in
+  (layout p shuffle, p.ledger)
 
 let randomize_image_rng ~rng img ~page_bytes = apply img (Shuffle.draw ~rng img) ~page_bytes
 
 let randomize_image ~seed img ~page_bytes =
   randomize_image_rng ~rng:(Mavr_prng.Splitmix.create ~seed) img ~page_bytes
+
+let check_randomizable img =
+  let page_bytes = Mavr_avr.Device.atmega2560.flash_page_bytes in
+  match apply img (Shuffle.identity img) ~page_bytes with
+  | _ -> Ok ()
+  | exception Unpatchable m -> Error m

@@ -1,38 +1,38 @@
-(** Streaming randomization — the master processor's actual execution
-    model (§VI-B3).
+(** Streaming randomization — the master processor's relocation
+    (§V-B3, §VI-B3), split into a per-image {e plan} and a per-layout
+    {e layout} step.
 
     The ATmega1284P cannot hold a 256 KB application in its 16 KB SRAM.
     The paper's randomizer therefore streams: "since the external flash
     memory permits random access, each function can be processed in a
     streaming fashion, eliminating the need to fit the entire application
-    into volatile memory at runtime".
+    into volatile memory at runtime".  Its working set is the function
+    table (old and new starts), the function-pointer location list, one
+    function block at a time and one flash page buffer.
 
-    This module reproduces that discipline.  Input is a random-access
-    byte oracle (the external flash chip) plus the preprocessed metadata;
-    output is emitted page by page to the application processor's
-    bootloader.  The working set is only:
+    Every session streams the same seed image, and only a few words of it
+    depend on the layout, so the work is split:
 
-    - the function table (old starts + assigned new starts),
-    - the function-pointer location list,
-    - one function block at a time,
-    - one flash page buffer,
+    - {!plan} decodes the image once.  It records every [call]/[jmp]
+      whose target lies in the text section and every stored function
+      pointer in the two data regions, each as (function, offset), and
+      refuses what no layout could relocate: a relative transfer
+      ([rcall]/[rjmp]/conditional branch) leaving its block (the image
+      was linked without [--no-relax]), a target inside the text section
+      but in no function, and a pointer straddling a page-sized chunk.
+    - {!layout} blits each function block to its new start and rewrites
+      the recorded sites.  Targets keep their offset inside the moved
+      function (switch-table trampolines, shared-epilogue entries).  A
+      pointer must stay within [icall]'s 16-bit word reach, the one
+      refusal that depends on the layout.
 
-    and its peak is measured and returned, so tests can assert the whole
-    pipeline fits the master's SRAM for every application profile.
-
-    This is the only relocation implementation: {!Randomize} and
-    {!Patch.check_randomizable} run it over in-memory images through
-    {!apply}.  When function blocks move,
-
-    - [call]/[jmp] targets inside the text section are remapped; targets
-      that do not land exactly on a symbol (switch-table trampolines,
-      shared-epilogue entries) keep their offset inside the containing
-      function;
-    - relative transfers ([rcall]/[rjmp]/conditional branches) are legal
-      only within their own block (position-independent under the move);
-    - stored function pointers (vtables, call-routing arrays) at the
-      preprocessed [funptr_locs] are remapped as 16-bit word addresses,
-      which must stay within [icall]'s reach. *)
+    The §VI-B3 ledger ({!stats}) is the same for every layout: each byte
+    is read and emitted once, whatever the order, and the largest
+    transient buffer is the largest function block or data chunk.  So
+    {!plan} computes it once ({!ledger}).  The byte-streaming pipeline the
+    master runs, page by page, is kept as the test oracle in
+    [test/stream_oracle.ml]; the tests hold the plan's bytes, symbols,
+    ledger and refusals to it. *)
 
 exception Unpatchable of string
 
@@ -42,33 +42,29 @@ type stats = {
   pages_emitted : int;  (** flash pages programmed on the application CPU *)
 }
 
-(** [run ~code_size ~read ~meta ~order ~page_bytes ~emit_page] streams the
-    randomized binary.
+(** An image's relocation plan.  Immutable; domains may share one. *)
+type plan
 
-    [read ~pos ~len] serves bytes of the {e original} image (the external
-    chip's random-access interface).  [order] is the permutation: the
-    function placed k-th in the new layout is the [order.(k)]-th of
-    [meta.func_addrs].  Pages are emitted in ascending address order,
-    the last one padded with 0xFF.
+(** [plan image ~page_bytes] decodes [image] once.
+    @raise Unpatchable on cross-block relative transfers, targets inside
+    the text section but in no function, and function pointers that
+    straddle a [page_bytes] chunk. *)
+val plan : Mavr_obj.Image.t -> page_bytes:int -> plan
 
-    @raise Unpatchable on cross-block relative transfers (images built
-    without [--no-relax]), targets inside the text section but in no
-    function, and function pointers that remap beyond 16-bit word reach.
-    @raise Invalid_argument if [order] is not a permutation. *)
-val run :
-  code_size:int ->
-  read:(pos:int -> len:int -> string) ->
-  meta:Mavr_obj.Symtab.meta ->
-  order:int array ->
-  page_bytes:int ->
-  emit_page:(page_addr:int -> string -> unit) ->
-  stats
+(** The ledger of one streaming session of the plan's image, whatever
+    its layout. *)
+val ledger : plan -> stats
 
-(** [apply image shuffle ~page_bytes] runs {!run} over an in-memory
-    image (standing in for the external chip) in the layout of [shuffle]
-    and reassembles the emitted pages.  Returns the randomized image
-    (with symbols recomputed; [funptr_locs] keep their flash offsets) and
-    the stats. *)
+(** [layout plan shuffle] is the plan's image in the layout of [shuffle]
+    (a {!Shuffle.t} of that image), with symbols recomputed;
+    [funptr_locs] keep their flash offsets.
+    @raise Unpatchable when a function pointer remaps beyond 16-bit word
+    reach.
+    @raise Invalid_argument when [shuffle] has the wrong function count. *)
+val layout : plan -> Shuffle.t -> Mavr_obj.Image.t
+
+(** [apply image shuffle ~page_bytes] is {!plan} then {!layout}, with the
+    ledger. *)
 val apply :
   Mavr_obj.Image.t -> Shuffle.t -> page_bytes:int -> Mavr_obj.Image.t * stats
 
@@ -83,3 +79,9 @@ val randomize_image :
     (the master processor's entropy state across re-randomizations). *)
 val randomize_image_rng :
   rng:Mavr_prng.Splitmix.t -> Mavr_obj.Image.t -> page_bytes:int -> Mavr_obj.Image.t * stats
+
+(** [check_randomizable image] — whether [image] can be randomized at
+    all (§V-B3, §VI-B1): its plan builds at the ATmega2560's page size,
+    and its identity layout keeps every pointer within [icall]'s reach.
+    [Error reason] otherwise. *)
+val check_randomizable : Mavr_obj.Image.t -> (unit, string) result

@@ -8,6 +8,7 @@ type t = {
   text_start : int;
   text_end : int;
   symbols : symbol list;
+  symbol_array : symbol array;
   funptr_locs : int list;
 }
 
@@ -23,7 +24,10 @@ let check t =
           else if s.size < 0 then Error (Printf.sprintf "symbol %s has negative size" s.name)
           else go (s.addr + s.size) rest
     in
-    go t.text_start t.symbols
+    match go t.text_start t.symbols with
+    | Ok () when Array.to_list t.symbol_array <> t.symbols ->
+        Error "symbol array out of step with the symbol list"
+    | r -> r
 
 let validate = check
 
@@ -43,22 +47,23 @@ let of_assembly ?exec_low_end (out : Mavr_asm.Assembler.output) =
       text_start = out.text_start;
       text_end = out.text_end;
       symbols;
+      symbol_array = Array.of_list symbols;
       funptr_locs = List.sort compare out.funptr_locs;
     }
   in
   match check t with Ok () -> t | Error m -> invalid_arg ("Image.of_assembly: " ^ m)
 
 let size t = String.length t.code
-let function_count t = List.length t.symbols
+let function_count t = Array.length t.symbol_array
 
 let find t name =
   match List.find_opt (fun s -> s.name = name) t.symbols with
   | Some s -> s
   | None -> raise Not_found
 
-let function_containing t addr =
+let function_index t addr =
   (* Binary search over the ascending symbol array. *)
-  let arr = Array.of_list t.symbols in
+  let arr = t.symbol_array in
   let n = Array.length arr in
   if n = 0 || addr < arr.(0).addr then None
   else begin
@@ -67,17 +72,18 @@ let function_containing t addr =
       let mid = (!lo + !hi + 1) / 2 in
       if arr.(mid).addr <= addr then lo := mid else hi := mid - 1
     done;
-    let s = arr.(!lo) in
-    if addr < s.addr + s.size then Some s else None
+    if addr < arr.(!lo).addr + arr.(!lo).size then Some !lo else None
   end
+
+let function_containing t addr = Option.map (Array.get t.symbol_array) (function_index t addr)
 
 let code_of t sym = String.sub t.code sym.addr sym.size
 
-let function_starts t = Array.of_list (List.map (fun s -> s.addr) t.symbols)
+let function_starts t = Array.map (fun s -> s.addr) t.symbol_array
 
 let is_function_start t addr =
-  (* Binary search over the ascending symbol list. *)
-  let arr = Array.of_list t.symbols in
+  (* Binary search over the ascending symbol array. *)
+  let arr = t.symbol_array in
   let lo = ref 0 and hi = ref (Array.length arr - 1) and found = ref false in
   while (not !found) && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in

@@ -19,6 +19,9 @@ type t = {
   text_start : int;  (** first byte of the shuffleable function region *)
   text_end : int;  (** exclusive *)
   symbols : symbol list;  (** functions, ascending [addr], back to back *)
+  symbol_array : symbol array;
+      (** [symbols] as an array, for the O(log n) lookups below; every
+          constructor of an image builds it with its list *)
   funptr_locs : int list;  (** flash offsets holding 16-bit word addresses *)
 }
 
@@ -43,6 +46,10 @@ val find : t -> string -> symbol
     [addr] (binary search — the lookup of §VI-B3 used for trampoline
     targets). *)
 val function_containing : t -> int -> symbol option
+
+(** [function_index t addr] is the index in [symbol_array] of
+    {!function_containing}'s answer. *)
+val function_index : t -> int -> int option
 
 (** [code_of t sym] is the machine code of one function block. *)
 val code_of : t -> symbol -> string

@@ -92,13 +92,15 @@ let of_hex text =
         { Image.name = Printf.sprintf "f_%05x" a; addr = a; size = b - a; kind = Image.Func }
         :: symbols rest
   in
+  let symbols = symbols m.func_addrs in
   let img =
     {
       Image.code;
       exec_low_end = m.exec_low_end;
       text_start = m.text_start;
       text_end = m.text_end;
-      symbols = symbols m.func_addrs;
+      symbols;
+      symbol_array = Array.of_list symbols;
       funptr_locs = m.funptr_locs;
     }
   in

@@ -46,23 +46,40 @@ let field obj k decode =
   | Some v -> (
       match decode v with Ok x -> Ok (Some x) | Error m -> Error (k ^ ": " ^ m))
 
+(* Every member of [obj] is one of [known], and none appears twice. *)
+let members ~known = function
+  | Json.Obj kvs ->
+      let rec go seen = function
+        | [] -> Ok ()
+        | (k, _) :: rest ->
+            if not (List.mem k known) then Error ("unknown member " ^ k)
+            else if List.mem k seen then Error ("duplicate member " ^ k)
+            else go (k :: seen) rest
+      in
+      go [] kvs
+  | _ -> Error "expected an object"
+
 let expected what = function Some x -> Ok x | None -> Error ("expected " ^ what)
 let int v = expected "an integer" (Json.to_int v)
 let number v = expected "a number" (Json.to_float v)
 let string parse v = Result.bind (expected "a string" (Json.to_str v)) parse
 
-let early_stop_of_json = function
-  | Json.Obj _ as es ->
-      let* target = field es "target_halfwidth" number in
-      let* z = field es "z" number in
-      let* min_trials = field es "min_trials" int in
-      let* batch = field es "batch" int in
-      let* target = expected "a target_halfwidth member" target in
-      early_stop ?z ?min_trials ?batch target
-  | _ -> Error "expected an object"
+let early_stop_of_json es =
+  let* () = members ~known:[ "target_halfwidth"; "z"; "min_trials"; "batch" ] es in
+  let* target = field es "target_halfwidth" number in
+  let* z = field es "z" number in
+  let* min_trials = field es "min_trials" int in
+  let* batch = field es "batch" int in
+  let* target = expected "a target_halfwidth member" target in
+  early_stop ?z ?min_trials ?batch target
 
 let of_json j =
-  let* () = match j with Json.Obj _ -> Ok () | _ -> Error "spec: expected an object" in
+  let* () =
+    Result.map_error (( ^ ) "spec: ")
+      (members
+         ~known:[ "profile"; "trials"; "ms"; "layouts"; "seed"; "faults"; "early_stop"; "shard" ]
+         j)
+  in
   let* profile = field j "profile" (string Profile.of_string) in
   let* trials = field j "trials" int in
   let* ms = field j "ms" int in

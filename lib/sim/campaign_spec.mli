@@ -2,15 +2,18 @@
     campaign shared by [mavr campaign]'s flags, the [mavr serve] request
     and the [mavr dispatch] shard request.
 
-    Wire form (a JSON object; unknown members are ignored, absent ones
-    take {!default}'s value):
+    Wire form (a JSON object; absent members take {!default}'s value,
+    and an unknown or repeated member is an error — a misspelled
+    ["faults"] must not run a fault-free campaign):
     {v
     {"profile":"tiny-100","trials":5,"ms":900,"layouts":10,"seed":0,
      "faults":"none",
      "early_stop":{"target_halfwidth":W,"z":1.96,"min_trials":8,"batch":4}}
     v}
     [early_stop] is absent when the campaign runs every trial; inside
-    it only [target_halfwidth] is required. *)
+    it only [target_halfwidth] is required.  A dispatch shard request
+    adds a [shard] member, which this decoder accepts and leaves to the
+    server. *)
 
 module Json := Mavr_telemetry.Json
 
@@ -37,8 +40,8 @@ val validate : t -> (t, string) result
 val early_stop :
   ?z:float -> ?min_trials:int -> ?batch:int -> float -> (Mavr_campaign.Early_stop.t, string) result
 
-(** Decode and {!validate} a wire spec.  A member of the wrong type or
-    out of range is an error that names it. *)
+(** Decode and {!validate} a wire spec.  A member of the wrong type, out
+    of range, unknown or repeated is an error that names it. *)
 val of_json : Json.t -> (t, string) result
 
 (** The members of {!to_json}, for a request that appends its own (a

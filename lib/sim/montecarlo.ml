@@ -89,7 +89,12 @@ let detected_now s =
   (match Scenario.master s with Some m -> Master.attacks_detected m > 0 | None -> false)
   || Groundstation.attack_suspected (Scenario.gcs s)
 
-let trial ?lanes ~image ~inject ~defense ~level ~ms ~rng () =
+(* [firmware] is the campaign's seed image, its relocation plan (for
+   software-only layouts) and the master's stored value, all made once
+   per campaign and shared read-only by every trial. *)
+type firmware = { image : Image.t; plan : Mavr_core.Stream_patch.plan; stored : Master.stored }
+
+let trial ?lanes ~firmware ~inject ~defense ~level ~ms ~rng () =
   (* [lanes] = (host lane, cycles lane): the host lane gets the
      boot/warmup/flight phase spans, the cycles lane receives the rig's
      flight-recorder window at the end (flash-session phases, inject and
@@ -107,12 +112,14 @@ let trial ?lanes ~image ~inject ~defense ~level ~ms ~rng () =
   let registry = Metrics.create () in
   let s, probes =
     sp "boot" (fun () ->
+        let { image; plan; stored } = firmware in
         let image, kind =
           match defense with
           | Undefended -> (image, Scenario.No_defense)
           | Software_only ->
               (* §VIII-A: diversified once at flash time, no master watching. *)
-              (Randomize.randomize ~seed:(Splitmix.next rng) image, Scenario.No_defense)
+              let rng = Splitmix.create ~seed:(Splitmix.next rng) in
+              (Mavr_core.Stream_patch.layout plan (Mavr_core.Shuffle.draw ~rng image), Scenario.No_defense)
           | Mavr_defense ->
               ( image,
                 Scenario.Mavr
@@ -122,7 +129,7 @@ let trial ?lanes ~image ~inject ~defense ~level ~ms ~rng () =
                     seed = Splitmix.next rng;
                   } )
         in
-        let s = Scenario.create ?faults ~image kind in
+        let s = Scenario.create ?faults ~stored ~image kind in
         (s, Scenario.attach_telemetry s ~registry))
   in
   let warmup = max 1 (ms / 3) in
@@ -298,6 +305,7 @@ let drive ?pool ?jobs ~ms ~faults ?tracer ?progress ?early_stop ?checkpoint
     ~cell_range:(cell_lo, cell_hi) ~seed ~trials (build : F.Build.t) =
   if trials < 0 then invalid_arg "Montecarlo.run: negative trial count";
   let image = build.F.Build.image in
+  let firmware = { image; plan = Randomize.plan image; stored = Master.store image } in
   (* The attacker's static + dynamic analysis of the unprotected binary
      happens once, in the coordinator; the resulting frames are immutable
      strings shared read-only by every trial. *)
@@ -424,7 +432,7 @@ let drive ?pool ?jobs ~ms ~faults ?tracer ?progress ?early_stop ?checkpoint
       else defenses.((rem - grid_tasks) / trials)
     in
     let lanes = lanes_for tracer ~index ~cell_label in
-    let run_body () = trial ?lanes ~image ~inject ~defense ~level ~ms ~rng () in
+    let run_body () = trial ?lanes ~firmware ~inject ~defense ~level ~ms ~rng () in
     let ((o, _) as r) =
       match lanes with
       | None -> run_body ()

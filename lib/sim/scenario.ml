@@ -29,7 +29,7 @@ type t = {
   mutable tel : tel option;
 }
 
-let create ?(cycles_per_ms = 2000) ?faults ~image defense =
+let create ?(cycles_per_ms = 2000) ?faults ?stored ~image defense =
   let app = Cpu.create () in
   let master =
     match defense with
@@ -38,7 +38,9 @@ let create ?(cycles_per_ms = 2000) ?faults ~image defense =
         None
     | Mavr config ->
         let m = Master.create ~config () in
-        Master.provision m image;
+        (match stored with
+        | Some s -> Master.provision_stored m s
+        | None -> Master.provision m image);
         (* Arm the reflash-stream fault model before the first boot so
            the initial programming session is already under test. *)
         Option.iter (fun f -> Master.set_reflash_faults m (Mavr_fault.Injector.reflash f)) faults;

@@ -15,16 +15,25 @@ type defense =
 
 type t
 
-(** [create ?cycles_per_ms ?faults ~image defense] boots the system.
+(** [create ?cycles_per_ms ?faults ?stored ~image defense] boots the
+    system.
     [cycles_per_ms] scales the emulated clock (default 2000 — a slowed
     16 MHz part, keeping long scenarios fast while preserving ordering).
     [faults] arms the fault-injection rig for the whole flight: the
     downlink channel corrupts the app→GCS telemetry stream, the uplink
     channel corrupts injected attacker frames, SEUs strike between
     ticks, and the master's programming sessions (including the very
-    first boot) run under the reflash-stream fault model. *)
+    first boot) run under the reflash-stream fault model.  The master
+    is provisioned from [stored] when given — it must be
+    [Master.store image], made once and shared by many flights — and
+    from [image] otherwise. *)
 val create :
-  ?cycles_per_ms:int -> ?faults:Mavr_fault.Injector.t -> image:Mavr_obj.Image.t -> defense -> t
+  ?cycles_per_ms:int ->
+  ?faults:Mavr_fault.Injector.t ->
+  ?stored:Mavr_core.Master.stored ->
+  image:Mavr_obj.Image.t ->
+  defense ->
+  t
 
 val app : t -> Mavr_avr.Cpu.t
 val gcs : t -> Groundstation.t

@@ -347,8 +347,13 @@ let test_spec_accepts () =
      image fits is the campaign's exact check on the build. *)
   ok {|{"profile":"21845"}|} (fun s ->
       Alcotest.(check int) "largest count the bound passes" 21845 s.profile.n_functions);
-  ok {|{"trials":2,"layouts":0,"bogus":[1],"shard":{"lo":0,"hi":1}}|} (fun s ->
-      Alcotest.(check (pair int int)) "unknown members ignored" (2, 0) (s.trials, s.layouts));
+  (* A dispatch shard request is a spec plus [shard]; any other extra
+     member is refused (see test_spec_rejects). *)
+  ok {|{"trials":2,"layouts":0,"shard":{"lo":0,"hi":1}}|} (fun s ->
+      Alcotest.(check (pair int int)) "shard member accepted" (2, 0) (s.trials, s.layouts));
+  (match decode {|{"trials":2,"layouts":0,"bogus":[1],"shard":{"lo":0,"hi":1}}|} with
+  | Ok _ -> Alcotest.fail "unknown member bogus accepted"
+  | Error m -> Alcotest.(check bool) ("error names bogus: " ^ m) true (contains ~sub:"bogus" m));
   ok {|{"faults":"lossy","early_stop":{"target_halfwidth":0.3}}|} (fun s ->
       Alcotest.(check string) "faults" "lossy" s.faults.Faults.name;
       match s.early_stop with
@@ -395,6 +400,12 @@ let test_spec_rejects () =
       ({|{"early_stop":{"target_halfwidth":0.3,"min_trials":0}}|}, "min_trials");
       ({|{"early_stop":{"target_halfwidth":0.3,"batch":0}}|}, "batch");
       ({|[1,2]|}, "spec");
+      (* A misspelled member would otherwise run a default campaign, and
+         a repeated one would silently pick one of its values. *)
+      ({|{"fautls":"stress"}|}, "fautls");
+      ({|{"seed":1,"trials":2,"seed":2}|}, "seed");
+      ({|{"early_stop":{"target_halfwidth":0.3,"bacth":2}}|}, "bacth");
+      ({|{"early_stop":{"target_halfwidth":0.3,"z":2.0,"z":3.0}}|}, "z");
     ]
 
 let spec_arb =

@@ -135,9 +135,23 @@ let prop_identity_is_noop =
       let id = Mavr_core.Shuffle.identity img in
       (Mavr_core.Randomize.with_order img id.order).Image.code = img.Image.code)
 
+(* Unlike the firmware profiles, whose vtables point at vector-block
+   stubs, these programs store a data-section pointer into the text
+   section, so this holds the plan's call and pointer rewrites, and its
+   ledger at two page sizes, to the oracle over many programs. *)
+let prop_plan_matches_oracle =
+  QCheck.Test.make ~name:"plan + layout equal the streaming oracle on random programs" ~count:60
+    QCheck.(triple (int_range 1 1_000_000) (int_range 3 25) bool)
+    (fun (seed, count, small_pages) ->
+      let count = max 3 count in
+      let img = gen_program seed ~count in
+      let shuffle = Mavr_core.Shuffle.draw ~rng:(Rng.create ~seed:(seed + 1)) img in
+      Stream_oracle.agrees img shuffle ~page_bytes:(if small_pages then 16 else 256))
+
 let () =
   Alcotest.run "patch-property"
     [
       ( "properties",
-        List.map Helpers.qtest [ prop_random_programs; prop_structure; prop_identity_is_noop ] );
+        List.map Helpers.qtest
+          [ prop_random_programs; prop_structure; prop_identity_is_noop; prop_plan_matches_oracle ] );
     ]

@@ -1,7 +1,7 @@
 module Cpu = Mavr_avr.Cpu
 module Image = Mavr_obj.Image
 module Shuffle = Mavr_core.Shuffle
-module Patch = Mavr_core.Patch
+module Stream_patch = Mavr_core.Stream_patch
 module Randomize = Mavr_core.Randomize
 module Rng = Mavr_prng.Splitmix
 
@@ -115,12 +115,12 @@ let test_behavioural_equivalence () =
 
 let test_relaxed_image_refused () =
   let stock = Helpers.build_stock () in
-  match Patch.check_randomizable stock.image with
+  match Stream_patch.check_randomizable stock.image with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "relaxed image must be refused"
 
 let test_mavr_image_accepted () =
-  Helpers.assert_ok (Patch.check_randomizable (image ()))
+  Helpers.assert_ok (Stream_patch.check_randomizable (image ()))
 
 let test_funptrs_remapped () =
   let img = image () in
@@ -182,7 +182,7 @@ let test_streaming_pinned_layouts () =
             expected
             (Image.fingerprint (Randomize.randomize ~seed img)))
         (List.assoc profile.name pinned_fingerprints);
-      let _, stats = Mavr_core.Stream_patch.randomize_image ~seed:1 img ~page_bytes:256 in
+      let _, stats = Stream_patch.randomize_image ~seed:1 img ~page_bytes:256 in
       Alcotest.(check int) "pages emitted" ((Image.size img + 255) / 256) stats.pages_emitted;
       Alcotest.(check bool) "read at least the whole image" true (stats.bytes_read >= Image.size img))
     Mavr_firmware.Profile.all
@@ -191,7 +191,7 @@ let test_streaming_symbols_match () =
   (* Each symbol's new address holds its own block: byte for byte, except
      the absolute call/jmp instructions the relocation rewrote. *)
   let img = image () in
-  let streamed, _ = Mavr_core.Stream_patch.randomize_image ~seed:9 img ~page_bytes:256 in
+  let streamed, _ = Stream_patch.randomize_image ~seed:9 img ~page_bytes:256 in
   List.iter
     (fun (s : Image.symbol) ->
       let s' = List.find (fun (x : Image.symbol) -> x.name = s.name) streamed.Image.symbols in
@@ -216,7 +216,7 @@ let test_streaming_fits_master_sram () =
   List.iter
     (fun profile ->
       let b = Mavr_firmware.Build.build profile Mavr_firmware.Profile.mavr in
-      let _, stats = Mavr_core.Stream_patch.randomize_image ~seed:1 b.image ~page_bytes:256 in
+      let _, stats = Stream_patch.randomize_image ~seed:1 b.image ~page_bytes:256 in
       if stats.peak_working_set >= sram then
         Alcotest.failf "%s: working set %d B exceeds %d B SRAM" profile.Mavr_firmware.Profile.name
           stats.peak_working_set sram)
@@ -224,47 +224,111 @@ let test_streaming_fits_master_sram () =
 
 let test_streaming_refuses_relaxed () =
   let stock = Helpers.build_stock () in
-  match Mavr_core.Stream_patch.randomize_image ~seed:1 stock.image ~page_bytes:256 with
+  match Stream_patch.randomize_image ~seed:1 stock.image ~page_bytes:256 with
   | _ -> Alcotest.fail "relaxed image must be refused"
-  | exception Patch.Unpatchable _ -> ()
+  | exception Stream_patch.Unpatchable _ -> ()
 
-(* A 128 KB+ image whose pointed-to function ("target") the layout
-   [| 0; 2; 1 |] moves above 0x1FFFF: its word address no longer fits
-   the 16-bit function pointer, so the relocator must refuse instead of
-   truncating it. *)
-let test_streaming_funptr_reach () =
-  let nop = "\x00\x00" and ret = "\x08\x95" in
-  let filler = 0x20000 in
+let nop = "\x00\x00" and ret = "\x08\x95"
+
+(* A hand-laid image: a 4-byte vector block, [main] (nop; ret), a
+   one-instruction [target], a [filler] of nops, then [data] after the
+   text section, holding one stored pointer at [text_end + ptr_at]. *)
+let hand_image ~filler ~data ~ptr_at =
   let text_end = 10 + filler in
   let code =
     String.concat ""
-      [ nop ^ nop; nop ^ ret; ret; String.concat "" (List.init ((filler / 2) - 1) (fun _ -> nop)); ret; "\x04\x00" ]
+      [ nop ^ nop; nop ^ ret; ret; String.concat "" (List.init ((filler / 2) - 1) (fun _ -> nop)); ret; data ]
   in
   let sym name addr size = { Image.name; addr; size; kind = Image.Func } in
+  let symbols = [ sym "main" 4 4; sym "target" 8 2; sym "filler" 10 filler ] in
   let img =
     {
       Image.code;
       exec_low_end = 4;
       text_start = 4;
       text_end;
-      symbols = [ sym "main" 4 4; sym "target" 8 2; sym "filler" 10 filler ];
-      funptr_locs = [ text_end ];
+      symbols;
+      symbol_array = Array.of_list symbols;
+      funptr_locs = [ text_end + ptr_at ];
     }
   in
   Helpers.assert_ok (Image.validate img);
-  Helpers.assert_ok (Patch.check_randomizable img);
+  img
+
+(* A 128 KB+ image whose pointed-to function ("target") the layout
+   [| 0; 2; 1 |] moves above 0x1FFFF: its word address no longer fits
+   the 16-bit function pointer, so the relocator must refuse instead of
+   truncating it. *)
+let far_pointer_image () = hand_image ~filler:0x20000 ~data:"\x04\x00" ~ptr_at:0
+
+(* A pointer to [target] whose low byte ends the first 256-byte chunk of
+   the data region: the streamer cannot carry it across chunks. *)
+let straddling_pointer_image () =
+  hand_image ~filler:0x10 ~data:(String.make 255 '\xff' ^ "\x04\x00") ~ptr_at:255
+
+let test_streaming_funptr_reach () =
+  let img = far_pointer_image () in
+  Helpers.assert_ok (Stream_patch.check_randomizable img);
   let order = [| 0; 2; 1 |] in
   (match
-     Mavr_core.Stream_patch.run ~code_size:(Image.size img)
-       ~read:(fun ~pos ~len -> String.sub code pos len)
+     Stream_oracle.run ~code_size:(Image.size img)
+       ~read:(fun ~pos ~len -> String.sub img.code pos len)
        ~meta:(Mavr_obj.Symtab.meta_of_image img) ~order ~page_bytes:256
        ~emit_page:(fun ~page_addr:_ _ -> ())
    with
   | _ -> Alcotest.fail "pointer beyond icall reach streamed"
-  | exception Patch.Unpatchable _ -> ());
+  | exception Stream_patch.Unpatchable _ -> ());
   match Randomize.with_order img order with
   | _ -> Alcotest.fail "pointer beyond icall reach randomized"
-  | exception Patch.Unpatchable _ -> ()
+  | exception Stream_patch.Unpatchable _ -> ()
+
+(* ---- the relocation plan against the streaming oracle ---- *)
+
+let ardu = lazy (Mavr_firmware.Build.build Mavr_firmware.Profile.arduplane Mavr_firmware.Profile.mavr).image
+let tiny60 = lazy (Mavr_firmware.Build.build (Mavr_firmware.Profile.tiny ~n:60 ~seed:7) Mavr_firmware.Profile.mavr).image
+
+(* The firmware profiles point their vtables at vector-block stubs, so
+   the hand-laid image is the one whose data-section pointer into the
+   text section moves (both bytes of it) with the layout. *)
+let prop_plan_matches_oracle =
+  let page_sizes = [| 256; Mavr_avr.Device.atmega2560.flash_page_bytes; 128 |] in
+  QCheck.Test.make ~name:"plan + layout equal the streaming oracle" ~count:40
+    QCheck.(quad (int_bound 3) (int_bound 2) bool (int_range 1 1_000_000))
+    (fun (which, page, decoded, seed) ->
+      let img =
+        match which with
+        | 0 -> Lazy.force tiny60
+        | 1 -> image ()
+        | 2 -> Lazy.force ardu
+        | _ -> hand_image ~filler:0x400 ~data:"\x04\x00" ~ptr_at:0
+      in
+      let img = if decoded then Mavr_obj.Symtab.(of_hex (to_hex img)) else img in
+      let shuffle = Shuffle.draw ~rng:(Rng.create ~seed) img in
+      let page_bytes = page_sizes.(page) in
+      match Stream_oracle.(outcome (planned img shuffle ~page_bytes)) with
+      | Error m -> QCheck.Test.fail_reportf "refused: %s" m
+      | Ok _ -> Stream_oracle.agrees img shuffle ~page_bytes)
+
+let test_plan_refusals_match_oracle () =
+  let check name img shuffle expected =
+    List.iter
+      (fun page_bytes ->
+        let plan = Stream_oracle.(outcome (planned img shuffle ~page_bytes)) in
+        let oracle = Stream_oracle.(outcome (fun () -> apply img shuffle ~page_bytes)) in
+        List.iter
+          (fun (who, got) ->
+            match got with
+            | Error c -> Alcotest.(check string) (Printf.sprintf "%s, %s, %d B pages" name who page_bytes) expected c
+            | Ok _ -> Alcotest.failf "%s: %s accepted it at %d B pages" name who page_bytes)
+          [ ("plan", plan); ("oracle", oracle) ])
+      [ 256; Mavr_avr.Device.atmega2560.flash_page_bytes ]
+  in
+  let stock = (Helpers.build_stock ()).image in
+  check "relaxed image" stock (Shuffle.draw ~rng:(Rng.create ~seed:1) stock) "relaxed branch";
+  let far = far_pointer_image () in
+  check "far pointer" far (Shuffle.of_order far [| 0; 2; 1 |]) "pointer beyond icall reach";
+  let straddling = straddling_pointer_image () in
+  check "straddling pointer" straddling (Shuffle.identity straddling) "straddling pointer"
 
 let prop_random_seed_equivalence =
   QCheck.Test.make ~name:"random seeds preserve behaviour" ~count:12
@@ -305,6 +369,7 @@ let () =
           Alcotest.test_case "fits master SRAM (all profiles)" `Slow test_streaming_fits_master_sram;
           Alcotest.test_case "refuses relaxed images" `Quick test_streaming_refuses_relaxed;
           Alcotest.test_case "function pointer beyond icall reach" `Quick test_streaming_funptr_reach;
+          Alcotest.test_case "plan refuses what the oracle refuses" `Quick test_plan_refusals_match_oracle;
         ] );
-      ("properties", [ Helpers.qtest prop_random_seed_equivalence ]);
+      ("properties", [ Helpers.qtest prop_random_seed_equivalence; Helpers.qtest prop_plan_matches_oracle ]);
     ]

@@ -129,6 +129,48 @@ let test_multi_request_session () =
   | Ok n -> Alcotest.(check int) "three requests served" 3 n
   | Error e -> Alcotest.fail ("serve failed: " ^ e)
 
+(* ---- spec errors do not end the session ------------------------------ *)
+
+(* A request the spec decoder refuses (a misspelled member, a repeated
+   one) gets exactly one terminal kind:error line naming the member, and
+   the same server then serves the next request. *)
+let test_bad_spec_then_served () =
+  let module Spec = Mavr_sim.Campaign_spec in
+  let socket = tmp_sock "badspec" in
+  let handler req ~progress:_ = Result.map Spec.to_json (Spec.of_json req) in
+  let d = Domain.spawn (fun () -> Service.serve ~socket ~max_requests:3 handler) in
+  List.iter
+    (fun (req, member) ->
+      with_conn socket (fun ic oc ->
+          send_line oc req;
+          let hb, terminal = read_terminal ic in
+          Alcotest.(check int) (req ^ ": no heartbeat") 0 hb;
+          Alcotest.(check (option string)) (req ^ ": kind") (Some "error") (kind terminal);
+          let names =
+            match err_msg terminal with
+            | Some m ->
+                let n = String.length member in
+                let rec go i = i + n <= String.length m && (String.sub m i n = member || go (i + 1)) in
+                go 0
+            | None -> false
+          in
+          Alcotest.(check bool) (req ^ ": error names " ^ member) true names;
+          Alcotest.(check bool) (req ^ ": nothing after the terminal line") true
+            (match input_line ic with _ -> false | exception End_of_file -> true)))
+    [ ({|{"fautls":"stress","trials":1}|}, "fautls"); ({|{"seed":1,"seed":2}|}, "seed") ];
+  let terminal =
+    with_conn socket (fun ic oc ->
+        send_line oc {|{"faults":"stress","trials":1}|};
+        snd (read_terminal ic))
+  in
+  Alcotest.(check (option string)) "next request served" (Some "result") (kind terminal);
+  Alcotest.(check (option string)) "with its faults" (Some "stress")
+    (Option.bind (Json.member "result" terminal) (fun r ->
+         Option.bind (Json.member "faults" r) Json.to_str));
+  match Domain.join d with
+  | Ok n -> Alcotest.(check int) "three requests served" 3 n
+  | Error e -> Alcotest.fail ("serve failed: " ^ e)
+
 (* ---- dead client mid-heartbeat --------------------------------------- *)
 
 let test_dead_client_mid_stream () =
@@ -211,6 +253,7 @@ let () =
       ( "sessions",
         [
           Alcotest.test_case "multi-request session" `Quick test_multi_request_session;
+          Alcotest.test_case "bad spec member, then served" `Quick test_bad_spec_then_served;
           Alcotest.test_case "dead client mid-heartbeat" `Quick test_dead_client_mid_stream;
           Alcotest.test_case "degenerate request lines" `Quick test_degenerate_requests;
         ] );
