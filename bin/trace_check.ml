@@ -272,7 +272,22 @@ let validate_dispatch path =
 (* Structural scan shared by --checkpoint (partial frontier allowed) and
    --results (full coverage required).  Mirrors lib/campaign/checkpoint.ml
    as an independent implementation, so the two cross-check each other. *)
-let checkpoint_version = 1
+let checkpoint_version = 2
+
+(* An entry's "digest" is its last member: FNV-1a 64 (16 hex digits) of
+   the line as it reads without that member. *)
+let check_entry_digest ctx line j =
+  match str "digest" j with
+  | None -> fail "%s: entry without digest" ctx
+  | Some d ->
+      let suffix = Printf.sprintf {|,"digest":"%s"}|} d in
+      if not (String.ends_with ~suffix line) then fail "%s: digest is not the last member" ctx;
+      let body = String.sub line 0 (String.length line - String.length suffix) ^ "}" in
+      let h = ref 0xcbf29ce484222325L in
+      String.iter
+        (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+        body;
+      if Printf.sprintf "%016Lx" !h <> d then fail "%s: entry digest mismatch" ctx
 
 let scan_checkpoint lines =
   let header, rest =
@@ -298,6 +313,7 @@ let scan_checkpoint lines =
     (fun i line ->
       let ctx = Printf.sprintf "line %d" (i + 2) in
       let j = match J.of_string line with Ok j -> j | Error e -> fail "%s: %s" ctx e in
+      check_entry_digest ctx line j;
       let index =
         match int "index" j with
         | Some x when x >= 0 && x < tasks -> x

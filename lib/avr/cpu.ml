@@ -46,15 +46,16 @@ type t = {
   mutable interrupts_taken : int;
   mutable tx_cycles_per_byte : int;
   mutable tx_busy_until : int;
-  (* Predecode cache: one entry per word PC.  [icache_words.(pc)] is the
-     instruction length in words (1 or 2), with 0 meaning "not decoded
-     yet"; [icache_insn.(pc)] is only meaningful when the length is
-     non-zero.  Entries are filled on first execution and the whole
-     cache is discarded whenever the flash epoch moves (reflash /
+  (* Predecode cache: one entry per word PC.  [icache_meta.(pc)] packs
+     the instruction length in words (1 or 2, the low two bits) with its
+     static cycle cost ([insn_cycles], the bits above), with 0 meaning
+     "not decoded yet"; [icache_insn.(pc)] is only meaningful when the
+     entry is non-zero.  Entries are filled on first execution and the
+     whole cache is discarded whenever the flash epoch moves (reflash /
      bootloader page write), so a freshly randomized lifetime can never
      dispatch a stale decode. *)
   mutable icache_insn : Isa.t array;
-  mutable icache_words : int array;
+  mutable icache_meta : int array;
   mutable icache_epoch : int;
   mutable use_icache : bool;
   (* Superblock engine: straight-line runs of instructions fused into
@@ -88,9 +89,6 @@ type t = {
      instruction stream — so the value is bit-identical whether the
      telemetry taps fire per instruction or per superblock. *)
   mutable sp_min : int;
-  (* Scratch for the cycle cost of the instruction being executed; a
-     field rather than a [ref] so [exec_insn] does not allocate. *)
-  mutable cyc : int;
   (* Telemetry taps.  The block tap is the only one on the hot path, so
      it is guarded by a plain bool ([tap_on]) with no-op closures behind
      it: when tracing is off each block and each single-stepped
@@ -164,7 +162,7 @@ let create ?(device = Device.atmega2560) () =
     tx_cycles_per_byte = 0;
     tx_busy_until = 0;
     icache_insn = [||];
-    icache_words = [||];
+    icache_meta = [||];
     icache_epoch = -1;
     use_icache = true;
     blocks = [||];
@@ -177,7 +175,6 @@ let create ?(device = Device.atmega2560) () =
     sreg_v = 0;
     sp_v = 0;
     sp_min = max_int;
-    cyc = 0;
     tap_on = false;
     tap_step = no_step_tap;
     tap_block = no_block_tap;
@@ -275,6 +272,24 @@ let load_program t image =
   t.program_bytes <- String.length image;
   reset t
 
+(* ---- Cycle costs ----------------------------------------------------- *)
+
+(* The static cycle cost of every instruction, in one table: what it
+   takes with no branch taken, no skip and no shadow-stack monitor.
+   Those dynamic extras are charged where they happen ([branch],
+   [skip_next], [shadow_call]/[shadow_ret]).  The stepper reads the cost
+   from its decode cache, the trace compiler at compile time. *)
+let insn_cycles (dev : Device.t) (insn : Isa.t) =
+  let long_pc = dev.Device.pc_bytes = 3 in
+  match insn with
+  | Mul _ | Adiw _ | Sbiw _ | Push _ | Pop _ | Lds _ | Sts _ | Ldd _ | Std _ | Ld _ | St _
+  | Sbi _ | Cbi _ | Ijmp | Rjmp _ ->
+      2
+  | Lpm0 | Lpm _ | Elpm0 | Elpm _ | Jmp _ -> 3
+  | Icall | Rcall _ -> if long_pc then 4 else 3
+  | Ret | Reti | Call _ -> if long_pc then 5 else 4
+  | _ -> 1
+
 (* ---- Predecode cache ------------------------------------------------ *)
 
 (* Rebuild (or first-build) the cache skeleton for the current flash
@@ -284,9 +299,9 @@ let load_program t image =
    than just a linear disassembly — lazy fill gives both for free. *)
 let refresh_icache t =
   let nwords = (t.program_bytes + 1) / 2 in
-  if Array.length t.icache_words = nwords then Array.fill t.icache_words 0 nwords 0
+  if Array.length t.icache_meta = nwords then Array.fill t.icache_meta 0 nwords 0
   else begin
-    t.icache_words <- Array.make nwords 0;
+    t.icache_meta <- Array.make nwords 0;
     t.icache_insn <- Array.make nwords Isa.Nop
   end;
   t.icache_epoch <- Memory.flash_epoch t.mem
@@ -295,12 +310,13 @@ let decode_raw t pc =
   Decode.decode (Memory.flash_word t.mem pc) (Memory.flash_word t.mem (pc + 1))
 
 (* Decode word address [pc] and store it in the cache (in-range [pc]
-   only).  Returns the instruction; the length lands in [icache_words]. *)
+   only).  Returns the packed length and cost. *)
 let fill_entry t pc =
   let insn, words = decode_raw t pc in
+  let meta = words lor (insn_cycles t.dev insn lsl 2) in
   Array.unsafe_set t.icache_insn pc insn;
-  Array.unsafe_set t.icache_words pc words;
-  insn
+  Array.unsafe_set t.icache_meta pc meta;
+  meta
 
 (* Re-validate the cache against the flash epoch, so a reflash (the
    per-lifetime re-randomization path) can never serve stale decodes.
@@ -326,12 +342,10 @@ let decode_cache_enabled t = t.use_icache
    back to a raw decode, exactly as the uncached path reads erased
    flash. *)
 let fetch t pc =
-  if t.use_icache && pc >= 0 && pc < Array.length t.icache_words then begin
-    let words = Array.unsafe_get t.icache_words pc in
-    if words <> 0 then (Array.unsafe_get t.icache_insn pc, words)
-    else
-      let insn = fill_entry t pc in
-      (insn, Array.unsafe_get t.icache_words pc)
+  if t.use_icache && pc >= 0 && pc < Array.length t.icache_meta then begin
+    let meta = Array.unsafe_get t.icache_meta pc in
+    let meta = if meta <> 0 then meta else fill_entry t pc in
+    (Array.unsafe_get t.icache_insn pc, meta land 3)
   end
   else decode_raw t pc
 
@@ -521,9 +535,9 @@ let x_reg = 26
 let y_reg = 28
 let z_reg = 30
 
-let ptr_access t p ~write =
-  (* Returns the effective address for the access, applying inc/dec. *)
-  ignore write;
+(* The effective address of an [ld]/[st], applying the pointer's
+   pre-decrement or post-increment. *)
+let ptr_access t p =
   let base, pre_dec, post_inc =
     match p with
     | X -> (x_reg, false, false)
@@ -583,274 +597,303 @@ let take_timer_interrupt t =
   t.cycles <- t.cycles + 5;
   match t.tap_irq with None -> () | Some f -> f ~latency ~masked
 
-(* The semantics of one decoded instruction, shared by the stepper and
-   by every superblock's final instruction, so control transfers, skips
-   and halts are written once.  Precondition: [t.pc] already holds the
+(* ---- Instruction semantics ------------------------------------------ *)
+
+(* Every non-control instruction's semantics, written once: the stepper
+   ([exec_insn]) and the trace compiler ([compile_body]) both call these.
+   Each is [@inline], so every call site compiles to the code it would
+   have if written out in place — no call and no closure, without
+   flambda.  None of them charges cycles ([insn_cycles] does).  The
+   register-register and register-immediate forms share one function,
+   which takes the second operand's value. *)
+
+let base_reg = function Y -> y_reg | Z -> z_reg
+
+let[@inline] op_movw t d r =
+  set_reg t d (reg t r);
+  set_reg t (d + 1) (reg t (r + 1))
+
+let[@inline] op_ldi t d k = set_reg t d k
+let[@inline] op_mov t d r = set_reg t d (reg t r)
+
+let[@inline] op_add t d b =
+  let a = reg t d in
+  let res = a + b in
+  flags_add t a b res;
+  set_reg t d res
+
+let[@inline] op_adc t d b =
+  let a = reg t d in
+  let res = a + b + if get_flag t Flag.c then 1 else 0 in
+  flags_add t a b res;
+  set_reg t d res
+
+let[@inline] op_sub t d b =
+  let a = reg t d in
+  let res = a - b in
+  flags_sub t a b res;
+  set_reg t d res
+
+let[@inline] op_sbc t d b =
+  let a = reg t d in
+  let res = a - b - if get_flag t Flag.c then 1 else 0 in
+  flags_sub ~keep_z:true t a b res;
+  set_reg t d res
+
+let[@inline] op_and t d b =
+  let res = reg t d land b in
+  flags_logic t res;
+  set_reg t d res
+
+let[@inline] op_or t d b =
+  let res = reg t d lor b in
+  flags_logic t res;
+  set_reg t d res
+
+let[@inline] op_eor t d b =
+  let res = reg t d lxor b in
+  flags_logic t res;
+  set_reg t d res
+
+let[@inline] op_cp t d b = flags_sub t (reg t d) b (reg t d - b)
+
+let[@inline] op_cpc t d b =
+  let c = if get_flag t Flag.c then 1 else 0 in
+  flags_sub ~keep_z:true t (reg t d) b (reg t d - b - c)
+
+let[@inline] op_mul t d r =
+  let p = reg t d * reg t r in
+  set_reg t 0 (p land 0xFF);
+  set_reg t 1 ((p lsr 8) land 0xFF);
+  update_flags t
+    ~mask:((1 lsl Flag.c) lor (1 lsl Flag.z))
+    (fbit Flag.c (p land 0x8000 <> 0) lor fbit Flag.z (p land 0xFFFF = 0))
+
+let[@inline] op_com t d =
+  let res = 0xFF - reg t d in
+  update_flags t ~mask:mask_cvzns ((1 lsl Flag.c) lor zns_bits res ~v:false);
+  set_reg t d res
+
+let[@inline] op_neg t d =
+  let a = reg t d in
+  let res = (0x100 - a) land 0xFF in
+  let v = res = 0x80 in
+  update_flags t ~mask:mask_hcvzns
+    (fbit Flag.c (res <> 0) lor fbit Flag.v v
+    lor fbit Flag.h ((res lor a) land 0x08 <> 0)
+    lor zns_bits res ~v);
+  set_reg t d res
+
+let[@inline] op_inc t d =
+  let res = (reg t d + 1) land 0xFF in
+  let v = res = 0x80 in
+  update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
+  set_reg t d res
+
+let[@inline] op_dec t d =
+  let res = (reg t d - 1) land 0xFF in
+  let v = res = 0x7F in
+  update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
+  set_reg t d res
+
+let[@inline] op_lsr t d =
+  let a = reg t d in
+  let res = a lsr 1 in
+  (* n = 0, v = c, s = n xor v = v. *)
+  let c = a land 1 <> 0 in
+  update_flags t ~mask:mask_cvzns
+    (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.v c lor fbit Flag.s c);
+  set_reg t d res
+
+let[@inline] op_ror t d =
+  let a = reg t d in
+  let res = (a lsr 1) lor (if get_flag t Flag.c then 0x80 else 0) in
+  let c = a land 1 <> 0 in
+  let n = res land 0x80 <> 0 in
+  let v = n <> c in
+  update_flags t ~mask:mask_cvzns
+    (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n lor fbit Flag.v v
+    lor fbit Flag.s (n <> v));
+  set_reg t d res
+
+let[@inline] op_asr t d =
+  let a = reg t d in
+  let res = (a lsr 1) lor (a land 0x80) in
+  let s0 = sreg t in
+  let c = a land 1 <> 0 in
+  let n = res land 0x80 <> 0 in
+  (* Net effect of the former sequence: S pairs N with the pre-update
+     V, then V becomes n xor c. *)
+  let v_old = (s0 lsr Flag.v) land 1 = 1 in
+  set_sreg t
+    (s0 land lnot mask_cvzns
+    lor fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n
+    lor fbit Flag.v (n <> c) lor fbit Flag.s (n <> v_old));
+  set_reg t d res
+
+let[@inline] op_swap t d =
+  let a = reg t d in
+  set_reg t d (((a lsl 4) lor (a lsr 4)) land 0xFF)
+
+let[@inline] op_adiw t d k =
+  let v = word_reg t d in
+  let res = (v + k) land 0xFFFF in
+  update_flags t ~mask:mask_cvzn
+    (fbit Flag.c (v + k > 0xFFFF)
+    lor fbit Flag.z (res = 0)
+    lor fbit Flag.n (res land 0x8000 <> 0)
+    lor fbit Flag.v (res land 0x8000 <> 0 && v land 0x8000 = 0));
+  set_word_reg t d res
+
+let[@inline] op_sbiw t d k =
+  let v = word_reg t d in
+  let res = (v - k) land 0xFFFF in
+  update_flags t ~mask:mask_cvzn
+    (fbit Flag.c (v < k)
+    lor fbit Flag.z (res = 0)
+    lor fbit Flag.n (res land 0x8000 <> 0)
+    lor fbit Flag.v (res land 0x8000 = 0 && v land 0x8000 <> 0));
+  set_word_reg t d res
+
+(* [lpm] is [lpm r0, Z]; likewise [elpm]. *)
+let[@inline] op_lpm t d inc =
+  let z = word_reg t z_reg in
+  set_reg t d (Memory.flash_byte t.mem z);
+  if inc then set_word_reg t z_reg ((z + 1) land 0xFFFF)
+
+let[@inline] op_elpm t d inc =
+  let rampz = Memory.data_get t.mem (io_addr t Device.Io.rampz) in
+  let z = word_reg t z_reg in
+  set_reg t d (Memory.flash_byte t.mem ((rampz lsl 16) lor z));
+  if inc then begin
+    (* 24-bit post-increment carries into RAMPZ. *)
+    let full = ((rampz lsl 16) lor z) + 1 in
+    set_word_reg t z_reg (full land 0xFFFF);
+    Memory.data_set t.mem (io_addr t Device.Io.rampz) ((full lsr 16) land 0xFF)
+  end
+
+let[@inline] op_bld t d b =
+  let v = reg t d in
+  set_reg t d (if get_flag t Flag.t then v lor (1 lsl b) else v land lnot (1 lsl b))
+
+let[@inline] op_bst t d b = set_flag t Flag.t (reg t d land (1 lsl b) <> 0)
+
+let[@inline] op_bset t b =
+  if b = Flag.i && not (get_flag t Flag.i) then t.i_up_cycle <- t.cycles;
+  set_flag t b true
+
+let[@inline] op_bclr t b = set_flag t b false
+
+(* Data-space and I/O accesses: the instructions that can observe the
+   clock or (stores) raise [block_stop]. *)
+let[@inline] op_in t d a = set_reg t d (io_read t a)
+let[@inline] op_out t a r = io_write t a (reg t r)
+let[@inline] op_lds t d a = set_reg t d (data_read t a)
+let[@inline] op_sts t a r = data_write t a (reg t r)
+let[@inline] op_ldd t d base q = set_reg t d (data_read t (word_reg t base + q))
+let[@inline] op_std t base q r = data_write t (word_reg t base + q) (reg t r)
+let[@inline] op_ld t d p = set_reg t d (data_read t (ptr_access t p))
+let[@inline] op_st t p r = data_write t (ptr_access t p) (reg t r)
+let[@inline] op_push t r = push_byte t (reg t r)
+let[@inline] op_pop t r = set_reg t r (pop_byte t)
+let[@inline] op_sbi t a b = io_write t a (io_read t a lor (1 lsl b))
+let[@inline] op_cbi t a b = io_write t a (io_read t a land lnot (1 lsl b))
+
+(* The stepper's dispatch, one arm per instruction.  Body instructions
+   call their [op_*] semantics; control transfers, skips and halts are
+   written here once, and a superblock's final instruction runs through
+   this same function.  Precondition: [t.pc] already holds the
    fall-through address and [t.retired] counts [insn]; [pc0] is the
-   instruction's own word address.  Charges the instruction's cycles. *)
-let exec_insn t pc0 (insn : Isa.t) =
-  t.cyc <- 1;
+   instruction's own word address.  [cost] is its [insn_cycles],
+   charged after the instruction's work, so a clock observer inside it
+   sees the cycle count at its start. *)
+let exec_insn t pc0 (insn : Isa.t) cost =
   (match insn with
-  | Nop -> ()
+  | Nop | Wdr -> ()
   | Data w ->
       set_halt t (Illegal_instruction { byte_addr = pc0 * 2; word = w });
       t.pc <- pc0
-  | Movw (d, r) ->
-      set_reg t d (reg t r);
-      set_reg t (d + 1) (reg t (r + 1))
-  | Ldi (d, k) -> set_reg t d k
-  | Mov (d, r) -> set_reg t d (reg t r)
-  | Add (d, r) ->
-      let a = reg t d and b = reg t r in
-      let res = a + b in
-      flags_add t a b res;
-      set_reg t d res
-  | Adc (d, r) ->
-      let a = reg t d and b = reg t r in
-      let res = a + b + if get_flag t Flag.c then 1 else 0 in
-      flags_add t a b res;
-      set_reg t d res
-  | Sub (d, r) ->
-      let a = reg t d and b = reg t r in
-      let res = a - b in
-      flags_sub t a b res;
-      set_reg t d res
-  | Sbc (d, r) ->
-      let a = reg t d and b = reg t r in
-      let res = a - b - if get_flag t Flag.c then 1 else 0 in
-      flags_sub ~keep_z:true t a b res;
-      set_reg t d res
-  | And (d, r) ->
-      let res = reg t d land reg t r in
-      flags_logic t res;
-      set_reg t d res
-  | Or (d, r) ->
-      let res = reg t d lor reg t r in
-      flags_logic t res;
-      set_reg t d res
-  | Eor (d, r) ->
-      let res = reg t d lxor reg t r in
-      flags_logic t res;
-      set_reg t d res
-  | Cp (d, r) -> flags_sub t (reg t d) (reg t r) (reg t d - reg t r)
-  | Cpc (d, r) ->
-      let c = if get_flag t Flag.c then 1 else 0 in
-      flags_sub ~keep_z:true t (reg t d) (reg t r) (reg t d - reg t r - c)
-  | Cpse (d, r) -> if reg t d = reg t r then skip_next t
-  | Mul (d, r) ->
-      let p = reg t d * reg t r in
-      set_reg t 0 (p land 0xFF);
-      set_reg t 1 ((p lsr 8) land 0xFF);
-      update_flags t
-        ~mask:((1 lsl Flag.c) lor (1 lsl Flag.z))
-        (fbit Flag.c (p land 0x8000 <> 0) lor fbit Flag.z (p land 0xFFFF = 0));
-      t.cyc <- 2
-  | Subi (d, k) ->
-      let a = reg t d in
-      let res = a - k in
-      flags_sub t a k res;
-      set_reg t d res
-  | Sbci (d, k) ->
-      let a = reg t d in
-      let res = a - k - if get_flag t Flag.c then 1 else 0 in
-      flags_sub ~keep_z:true t a k res;
-      set_reg t d res
-  | Andi (d, k) ->
-      let res = reg t d land k in
-      flags_logic t res;
-      set_reg t d res
-  | Ori (d, k) ->
-      let res = reg t d lor k in
-      flags_logic t res;
-      set_reg t d res
-  | Cpi (d, k) -> flags_sub t (reg t d) k (reg t d - k)
-  | Com d ->
-      let res = 0xFF - reg t d in
-      update_flags t ~mask:mask_cvzns ((1 lsl Flag.c) lor zns_bits res ~v:false);
-      set_reg t d res
-  | Neg d ->
-      let a = reg t d in
-      let res = (0x100 - a) land 0xFF in
-      let v = res = 0x80 in
-      update_flags t ~mask:mask_hcvzns
-        (fbit Flag.c (res <> 0) lor fbit Flag.v v
-        lor fbit Flag.h ((res lor a) land 0x08 <> 0)
-        lor zns_bits res ~v);
-      set_reg t d res
-  | Inc d ->
-      let res = (reg t d + 1) land 0xFF in
-      let v = res = 0x80 in
-      update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
-      set_reg t d res
-  | Dec d ->
-      let res = (reg t d - 1) land 0xFF in
-      let v = res = 0x7F in
-      update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
-      set_reg t d res
-  | Lsr d ->
-      let a = reg t d in
-      let res = a lsr 1 in
-      (* n = 0, v = c, s = n xor v = v. *)
-      let c = a land 1 <> 0 in
-      update_flags t ~mask:mask_cvzns
-        (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.v c lor fbit Flag.s c);
-      set_reg t d res
-  | Ror d ->
-      let a = reg t d in
-      let res = (a lsr 1) lor (if get_flag t Flag.c then 0x80 else 0) in
-      let c = a land 1 <> 0 in
-      let n = res land 0x80 <> 0 in
-      let v = n <> c in
-      update_flags t ~mask:mask_cvzns
-        (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n lor fbit Flag.v v
-        lor fbit Flag.s (n <> v));
-      set_reg t d res
-  | Asr d ->
-      let a = reg t d in
-      let res = (a lsr 1) lor (a land 0x80) in
-      let s0 = sreg t in
-      let c = a land 1 <> 0 in
-      let n = res land 0x80 <> 0 in
-      (* Net effect of the former sequence: S pairs N with the
-         pre-update V, then V becomes n xor c. *)
-      let v_old = (s0 lsr Flag.v) land 1 = 1 in
-      set_sreg t
-        (s0 land lnot mask_cvzns
-        lor fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n
-        lor fbit Flag.v (n <> c) lor fbit Flag.s (n <> v_old));
-      set_reg t d res
-  | Swap d ->
-      let a = reg t d in
-      set_reg t d (((a lsl 4) lor (a lsr 4)) land 0xFF)
-  | Push r ->
-      push_byte t (reg t r);
-      t.cyc <- 2
-  | Pop r ->
-      set_reg t r (pop_byte t);
-      t.cyc <- 2
+  | Movw (d, r) -> op_movw t d r
+  | Ldi (d, k) -> op_ldi t d k
+  | Mov (d, r) -> op_mov t d r
+  | Add (d, r) -> op_add t d (reg t r)
+  | Adc (d, r) -> op_adc t d (reg t r)
+  | Sub (d, r) -> op_sub t d (reg t r)
+  | Sbc (d, r) -> op_sbc t d (reg t r)
+  | And (d, r) -> op_and t d (reg t r)
+  | Or (d, r) -> op_or t d (reg t r)
+  | Eor (d, r) -> op_eor t d (reg t r)
+  | Cp (d, r) -> op_cp t d (reg t r)
+  | Cpc (d, r) -> op_cpc t d (reg t r)
+  | Mul (d, r) -> op_mul t d r
+  | Subi (d, k) -> op_sub t d k
+  | Sbci (d, k) -> op_sbc t d k
+  | Andi (d, k) -> op_and t d k
+  | Ori (d, k) -> op_or t d k
+  | Cpi (d, k) -> op_cp t d k
+  | Com d -> op_com t d
+  | Neg d -> op_neg t d
+  | Inc d -> op_inc t d
+  | Dec d -> op_dec t d
+  | Lsr d -> op_lsr t d
+  | Ror d -> op_ror t d
+  | Asr d -> op_asr t d
+  | Swap d -> op_swap t d
+  | Adiw (d, k) -> op_adiw t d k
+  | Sbiw (d, k) -> op_sbiw t d k
+  | Lpm0 -> op_lpm t 0 false
+  | Lpm (d, inc) -> op_lpm t d inc
+  | Elpm0 -> op_elpm t 0 false
+  | Elpm (d, inc) -> op_elpm t d inc
+  | Bld (d, b) -> op_bld t d b
+  | Bst (d, b) -> op_bst t d b
+  | Bset b -> op_bset t b
+  | Bclr b -> op_bclr t b
+  | In (d, a) -> op_in t d a
+  | Out (a, r) -> op_out t a r
+  | Lds (d, a) -> op_lds t d a
+  | Sts (a, r) -> op_sts t a r
+  | Ldd (d, b, q) -> op_ldd t d (base_reg b) q
+  | Std (b, q, r) -> op_std t (base_reg b) q r
+  | Ld (d, p) -> op_ld t d p
+  | St (p, r) -> op_st t p r
+  | Push r -> op_push t r
+  | Pop r -> op_pop t r
+  | Sbi (a, b) -> op_sbi t a b
+  | Cbi (a, b) -> op_cbi t a b
   | Ret ->
       t.pc <- pop_pc t;
-      shadow_ret t t.pc;
-      t.cyc <- (if t.dev.Device.pc_bytes = 3 then 5 else 4)
+      shadow_ret t t.pc
   | Reti ->
       t.pc <- pop_pc t;
       shadow_ret t t.pc;
       if not (get_flag t Flag.i) then t.i_up_cycle <- t.cycles;
-      set_flag t Flag.i true;
-      t.cyc <- (if t.dev.Device.pc_bytes = 3 then 5 else 4)
+      set_flag t Flag.i true
   | Icall ->
       push_pc t t.pc;
       shadow_call t t.pc;
-      t.pc <- word_reg t z_reg;
-      t.cyc <- (if t.dev.Device.pc_bytes = 3 then 4 else 3)
-  | Ijmp ->
-      t.pc <- word_reg t z_reg;
-      t.cyc <- 2
+      t.pc <- word_reg t z_reg
+  | Ijmp -> t.pc <- word_reg t z_reg
   | Call a ->
       push_pc t t.pc;
       shadow_call t t.pc;
-      t.pc <- a;
-      t.cyc <- (if t.dev.Device.pc_bytes = 3 then 5 else 4)
-  | Jmp a ->
-      t.pc <- a;
-      t.cyc <- 3
+      t.pc <- a
+  | Jmp a -> t.pc <- a
   | Rcall k ->
       push_pc t t.pc;
       shadow_call t t.pc;
-      t.pc <- t.pc + k;
-      t.cyc <- (if t.dev.Device.pc_bytes = 3 then 4 else 3)
-  | Rjmp k ->
-      t.pc <- t.pc + k;
-      t.cyc <- 2
+      t.pc <- t.pc + k
+  | Rjmp k -> t.pc <- t.pc + k
   | Brbs (b, k) -> branch t (get_flag t b) k
   | Brbc (b, k) -> branch t (not (get_flag t b)) k
-  | In (d, a) -> set_reg t d (io_read t a)
-  | Out (a, r) -> io_write t a (reg t r)
-  | Lds (d, a) ->
-      set_reg t d (data_read t a);
-      t.cyc <- 2
-  | Sts (a, r) ->
-      data_write t a (reg t r);
-      t.cyc <- 2
-  | Ldd (d, b, q) ->
-      let base = if b = Y then y_reg else z_reg in
-      set_reg t d (data_read t (word_reg t base + q));
-      t.cyc <- 2
-  | Std (b, q, r) ->
-      let base = if b = Y then y_reg else z_reg in
-      data_write t (word_reg t base + q) (reg t r);
-      t.cyc <- 2
-  | Ld (d, p) ->
-      set_reg t d (data_read t (ptr_access t p ~write:false));
-      t.cyc <- 2
-  | St (p, r) ->
-      data_write t (ptr_access t p ~write:true) (reg t r);
-      t.cyc <- 2
-  | Adiw (d, k) ->
-      let v = word_reg t d in
-      let res = (v + k) land 0xFFFF in
-      update_flags t ~mask:mask_cvzn
-        (fbit Flag.c (v + k > 0xFFFF)
-        lor fbit Flag.z (res = 0)
-        lor fbit Flag.n (res land 0x8000 <> 0)
-        lor fbit Flag.v (res land 0x8000 <> 0 && v land 0x8000 = 0));
-      set_word_reg t d res;
-      t.cyc <- 2
-  | Sbiw (d, k) ->
-      let v = word_reg t d in
-      let res = (v - k) land 0xFFFF in
-      update_flags t ~mask:mask_cvzn
-        (fbit Flag.c (v < k)
-        lor fbit Flag.z (res = 0)
-        lor fbit Flag.n (res land 0x8000 <> 0)
-        lor fbit Flag.v (res land 0x8000 = 0 && v land 0x8000 <> 0));
-      set_word_reg t d res;
-      t.cyc <- 2
-  | Lpm0 ->
-      set_reg t 0 (Memory.flash_byte t.mem (word_reg t z_reg));
-      t.cyc <- 3
-  | Lpm (d, inc) ->
-      let z = word_reg t z_reg in
-      set_reg t d (Memory.flash_byte t.mem z);
-      if inc then set_word_reg t z_reg ((z + 1) land 0xFFFF);
-      t.cyc <- 3
-  | Elpm0 ->
-      let rampz = Memory.data_get t.mem (io_addr t 0x3B) in
-      set_reg t 0 (Memory.flash_byte t.mem ((rampz lsl 16) lor word_reg t z_reg));
-      t.cyc <- 3
-  | Elpm (d, inc) ->
-      let rampz = Memory.data_get t.mem (io_addr t 0x3B) in
-      let z = word_reg t z_reg in
-      set_reg t d (Memory.flash_byte t.mem ((rampz lsl 16) lor z));
-      if inc then begin
-        (* 24-bit post-increment carries into RAMPZ. *)
-        let full = ((rampz lsl 16) lor z) + 1 in
-        set_word_reg t z_reg (full land 0xFFFF);
-        Memory.data_set t.mem (io_addr t 0x3B) ((full lsr 16) land 0xFF)
-      end;
-      t.cyc <- 3
-  | Sbi (a, b) ->
-      io_write t a (io_read t a lor (1 lsl b));
-      t.cyc <- 2
-  | Cbi (a, b) ->
-      io_write t a (io_read t a land lnot (1 lsl b));
-      t.cyc <- 2
+  | Cpse (d, r) -> if reg t d = reg t r then skip_next t
   | Sbic (a, b) -> if io_read t a land (1 lsl b) = 0 then skip_next t
   | Sbis (a, b) -> if io_read t a land (1 lsl b) <> 0 then skip_next t
-  | Bld (d, b) ->
-      let v = reg t d in
-      set_reg t d (if get_flag t Flag.t then v lor (1 lsl b) else v land lnot (1 lsl b))
-  | Bst (d, b) -> set_flag t Flag.t (reg t d land (1 lsl b) <> 0)
   | Sbrc (r, b) -> if reg t r land (1 lsl b) = 0 then skip_next t
   | Sbrs (r, b) -> if reg t r land (1 lsl b) <> 0 then skip_next t
-  | Bset b ->
-      if b = Flag.i && not (get_flag t Flag.i) then t.i_up_cycle <- t.cycles;
-      set_flag t b true
-  | Bclr b -> set_flag t b false
-  | Wdr -> ()
   | Sleep -> set_halt t Sleep_mode
   | Break -> set_halt t Break_hit);
-  t.cycles <- t.cycles + t.cyc
+  t.cycles <- t.cycles + cost
 
 (* Execute exactly one instruction (or take a pending interrupt).
    Precondition: not halted — the halt check lives in the callers so the
@@ -864,32 +907,27 @@ let exec_one t =
   else begin
     let pc0 = t.pc in
     (* Inline fetch, split so the cache-hit path allocates nothing
-       (building the (insn, words) pair costs a heap block per
-       instruction without flambda).  No bounds check: the wild-PC guard
-       above bounds pc0 by program_bytes, and a sync'd cache spans
-       exactly (program_bytes + 1) / 2 entries. *)
-    let insn =
-      if t.use_icache then begin
-        let words = Array.unsafe_get t.icache_words pc0 in
-        if words <> 0 then begin
-          t.pc <- pc0 + words;
-          Array.unsafe_get t.icache_insn pc0
-        end
-        else begin
-          let insn = fill_entry t pc0 in
-          t.pc <- pc0 + Array.unsafe_get t.icache_words pc0;
-          insn
-        end
-      end
-      else begin
-        let insn, words = decode_raw t pc0 in
-        t.pc <- pc0 + words;
-        insn
-      end
-    in
-    if t.tap_on then t.tap_step pc0 insn;
-    t.retired <- t.retired + 1;
-    exec_insn t pc0 insn
+       (building an (insn, words) pair costs a heap block per instruction
+       without flambda).  No bounds check: the wild-PC guard above bounds
+       pc0 by program_bytes, and a sync'd cache spans exactly
+       (program_bytes + 1) / 2 entries.  The cached entry carries the
+       cost too, so the stepper never matches an instruction twice. *)
+    if t.use_icache then begin
+      let meta = Array.unsafe_get t.icache_meta pc0 in
+      let meta = if meta <> 0 then meta else fill_entry t pc0 in
+      let insn = Array.unsafe_get t.icache_insn pc0 in
+      t.pc <- pc0 + (meta land 3);
+      if t.tap_on then t.tap_step pc0 insn;
+      t.retired <- t.retired + 1;
+      exec_insn t pc0 insn (meta lsr 2)
+    end
+    else begin
+      let insn, words = decode_raw t pc0 in
+      t.pc <- pc0 + words;
+      if t.tap_on then t.tap_step pc0 insn;
+      t.retired <- t.retired + 1;
+      exec_insn t pc0 insn (insn_cycles t.dev insn)
+    end
   end
 
 let step t =
@@ -930,455 +968,89 @@ let superblocks_enabled t = t.use_superblocks
 
 (* A fusible (non-control) instruction compiles to a *builder*: a
    function that, given the continuation closure for the rest of the
-   trace, returns this instruction's closure.  The closure performs the
-   instruction's exact [exec_one] semantics and tail-calls the
-   continuation — continuation-threaded code, one indirect call per
-   instruction, no dispatch loop.
+   trace, returns this instruction's closure.  The closure runs the
+   instruction's [op_*] semantics — the same inlined code the stepper
+   runs — and tail-calls the continuation: continuation-threaded code,
+   one indirect call per instruction, no dispatch loop.
 
    Cycle accounting is batched: [FPure] closures never touch
-   [t.cycles].  Their static costs accumulate in a compile-time
-   [pending] counter that is flushed (one add of a captured constant)
-   immediately before any operation able to observe the clock.  The
-   observers are exactly the I/O paths: [io_read] (UART pacing reads
-   [t.cycles]), [io_write] (UART busy window, watchdog feed stamp,
-   timer arming), and therefore also every data-space access, whose
-   dynamic address may land in the I/O file.  [FLoad] builders take the
-   flush amount; [FStore] builders additionally take a stop
+   [t.cycles].  Their static costs ([insn_cycles]) accumulate in a
+   compile-time [pending] counter that is flushed (one add of a
+   captured constant) immediately before any operation able to observe
+   the clock.  The observers are exactly the I/O paths: [io_read] (UART
+   pacing reads [t.cycles]), [io_write] (UART busy window, watchdog feed
+   stamp, timer arming), and therefore also every data-space access,
+   whose dynamic address may land in the I/O file.  [FLoad] builders
+   take the flush amount; [FStore] builders additionally take a stop
    continuation, because [io_write] can set [t.block_stop] (timer
    re-arm, SREG.I set) which must abandon the rest of the fused trace
    after the current instruction. *)
 type fuse =
-  | FPure of int * ((t -> unit) -> t -> unit) (* cost, builder k *)
-  | FLoad of int * (int -> (t -> unit) -> t -> unit) (* cost, builder flush k *)
-  | FStore of int * (int -> (t -> unit) -> (t -> unit) -> t -> unit)
-      (* cost, builder flush stop k *)
+  | FPure of ((t -> unit) -> t -> unit) (* builder k *)
+  | FLoad of (int -> (t -> unit) -> t -> unit) (* builder flush k *)
+  | FStore of (int -> (t -> unit) -> (t -> unit) -> t -> unit) (* builder flush stop k *)
+
+let[@inline] flush t fl = t.cycles <- t.cycles + fl
+let[@inline] resume t stop k = if t.block_stop then stop t else k t
 
 let compile_body (insn : Isa.t) : fuse option =
   match insn with
-  | Nop -> Some (FPure (1, fun k t -> k t))
-  | Movw (d, r) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               set_reg t d (reg t r);
-               set_reg t (d + 1) (reg t (r + 1));
-               k t ))
-  | Ldi (d, v) -> Some (FPure (1, fun k t -> set_reg t d v; k t))
-  | Mov (d, r) -> Some (FPure (1, fun k t -> set_reg t d (reg t r); k t))
-  | Add (d, r) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let a = reg t d and b = reg t r in
-               let res = a + b in
-               flags_add t a b res;
-               set_reg t d res;
-               k t ))
-  | Adc (d, r) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let a = reg t d and b = reg t r in
-               let res = a + b + if get_flag t Flag.c then 1 else 0 in
-               flags_add t a b res;
-               set_reg t d res;
-               k t ))
-  | Sub (d, r) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let a = reg t d and b = reg t r in
-               let res = a - b in
-               flags_sub t a b res;
-               set_reg t d res;
-               k t ))
-  | Sbc (d, r) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let a = reg t d and b = reg t r in
-               let res = a - b - if get_flag t Flag.c then 1 else 0 in
-               flags_sub ~keep_z:true t a b res;
-               set_reg t d res;
-               k t ))
-  | And (d, r) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let res = reg t d land reg t r in
-               flags_logic t res;
-               set_reg t d res;
-               k t ))
-  | Or (d, r) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let res = reg t d lor reg t r in
-               flags_logic t res;
-               set_reg t d res;
-               k t ))
-  | Eor (d, r) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let res = reg t d lxor reg t r in
-               flags_logic t res;
-               set_reg t d res;
-               k t ))
-  | Cp (d, r) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               flags_sub t (reg t d) (reg t r) (reg t d - reg t r);
-               k t ))
-  | Cpc (d, r) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let c = if get_flag t Flag.c then 1 else 0 in
-               flags_sub ~keep_z:true t (reg t d) (reg t r) (reg t d - reg t r - c);
-               k t ))
-  | Mul (d, r) ->
-      Some
-        (FPure
-           ( 2,
-             fun k t ->
-               let p = reg t d * reg t r in
-               set_reg t 0 (p land 0xFF);
-               set_reg t 1 ((p lsr 8) land 0xFF);
-               update_flags t
-                 ~mask:((1 lsl Flag.c) lor (1 lsl Flag.z))
-                 (fbit Flag.c (p land 0x8000 <> 0) lor fbit Flag.z (p land 0xFFFF = 0));
-               k t ))
-  | Subi (d, v) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let a = reg t d in
-               let res = a - v in
-               flags_sub t a v res;
-               set_reg t d res;
-               k t ))
-  | Sbci (d, v) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let a = reg t d in
-               let res = a - v - if get_flag t Flag.c then 1 else 0 in
-               flags_sub ~keep_z:true t a v res;
-               set_reg t d res;
-               k t ))
-  | Andi (d, v) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let res = reg t d land v in
-               flags_logic t res;
-               set_reg t d res;
-               k t ))
-  | Ori (d, v) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let res = reg t d lor v in
-               flags_logic t res;
-               set_reg t d res;
-               k t ))
-  | Cpi (d, v) ->
-      Some (FPure (1, fun k t -> flags_sub t (reg t d) v (reg t d - v); k t))
-  | Com d ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let res = 0xFF - reg t d in
-               update_flags t ~mask:mask_cvzns ((1 lsl Flag.c) lor zns_bits res ~v:false);
-               set_reg t d res;
-               k t ))
-  | Neg d ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let a = reg t d in
-               let res = (0x100 - a) land 0xFF in
-               let v = res = 0x80 in
-               update_flags t ~mask:mask_hcvzns
-                 (fbit Flag.c (res <> 0) lor fbit Flag.v v
-                 lor fbit Flag.h ((res lor a) land 0x08 <> 0)
-                 lor zns_bits res ~v);
-               set_reg t d res;
-               k t ))
-  | Inc d ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let res = (reg t d + 1) land 0xFF in
-               let v = res = 0x80 in
-               update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
-               set_reg t d res;
-               k t ))
-  | Dec d ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let res = (reg t d - 1) land 0xFF in
-               let v = res = 0x7F in
-               update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
-               set_reg t d res;
-               k t ))
-  | Lsr d ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let a = reg t d in
-               let res = a lsr 1 in
-               let c = a land 1 <> 0 in
-               update_flags t ~mask:mask_cvzns
-                 (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.v c lor fbit Flag.s c);
-               set_reg t d res;
-               k t ))
-  | Ror d ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let a = reg t d in
-               let res = (a lsr 1) lor (if get_flag t Flag.c then 0x80 else 0) in
-               let c = a land 1 <> 0 in
-               let n = res land 0x80 <> 0 in
-               let v = n <> c in
-               update_flags t ~mask:mask_cvzns
-                 (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n lor fbit Flag.v v
-                 lor fbit Flag.s (n <> v));
-               set_reg t d res;
-               k t ))
-  | Asr d ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let a = reg t d in
-               let res = (a lsr 1) lor (a land 0x80) in
-               let s0 = sreg t in
-               let c = a land 1 <> 0 in
-               let n = res land 0x80 <> 0 in
-               let v_old = (s0 lsr Flag.v) land 1 = 1 in
-               set_sreg t
-                 (s0 land lnot mask_cvzns
-                 lor fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n
-                 lor fbit Flag.v (n <> c) lor fbit Flag.s (n <> v_old));
-               set_reg t d res;
-               k t ))
-  | Swap d ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let a = reg t d in
-               set_reg t d (((a lsl 4) lor (a lsr 4)) land 0xFF);
-               k t ))
-  | Adiw (d, v) ->
-      Some
-        (FPure
-           ( 2,
-             fun k t ->
-               let w = word_reg t d in
-               let res = (w + v) land 0xFFFF in
-               update_flags t ~mask:mask_cvzn
-                 (fbit Flag.c (w + v > 0xFFFF)
-                 lor fbit Flag.z (res = 0)
-                 lor fbit Flag.n (res land 0x8000 <> 0)
-                 lor fbit Flag.v (res land 0x8000 <> 0 && w land 0x8000 = 0));
-               set_word_reg t d res;
-               k t ))
-  | Sbiw (d, v) ->
-      Some
-        (FPure
-           ( 2,
-             fun k t ->
-               let w = word_reg t d in
-               let res = (w - v) land 0xFFFF in
-               update_flags t ~mask:mask_cvzn
-                 (fbit Flag.c (w < v)
-                 lor fbit Flag.z (res = 0)
-                 lor fbit Flag.n (res land 0x8000 <> 0)
-                 lor fbit Flag.v (res land 0x8000 = 0 && w land 0x8000 <> 0));
-               set_word_reg t d res;
-               k t ))
-  | Lpm0 ->
-      Some
-        (FPure
-           ( 3,
-             fun k t ->
-               set_reg t 0 (Memory.flash_byte t.mem (word_reg t z_reg));
-               k t ))
-  | Lpm (d, inc) ->
-      Some
-        (FPure
-           ( 3,
-             fun k t ->
-               let z = word_reg t z_reg in
-               set_reg t d (Memory.flash_byte t.mem z);
-               if inc then set_word_reg t z_reg ((z + 1) land 0xFFFF);
-               k t ))
-  | Elpm0 ->
-      Some
-        (FPure
-           ( 3,
-             fun k t ->
-               let rampz = Memory.data_get t.mem (io_addr t 0x3B) in
-               set_reg t 0 (Memory.flash_byte t.mem ((rampz lsl 16) lor word_reg t z_reg));
-               k t ))
-  | Elpm (d, inc) ->
-      Some
-        (FPure
-           ( 3,
-             fun k t ->
-               let rampz = Memory.data_get t.mem (io_addr t 0x3B) in
-               let z = word_reg t z_reg in
-               set_reg t d (Memory.flash_byte t.mem ((rampz lsl 16) lor z));
-               if inc then begin
-                 let full = ((rampz lsl 16) lor z) + 1 in
-                 set_word_reg t z_reg (full land 0xFFFF);
-                 Memory.data_set t.mem (io_addr t 0x3B) ((full lsr 16) land 0xFF)
-               end;
-               k t ))
-  | Bld (d, b) ->
-      Some
-        (FPure
-           ( 1,
-             fun k t ->
-               let v = reg t d in
-               set_reg t d
-                 (if get_flag t Flag.t then v lor (1 lsl b) else v land lnot (1 lsl b));
-               k t ))
-  | Bst (d, b) ->
-      Some (FPure (1, fun k t -> set_flag t Flag.t (reg t d land (1 lsl b) <> 0); k t))
-  | Bset b when b <> Flag.i -> Some (FPure (1, fun k t -> set_flag t b true; k t))
-  | Bclr b ->
-      (* cli (b = I) stays fusible: clearing I can only *prevent* a
-         dispatch, and the block was entered under a no-fire-within-
-         this-block guarantee anyway. *)
-      Some (FPure (1, fun k t -> set_flag t b false; k t))
-  | Wdr -> Some (FPure (1, fun k t -> k t))
-  (* Data-space and I/O accesses: clock observers (and, for writes,
-     possible [block_stop] raisers). *)
-  | In (d, a) ->
-      Some
-        (FLoad
-           ( 1,
-             fun fl k t ->
-               t.cycles <- t.cycles + fl;
-               set_reg t d (io_read t a);
-               k t ))
-  | Lds (d, a) ->
-      Some
-        (FLoad
-           ( 2,
-             fun fl k t ->
-               t.cycles <- t.cycles + fl;
-               set_reg t d (data_read t a);
-               k t ))
+  | Nop | Wdr -> Some (FPure (fun k t -> k t))
+  | Movw (d, r) -> Some (FPure (fun k t -> op_movw t d r; k t))
+  | Ldi (d, v) -> Some (FPure (fun k t -> op_ldi t d v; k t))
+  | Mov (d, r) -> Some (FPure (fun k t -> op_mov t d r; k t))
+  | Add (d, r) -> Some (FPure (fun k t -> op_add t d (reg t r); k t))
+  | Adc (d, r) -> Some (FPure (fun k t -> op_adc t d (reg t r); k t))
+  | Sub (d, r) -> Some (FPure (fun k t -> op_sub t d (reg t r); k t))
+  | Sbc (d, r) -> Some (FPure (fun k t -> op_sbc t d (reg t r); k t))
+  | And (d, r) -> Some (FPure (fun k t -> op_and t d (reg t r); k t))
+  | Or (d, r) -> Some (FPure (fun k t -> op_or t d (reg t r); k t))
+  | Eor (d, r) -> Some (FPure (fun k t -> op_eor t d (reg t r); k t))
+  | Cp (d, r) -> Some (FPure (fun k t -> op_cp t d (reg t r); k t))
+  | Cpc (d, r) -> Some (FPure (fun k t -> op_cpc t d (reg t r); k t))
+  | Mul (d, r) -> Some (FPure (fun k t -> op_mul t d r; k t))
+  | Subi (d, v) -> Some (FPure (fun k t -> op_sub t d v; k t))
+  | Sbci (d, v) -> Some (FPure (fun k t -> op_sbc t d v; k t))
+  | Andi (d, v) -> Some (FPure (fun k t -> op_and t d v; k t))
+  | Ori (d, v) -> Some (FPure (fun k t -> op_or t d v; k t))
+  | Cpi (d, v) -> Some (FPure (fun k t -> op_cp t d v; k t))
+  | Com d -> Some (FPure (fun k t -> op_com t d; k t))
+  | Neg d -> Some (FPure (fun k t -> op_neg t d; k t))
+  | Inc d -> Some (FPure (fun k t -> op_inc t d; k t))
+  | Dec d -> Some (FPure (fun k t -> op_dec t d; k t))
+  | Lsr d -> Some (FPure (fun k t -> op_lsr t d; k t))
+  | Ror d -> Some (FPure (fun k t -> op_ror t d; k t))
+  | Asr d -> Some (FPure (fun k t -> op_asr t d; k t))
+  | Swap d -> Some (FPure (fun k t -> op_swap t d; k t))
+  | Adiw (d, v) -> Some (FPure (fun k t -> op_adiw t d v; k t))
+  | Sbiw (d, v) -> Some (FPure (fun k t -> op_sbiw t d v; k t))
+  | Lpm0 -> Some (FPure (fun k t -> op_lpm t 0 false; k t))
+  | Lpm (d, inc) -> Some (FPure (fun k t -> op_lpm t d inc; k t))
+  | Elpm0 -> Some (FPure (fun k t -> op_elpm t 0 false; k t))
+  | Elpm (d, inc) -> Some (FPure (fun k t -> op_elpm t d inc; k t))
+  | Bld (d, b) -> Some (FPure (fun k t -> op_bld t d b; k t))
+  | Bst (d, b) -> Some (FPure (fun k t -> op_bst t d b; k t))
+  | Bset b when b <> Flag.i -> Some (FPure (fun k t -> op_bset t b; k t))
+  (* cli (bclr I) stays fusible: clearing I can only *prevent* a
+     dispatch, and the block was entered under a no-fire-within-this-
+     block guarantee anyway. *)
+  | Bclr b -> Some (FPure (fun k t -> op_bclr t b; k t))
+  | In (d, a) -> Some (FLoad (fun fl k t -> flush t fl; op_in t d a; k t))
+  | Lds (d, a) -> Some (FLoad (fun fl k t -> flush t fl; op_lds t d a; k t))
   | Ldd (d, b, q) ->
-      let base = if b = Y then y_reg else z_reg in
-      Some
-        (FLoad
-           ( 2,
-             fun fl k t ->
-               t.cycles <- t.cycles + fl;
-               set_reg t d (data_read t (word_reg t base + q));
-               k t ))
-  | Ld (d, p) ->
-      Some
-        (FLoad
-           ( 2,
-             fun fl k t ->
-               t.cycles <- t.cycles + fl;
-               set_reg t d (data_read t (ptr_access t p ~write:false));
-               k t ))
-  | Pop r ->
-      Some
-        (FLoad
-           ( 2,
-             fun fl k t ->
-               t.cycles <- t.cycles + fl;
-               set_reg t r (pop_byte t);
-               k t ))
-  | Out (a, r) ->
-      Some
-        (FStore
-           ( 1,
-             fun fl stop k t ->
-               t.cycles <- t.cycles + fl;
-               io_write t a (reg t r);
-               if t.block_stop then stop t else k t ))
-  | Sts (a, r) ->
-      Some
-        (FStore
-           ( 2,
-             fun fl stop k t ->
-               t.cycles <- t.cycles + fl;
-               data_write t a (reg t r);
-               if t.block_stop then stop t else k t ))
+      let base = base_reg b in
+      Some (FLoad (fun fl k t -> flush t fl; op_ldd t d base q; k t))
+  | Ld (d, p) -> Some (FLoad (fun fl k t -> flush t fl; op_ld t d p; k t))
+  | Pop r -> Some (FLoad (fun fl k t -> flush t fl; op_pop t r; k t))
+  | Out (a, r) -> Some (FStore (fun fl stop k t -> flush t fl; op_out t a r; resume t stop k))
+  | Sts (a, r) -> Some (FStore (fun fl stop k t -> flush t fl; op_sts t a r; resume t stop k))
   | Std (b, q, r) ->
-      let base = if b = Y then y_reg else z_reg in
-      Some
-        (FStore
-           ( 2,
-             fun fl stop k t ->
-               t.cycles <- t.cycles + fl;
-               data_write t (word_reg t base + q) (reg t r);
-               if t.block_stop then stop t else k t ))
-  | St (p, r) ->
-      Some
-        (FStore
-           ( 2,
-             fun fl stop k t ->
-               t.cycles <- t.cycles + fl;
-               data_write t (ptr_access t p ~write:true) (reg t r);
-               if t.block_stop then stop t else k t ))
-  | Push r ->
-      Some
-        (FStore
-           ( 2,
-             fun fl stop k t ->
-               t.cycles <- t.cycles + fl;
-               push_byte t (reg t r);
-               if t.block_stop then stop t else k t ))
-  | Sbi (a, b) ->
-      Some
-        (FStore
-           ( 2,
-             fun fl stop k t ->
-               t.cycles <- t.cycles + fl;
-               io_write t a (io_read t a lor (1 lsl b));
-               if t.block_stop then stop t else k t ))
-  | Cbi (a, b) ->
-      Some
-        (FStore
-           ( 2,
-             fun fl stop k t ->
-               t.cycles <- t.cycles + fl;
-               io_write t a (io_read t a land lnot (1 lsl b));
-               if t.block_stop then stop t else k t ))
+      let base = base_reg b in
+      Some (FStore (fun fl stop k t -> flush t fl; op_std t base q r; resume t stop k))
+  | St (p, r) -> Some (FStore (fun fl stop k t -> flush t fl; op_st t p r; resume t stop k))
+  | Push r -> Some (FStore (fun fl stop k t -> flush t fl; op_push t r; resume t stop k))
+  | Sbi (a, b) -> Some (FStore (fun fl stop k t -> flush t fl; op_sbi t a b; resume t stop k))
+  | Cbi (a, b) -> Some (FStore (fun fl stop k t -> flush t fl; op_cbi t a b; resume t stop k))
   | Bset _ (* sei: ends the block so a pending compare can dispatch *)
   | Cpse _ | Sbic _ | Sbis _ | Sbrc _ | Sbrs _ | Ret | Reti | Icall | Ijmp | Call _
   | Jmp _ | Rcall _ | Rjmp _ | Brbs _ | Brbc _ | Sleep | Break | Data _ ->
@@ -1407,7 +1079,8 @@ let flag_masks (insn : Isa.t) : int * int =
   | Adc _ -> (mask_hcvzns, cbit)
   | Sbc _ | Sbci _ | Cpc _ -> (mask_hcvzns, cbit lor zbit)
   | And _ | Andi _ | Or _ | Ori _ | Eor _ | Inc _ | Dec _ -> (mask_vzns, 0)
-  | Com _ | Lsr _ | Asr _ -> (mask_cvzns, 0)
+  | Com _ | Lsr _ -> (mask_cvzns, 0)
+  | Asr _ -> (mask_cvzns, 1 lsl Flag.v) (* its S pairs N with the V it replaces *)
   | Ror _ -> (mask_cvzns, cbit)
   | Mul _ -> (cbit lor zbit, 0)
   | Adiw _ | Sbiw _ -> (mask_cvzn, 0)
@@ -1599,14 +1272,27 @@ type ctest =
 
 let ctest_io = function CIoBit _ -> true | _ -> false
 
+(* The test a skip instruction continues on (its predicted path is the
+   fallthrough, the instruction it would skip). *)
+let skip_test (insn : Isa.t) =
+  match insn with
+  | Cpse (d, r) -> Some (CRegNe (d, r))
+  | Sbrc (r, b) -> Some (CRegBit (r, b, true))
+  | Sbrs (r, b) -> Some (CRegBit (r, b, false))
+  | Sbic (a, b) -> Some (CIoBit (a, b, true))
+  | Sbis (a, b) -> Some (CIoBit (a, b, false))
+  | _ -> None
+
 type skind =
   | KBody of fuse
-  | KGoto of int (* cost; continue at the jump target *)
-  | KCall of int * int * int (* return word addr, cost, callee word pc *)
+  | KGoto (* continue at the jump target *)
+  | KCall of int * int (* return word addr, callee word pc *)
   | KCond of ctest * int * int * int
       (* test, continue cost, exit word pc, exit cost *)
 
-type slot = { s_insn : Isa.t; s_next : int; s_kind : skind }
+(* [s_cost] is the slot's static cost ([insn_cycles]); a [KCond]'s two
+   directions carry their own. *)
+type slot = { s_insn : Isa.t; s_next : int; s_cost : int; s_kind : skind }
 
 let compile_block t entry_pc =
   let prog_ok pc = pc >= 0 && pc * 2 < t.program_bytes in
@@ -1616,8 +1302,6 @@ let compile_block t entry_pc =
      slot's share of each. *)
   let span = ref 0 and calls = ref 0 in
   let last_cost = ref 0 and last_call = ref 0 in
-  let rc = if t.dev.Device.pc_bytes = 3 then 5 else 4 in
-  let ic = if t.dev.Device.pc_bytes = 3 then 4 else 3 in
   (* Scan forward along the predicted path, stopping at the first
      instruction that must end the trace (dynamic-target transfer,
      halt class, sei, cap, program edge, off-trace continue).  A body
@@ -1638,73 +1322,54 @@ let compile_block t entry_pc =
   and scan pc =
     let insn, w = fetch t pc in
     let next = pc + w in
+    let c = insn_cycles t.dev insn in
     let room = !count < max_block_insns - 1 in
-    let push kind cost =
-      slots := { s_insn = insn; s_next = next; s_kind = kind } :: !slots;
+    let push kind worst =
+      slots := { s_insn = insn; s_next = next; s_cost = c; s_kind = kind } :: !slots;
       incr count;
-      span := !span + cost;
-      last_cost := cost;
+      span := !span + worst;
+      last_cost := worst;
       last_call := (match kind with KCall _ -> 1 | _ -> 0);
       calls := !calls + !last_call
     in
-    let emit kind cost cont = push kind cost; go cont in
+    let emit kind worst cont = push kind worst; go cont in
     let finish () = final := Some (insn, pc, next) in
-    let cond c ~cont_cost ~cont_pc ~exit_pc ~exit_cost ~worst =
+    let cond test ~cont_cost ~cont_pc ~exit_pc ~exit_cost =
+      let worst = max cont_cost exit_cost in
       if room && prog_ok cont_pc then
-        emit (KCond (c, cont_cost, exit_pc, exit_cost)) worst cont_pc
+        emit (KCond (test, cont_cost, exit_pc, exit_cost)) worst cont_pc
       else finish ()
     in
     match insn with
-    | Rjmp k when room && prog_ok (next + k) -> emit (KGoto 2) 2 (next + k)
-    | Jmp a when room && prog_ok a -> emit (KGoto 3) 3 a
-    | Rcall k when room && prog_ok (next + k) -> emit (KCall (next, ic, next + k)) ic (next + k)
-    | Call a when room && prog_ok a -> emit (KCall (next, rc, a)) rc a
-    | Brbs (b, k) ->
+    | Rjmp k when room && prog_ok (next + k) -> emit KGoto c (next + k)
+    | Jmp a when room && prog_ok a -> emit KGoto c a
+    | Rcall k when room && prog_ok (next + k) -> emit (KCall (next, next + k)) c (next + k)
+    | Call a when room && prog_ok a -> emit (KCall (next, a)) c a
+    | Brbs (b, k) | Brbc (b, k) ->
+        (* Continue on the taken side of a backward branch (+1 cycle),
+           on the fallthrough of a forward one. *)
+        let taken_when = match insn with Brbs _ -> true | _ -> false in
         let target = next + k in
         if target <= pc then
-          cond (CFlag (b, true)) ~cont_cost:2 ~cont_pc:target
-            ~exit_pc:next ~exit_cost:1 ~worst:2
+          cond (CFlag (b, taken_when)) ~cont_cost:(c + 1) ~cont_pc:target ~exit_pc:next
+            ~exit_cost:c
         else
-          cond (CFlag (b, false)) ~cont_cost:1 ~cont_pc:next
-            ~exit_pc:target ~exit_cost:2 ~worst:2
-    | Brbc (b, k) ->
-        let target = next + k in
-        if target <= pc then
-          cond (CFlag (b, false)) ~cont_cost:2 ~cont_pc:target
-            ~exit_pc:next ~exit_cost:1 ~worst:2
-        else
-          cond (CFlag (b, true)) ~cont_cost:1 ~cont_pc:next
-            ~exit_pc:target ~exit_cost:2 ~worst:2
-    | Cpse (d, r) ->
-        let _, sw = fetch t next in
-        cond (CRegNe (d, r)) ~cont_cost:1 ~cont_pc:next
-          ~exit_pc:(next + sw) ~exit_cost:(1 + sw) ~worst:(1 + sw)
-    | Sbrc (r, b) ->
-        let _, sw = fetch t next in
-        cond (CRegBit (r, b, true)) ~cont_cost:1 ~cont_pc:next
-          ~exit_pc:(next + sw) ~exit_cost:(1 + sw) ~worst:(1 + sw)
-    | Sbrs (r, b) ->
-        let _, sw = fetch t next in
-        cond (CRegBit (r, b, false)) ~cont_cost:1 ~cont_pc:next
-          ~exit_pc:(next + sw) ~exit_cost:(1 + sw) ~worst:(1 + sw)
-    | Sbic (a, b) ->
-        let _, sw = fetch t next in
-        cond (CIoBit (a, b, true)) ~cont_cost:1 ~cont_pc:next
-          ~exit_pc:(next + sw) ~exit_cost:(1 + sw) ~worst:(1 + sw)
-    | Sbis (a, b) ->
-        let _, sw = fetch t next in
-        cond (CIoBit (a, b, false)) ~cont_cost:1 ~cont_pc:next
-          ~exit_pc:(next + sw) ~exit_cost:(1 + sw) ~worst:(1 + sw)
+          cond (CFlag (b, not taken_when)) ~cont_cost:c ~cont_pc:next ~exit_pc:target
+            ~exit_cost:(c + 1)
     | _ -> (
-        match compile_body insn with
-        | None -> finish ()
-        | Some f ->
-            let cost = match f with FPure (c, _) | FLoad (c, _) | FStore (c, _) -> c in
-            if room && prog_ok next then emit (KBody f) cost next
-            else begin
-              push (KBody f) cost;
-              link := next
-            end)
+        match skip_test insn with
+        | Some test ->
+            let _, sw = fetch t next in
+            cond test ~cont_cost:c ~cont_pc:next ~exit_pc:(next + sw) ~exit_cost:(c + sw)
+        | None -> (
+            match compile_body insn with
+            | None -> finish ()
+            | Some f ->
+                if room && prog_ok next then emit (KBody f) c next
+                else begin
+                  push (KBody f) c;
+                  link := next
+                end))
   in
   go entry_pc;
   let arr = Array.of_list (List.rev !slots) in
@@ -1721,12 +1386,11 @@ let compile_block t entry_pc =
      the next debt. *)
   let pend = Array.make (n_total + 1) 0 in
   for i = 0 to nslots - 1 do
+    let s = arr.(i) in
     pend.(i + 1) <-
-      (match arr.(i).s_kind with
-      | KBody (FPure (c, _)) -> pend.(i) + c
-      | KBody (FLoad (c, _)) | KBody (FStore (c, _)) -> c
-      | KGoto c -> pend.(i) + c
-      | KCall (_, c, _) -> c
+      (match s.s_kind with
+      | KBody (FPure _) | KGoto -> pend.(i) + s.s_cost
+      | KBody (FLoad _ | FStore _) | KCall _ -> s.s_cost
       | KCond (ct, cont_cost, _, _) ->
           (if ctest_io ct then 0 else pend.(i)) + cont_cost)
   done;
@@ -1742,7 +1406,7 @@ let compile_block t entry_pc =
           let wr, rd = flag_masks arr.(i).s_insn in
           (live.(i + 1) land lnot wr) lor rd
       | KBody (FLoad _ | FStore _) | KCall _ | KCond _ -> allf
-      | KGoto _ -> live.(i + 1))
+      | KGoto -> live.(i + 1))
   done;
   (* Every way out of the trace lands here: flush the captured cycle
      debt, fix up the PC, credit the retired count once, and record the
@@ -1767,19 +1431,20 @@ let compile_block t entry_pc =
       | Some (fin_insn, fin_pc, fin_next) ->
           (* A terminator runs the stepper's own instruction code, with
              [t.pc] at the fallthrough as [exec_one] leaves it. *)
+          let fin_cost = insn_cycles t.dev fin_insn in
           fun t ->
             t.cycles <- t.cycles + fl;
             t.retired <- t.retired + n_total;
             t.block_insns <- n_total;
             t.pc <- fin_next;
-            exec_insn t fin_pc fin_insn);
+            exec_insn t fin_pc fin_insn fin_cost);
     for i = nslots - 1 downto 0 do
       let s = arr.(i) in
       let cnt = i + 1 in
       let knext = ks.(i + 1) in
       ks.(i) <-
         (match s.s_kind with
-        | KBody (FPure (_, mk)) -> (
+        | KBody (FPure mk) -> (
             let wr, _ = flag_masks s.s_insn in
             (* ALU + flag-branch pair: the branch must test a flag this
                op writes, and the op's remaining flags must be dead
@@ -1804,13 +1469,13 @@ let compile_block t entry_pc =
                   | NfMk mknf -> mknf knext
                   | NfNone -> mk knext
                 else mk knext)
-        | KBody (FLoad (_, mk)) -> mk pend.(i) knext
-        | KBody (FStore (c, mk)) -> mk pend.(i) (mk_exit c s.s_next cnt) knext
-        | KGoto _ -> knext
-        | KCall (ret, cost, target) ->
+        | KBody (FLoad mk) -> mk pend.(i) knext
+        | KBody (FStore mk) -> mk pend.(i) (mk_exit s.s_cost s.s_next cnt) knext
+        | KGoto -> knext
+        | KCall (ret, target) ->
             (* A mid-call [block_stop] resumes at the callee: the call
                itself has fully executed. *)
-            let stop = mk_exit cost target cnt in
+            let stop = mk_exit s.s_cost target cnt in
             let fl = pend.(i) in
             fun t ->
               t.cycles <- t.cycles + fl;

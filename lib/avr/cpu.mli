@@ -10,7 +10,13 @@
     A wild return (the signature of a failed ROP attempt, §V-D) eventually
     decodes an illegal word or leaves flash, halting the CPU with a fault
     — the behaviour the master processor's failed-attack detector keys
-    on. *)
+    on.
+
+    Two engines execute the same instructions: a stepper (one decoded
+    instruction at a time, through the predecode cache) and fused
+    superblocks (below).  Each instruction's semantics is written once
+    and shared by both, and each static cycle cost comes from one table;
+    the engines differ only in when they charge it. *)
 
 (** Why execution stopped. *)
 type halt =
@@ -172,7 +178,8 @@ val run_until :
     every word offset, since ROP gadgets enter mid-instruction) and
     invalidated whenever the flash epoch moves — [load_program] or a
     bootloader page write — so a freshly randomized image never executes
-    a stale decode.  Enabled by default; the switch exists for the
+    a stale decode.  Each entry also carries the instruction's static
+    cycle cost, so a cached step matches on the instruction once.  Enabled by default; the switch exists for the
     differential tests and before/after benchmarks.  Like
     {!set_superblocks}, it may be flipped at any time, including from a
     tap callback in the middle of a run. *)
@@ -186,9 +193,12 @@ val decode_cache_enabled : t -> bool
     The batched loops compile traces of instructions along the
     predicted path into continuation-threaded closures — one closure per
     body instruction, with PC updates, retirement counting, interrupt
-    polling and tap dispatch hoisted to block boundaries.  A trace's
-    final control-transfer, skip or halting instruction runs the
-    stepper's own instruction code, so those semantics exist once.
+    polling and tap dispatch hoisted to block boundaries.  A body
+    closure runs the same inlined semantics the stepper runs, and a
+    trace's final control-transfer, skip or halting instruction runs
+    the stepper's own dispatch, so no instruction is written twice.
+    Static cycle costs are summed at compile time from the stepper's
+    cost table and charged only where the clock can be observed.
 
     Blocks are compiled only where they will be entered: a word address
     with no block is single-stepped and its entries counted, and its

@@ -1,24 +1,26 @@
 module Json = Mavr_telemetry.Json
 
-let version = 1
+let version = 2
 
 type spec = { spec_hash : string; seed : int; tasks : int }
 type entry = Result of Json.t | Skip of string
 
 exception Corrupt of string
 
-(* FNV-1a 64 over the canonical compact JSON rendering of the spec
-   fields.  Stable across processes (no polymorphic-hash dependence),
-   cheap, and any field change — profile, horizon, trials, seed, fault
-   profile, early-stop policy, tracing — flips the hash and makes a
-   stale checkpoint unresumable instead of silently wrong. *)
-let hash_fields fields =
-  let s = Json.to_string (Json.Obj fields) in
+(* FNV-1a 64, as 16 hex digits. *)
+let fnv1a s =
   let h = ref 0xcbf29ce484222325L in
   String.iter
     (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
     s;
   Printf.sprintf "%016Lx" !h
+
+(* FNV-1a 64 over the canonical compact JSON rendering of the spec
+   fields.  Stable across processes (no polymorphic-hash dependence),
+   cheap, and any field change — profile, horizon, trials, seed, fault
+   profile, early-stop policy, tracing — flips the hash and makes a
+   stale checkpoint unresumable instead of silently wrong. *)
+let hash_fields fields = fnv1a (Json.to_string (Json.Obj fields))
 
 type t = {
   path : string option;  (* None: stream-only, no snapshot files *)
@@ -44,14 +46,54 @@ let header_line spec =
          ("tasks", Json.Int spec.tasks);
        ])
 
-let entry_line index = function
-  | Result r ->
-      Json.to_string
-        (Json.Obj [ ("kind", Json.String "task"); ("index", Json.Int index); ("result", r) ])
-  | Skip reason ->
-      Json.to_string
-        (Json.Obj
-           [ ("kind", Json.String "skip"); ("index", Json.Int index); ("reason", Json.String reason) ])
+(* Every entry line ends in a ["digest"] member: [hash_fields] of the
+   entry's other members, which is FNV-1a over the line as it would read
+   without the digest.  A changed byte anywhere in an entry is then a
+   load error, not a silently different campaign document. *)
+let digest_key = {|,"digest":"|}
+
+let entry_line index entry =
+  let fields =
+    match entry with
+    | Result r -> [ ("kind", Json.String "task"); ("index", Json.Int index); ("result", r) ]
+    | Skip reason ->
+        [ ("kind", Json.String "skip"); ("index", Json.Int index); ("reason", Json.String reason) ]
+  in
+  let body = Json.to_string (Json.Obj fields) in
+  String.concat ""
+    [ String.sub body 0 (String.length body - 1); digest_key; fnv1a body; {|"}|} ]
+
+(* The one decoder of entry lines, shared by [load] and the dispatcher:
+   the digest first, then the members, then the index range. *)
+let decode_entry ~tasks line =
+  let ( let* ) = Result.bind in
+  let n = String.length line and kl = String.length digest_key in
+  let cut = n - kl - 18 (* 16 hex digits, closing quote and brace *) in
+  let* body =
+    if cut > 0 && String.sub line cut kl = digest_key && String.ends_with ~suffix:{|"}|} line then
+      let body = String.sub line 0 cut ^ "}" in
+      if fnv1a body = String.sub line (cut + kl) 16 then Ok body else Error "entry digest mismatch"
+    else Error "entry without digest"
+  in
+  let* j = Json.of_string body in
+  let str k = Option.bind (Json.member k j) Json.to_str in
+  let* index =
+    match Option.bind (Json.member "index" j) Json.to_int with
+    | Some i when i >= 0 && i < tasks -> Ok i
+    | Some i -> Error (Printf.sprintf "index %d out of range [0,%d)" i tasks)
+    | None -> Error "missing index"
+  in
+  match str "kind" with
+  | Some "task" -> (
+      match Json.member "result" j with
+      | Some r -> Ok (index, Result r)
+      | None -> Error "task entry without result")
+  | Some "skip" -> (
+      match str "reason" with
+      | Some reason -> Ok (index, Skip reason)
+      | None -> Error "skip entry without reason")
+  | Some k -> Error (Printf.sprintf "unknown kind %S" k)
+  | None -> Error "missing kind"
 
 let sorted_entries_locked t =
   Hashtbl.fold (fun i e acc -> (i, e) :: acc) t.entries []
@@ -206,31 +248,13 @@ let load ~path =
     | [] -> Ok (List.rev acc)
     | line :: rest -> (
         let ctx = Printf.sprintf "checkpoint line %d" (n + 2) in
-        match Json.of_string line with
+        match decode_entry ~tasks:spec.tasks line with
         | Error e -> Error (Printf.sprintf "%s: %s" ctx e)
-        | Ok j -> (
-            let* index =
-              match int "index" j with
-              | Some i when i >= 0 && i < spec.tasks -> Ok i
-              | Some i -> Error (Printf.sprintf "%s: index %d out of range [0,%d)" ctx i spec.tasks)
-              | None -> Error (Printf.sprintf "%s: missing index" ctx)
-            in
-            let* () =
-              if Hashtbl.mem seen index then
-                Error (Printf.sprintf "%s: duplicate index %d" ctx index)
-              else Ok (Hashtbl.add seen index ())
-            in
-            match str "kind" j with
-            | Some "task" -> (
-                match Json.member "result" j with
-                | Some r -> go ((index, Result r) :: acc) (n + 1) rest
-                | None -> Error (Printf.sprintf "%s: task entry without result" ctx))
-            | Some "skip" -> (
-                match str "reason" j with
-                | Some reason -> go ((index, Skip reason) :: acc) (n + 1) rest
-                | None -> Error (Printf.sprintf "%s: skip entry without reason" ctx))
-            | Some k -> Error (Printf.sprintf "%s: unknown kind %S" ctx k)
-            | None -> Error (Printf.sprintf "%s: missing kind" ctx)))
+        | Ok (index, _) when Hashtbl.mem seen index ->
+            Error (Printf.sprintf "%s: duplicate index %d" ctx index)
+        | Ok (index, e) ->
+            Hashtbl.add seen index ();
+            go ((index, e) :: acc) (n + 1) rest)
   in
   let* entries = go [] 0 rest in
   Ok (spec, entries)

@@ -10,10 +10,15 @@
 
     On-disk format (JSONL, one object per line):
     {v
-    {"kind":"header","version":1,"spec_hash":H,"seed":S,"tasks":N}
-    {"kind":"task","index":I,"result":{...}}
-    {"kind":"skip","index":I,"reason":"early_stop"}
+    {"kind":"header","version":2,"spec_hash":H,"seed":S,"tasks":N}
+    {"kind":"task","index":I,"result":{...},"digest":D}
+    {"kind":"skip","index":I,"reason":"early_stop","digest":D}
     v}
+
+    An entry's digest [D] is {!hash_fields} of its other members — FNV-1a
+    over the line as it reads without the digest — so a changed byte in
+    an entry makes the file unloadable instead of resuming into a
+    silently different document.
 
     Snapshots are full rewrites — header plus every entry sorted by
     index — written to a pid-unique sibling temp file
@@ -62,9 +67,14 @@ val hash_fields : (string * Json.t) list -> string
     initial header-only snapshot is written immediately. *)
 val create : ?path:string -> ?stream:(string -> unit) -> ?every:int -> spec -> t
 
+(** [decode_entry ~tasks line] decodes one entry line: its digest, its
+    members, and an index in [\[0, tasks)].  The one decoder of entry
+    lines, used by {!load} and by the dispatcher for worker streams. *)
+val decode_entry : tasks:int -> string -> (int * entry, string) result
+
 (** [load ~path] parses and structurally validates a checkpoint file:
-    header first (version, spec fields), every entry line well-formed,
-    indices in range and duplicate-free. *)
+    header first (version, spec fields), every entry line decoded by
+    {!decode_entry}, indices duplicate-free. *)
 val load : path:string -> (spec * (int * entry) list, string) result
 
 (** [resume ~path ?stream ?every spec] — [load], verify the file's spec

@@ -109,14 +109,10 @@ let classify (spec : Checkpoint.spec) line =
             && int "tasks" = Some spec.Checkpoint.tasks
           then L_header_ok
           else L_header_bad
-      | Some "task" -> (
-          match (int "index", Json.member "result" j) with
-          | Some i, Some r -> L_entry (i, Checkpoint.Result r)
-          | _ -> L_garbage "malformed task entry")
-      | Some "skip" -> (
-          match (int "index", str "reason") with
-          | Some i, Some reason -> L_entry (i, Checkpoint.Skip reason)
-          | _ -> L_garbage "malformed skip entry")
+      | Some ("task" | "skip") -> (
+          match Checkpoint.decode_entry ~tasks:spec.Checkpoint.tasks line with
+          | Ok (i, e) -> L_entry (i, e)
+          | Error e -> L_garbage e)
       | Some "result" -> L_result
       | Some "error" -> L_error (Option.value ~default:"unknown worker error" (str "error"))
       | Some k -> L_garbage (Printf.sprintf "unknown kind %S" k)
@@ -282,14 +278,10 @@ let run ?(heartbeat_timeout_s = 30.0) ?(max_attempts = 3) ?(connect_timeout_s = 
     | L_header_ok -> ()
     | L_header_bad -> fail_worker w "worker header does not match campaign spec"
     | L_entry (i, e) ->
-        if i < 0 || i >= spec.Checkpoint.tasks then
-          fail_worker w (Printf.sprintf "entry index %d out of range" i)
-        else begin
-          let fresh = not (Hashtbl.mem received i) in
-          Hashtbl.replace received i e;
-          if fresh then Option.iter Progress.task_done progress;
-          emit (Entry_received { worker = w.w_id; index = i; fresh })
-        end
+        let fresh = not (Hashtbl.mem received i) in
+        Hashtbl.replace received i e;
+        if fresh then Option.iter Progress.task_done progress;
+        emit (Entry_received { worker = w.w_id; index = i; fresh })
     | L_heartbeat seq ->
         incr heartbeats;
         emit (Heartbeat { worker = w.w_id; seq })

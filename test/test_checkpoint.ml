@@ -140,6 +140,19 @@ let replace_sub ~sub ~by s =
   Buffer.add_string b (String.sub s !i (String.length s - !i));
   Buffer.contents b
 
+(* Change the first digit after [sub] in [s] to another digit. *)
+let flip_digit_after ~sub s =
+  let b = Bytes.of_string s in
+  let rec find i = if String.sub s i (String.length sub) = sub then i else find (i + 1) in
+  let rec flip i =
+    match Bytes.get b i with
+    | '0' .. '8' as c -> Bytes.set b i (Char.chr (Char.code c + 1))
+    | '9' -> Bytes.set b i '8'
+    | _ -> flip (i + 1)
+  in
+  flip (find 0 + String.length sub);
+  Bytes.to_string b
+
 let test_resume_rejects_corruption () =
   let full_path, _ = Lazy.force full_run in
   let lines = read_lines full_path in
@@ -156,6 +169,10 @@ let test_resume_rejects_corruption () =
   reject "unknown-kind" (List.map (replace_sub ~sub:"\"kind\":\"task\"" ~by:"\"kind\":\"bogus\""));
   reject "duplicate-index" (fun ls -> ls @ [ List.nth ls 1 ]);
   reject "result-missing" (List.map (replace_sub ~sub:"\"result\"" ~by:"\"resul7\""));
+  (* One changed digit inside a result leaves valid JSON with every
+     member in place: only the entry's digest can tell. *)
+  reject "flipped-digit"
+    (List.mapi (fun i l -> if i = 1 then flip_digit_after ~sub:{|"result":|} l else l));
   (* A structurally valid file from a different campaign configuration. *)
   let path = tmp "mismatch" in
   write_lines path lines;

@@ -281,6 +281,420 @@ let test_reset_preserves_memory () =
   Alcotest.(check bool) "halt cleared" true (Cpu.halted cpu = None);
   Alcotest.(check int) "SRAM preserved" 7 (Cpu.data_peek cpu 0x600)
 
+(* ---- Instruction semantics digests --------------------------------- *)
+
+(* Every non-control instruction is stepped over its whole operand space
+   (every 8-bit operand pair, every immediate, all 65,536 word values
+   over a spread of immediates, every value of the SREG bits it reads)
+   and the state it leaves — destination registers, SREG, the cycles it
+   charged, the PC it left, and for data-space instructions the bytes
+   they touched — is folded into one FNV-1a digest per opcode (64-bit
+   offset basis and prime, in OCaml's 63-bit int).  The digests pin the
+   stepper's semantics independently of the superblock engine, whose
+   differential tests compare the two engines against each other.  They
+   change only when an instruction's semantics change on purpose. *)
+
+type digest = { mutable h : int }
+
+let fnv_prime = 0x100000001b3
+let fold_byte d b = d.h <- (d.h lxor (b land 0xFF)) * fnv_prime
+
+let fold d v =
+  fold_byte d v;
+  fold_byte d (v lsr 8)
+
+(* Every subset of the SREG bits in [mask]. *)
+let sreg_combos mask =
+  let rec go acc m =
+    if m = 0 then acc
+    else
+      let b = m land -m in
+      go (acc @ List.map (fun s -> s lor b) acc) (m lxor b)
+  in
+  go [ 0 ] mask
+
+(* The bits an instruction does not read vary with its operands, so a
+   flag the instruction must preserve is seen both set and clear.  I is
+   kept clear: an I/O store may arm the timer, and no case should take
+   an interrupt. *)
+let background a b = (a * 31 + b * 7) land 0x7F
+
+(* Step the instruction at word [pc] once, with SREG [sreg], and fold
+   the cycles it charged, the PC it left and the SREG it wrote. *)
+let sem_step d cpu ~pc ~sreg =
+  Cpu.io_poke cpu Device.Io.sreg sreg;
+  Cpu.set_pc cpu pc;
+  let c0 = Cpu.cycles cpu in
+  Cpu.step cpu;
+  fold d (Cpu.cycles cpu - c0);
+  fold d (Cpu.pc cpu - pc);
+  fold_byte d (Cpu.sreg cpu)
+
+let fold_regs d cpu rs = List.iter (fun r -> fold_byte d (Cpu.reg cpu r)) rs
+let cflag = 1 lsl Isa.Flag.c
+let zflag = 1 lsl Isa.Flag.z
+
+(* Two-register ALU ops: every (Rd, Rr) value pair with d <> r, then
+   every value with d = r, under every value of the flags read. *)
+let sem_alu2 mk ~reads d cpu_of =
+  let cpu = cpu_of [ mk 16 17; mk 16 16 ] in
+  for a = 0 to 255 do
+    for b = 0 to 255 do
+      List.iter
+        (fun s ->
+          Cpu.set_reg cpu 16 a;
+          Cpu.set_reg cpu 17 b;
+          sem_step d cpu ~pc:0 ~sreg:(background a b land lnot reads lor s);
+          fold_regs d cpu [ 16; 17; 0; 1 ])
+        (sreg_combos reads)
+    done;
+    List.iter
+      (fun s ->
+        Cpu.set_reg cpu 16 a;
+        sem_step d cpu ~pc:1 ~sreg:(background a a land lnot reads lor s);
+        fold_regs d cpu [ 16; 0; 1 ])
+      (sreg_combos reads)
+  done
+
+(* Register-immediate ops: every immediate over every register value. *)
+let sem_imm mk ~reads d cpu_of =
+  let cpu = cpu_of (List.init 256 (fun k -> mk 16 k)) in
+  for k = 0 to 255 do
+    for a = 0 to 255 do
+      List.iter
+        (fun s ->
+          Cpu.set_reg cpu 16 a;
+          sem_step d cpu ~pc:k ~sreg:(background a k land lnot reads lor s);
+          fold_regs d cpu [ 16 ])
+        (sreg_combos reads)
+    done
+  done
+
+let sem_unary mk ~reads d cpu_of =
+  let cpu = cpu_of [ mk 16 ] in
+  for a = 0 to 255 do
+    List.iter
+      (fun s ->
+        Cpu.set_reg cpu 16 a;
+        sem_step d cpu ~pc:0 ~sreg:(background a 0 land lnot reads lor s);
+        fold_regs d cpu [ 16 ])
+      (sreg_combos reads)
+  done
+
+(* adiw/sbiw: all 65,536 pair values, over a spread of registers and
+   immediates. *)
+let sem_word mk d cpu_of =
+  let cases =
+    [ (24, 0); (24, 1); (24, 2); (24, 31); (24, 32); (24, 63); (26, 63); (28, 1); (30, 17) ]
+  in
+  let cpu = cpu_of (List.map (fun (r, k) -> mk r k) cases) in
+  List.iteri
+    (fun pc (r, _) ->
+      for v = 0 to 0xFFFF do
+        Cpu.set_reg cpu r (v land 0xFF);
+        Cpu.set_reg cpu (r + 1) (v lsr 8);
+        sem_step d cpu ~pc ~sreg:(background v pc);
+        fold_regs d cpu [ r; r + 1 ]
+      done)
+    cases
+
+(* bld/bst/bset/bclr: every bit number over every register (or SREG)
+   value. *)
+let sem_bit mk ~reads d cpu_of =
+  let cpu = cpu_of (List.init 8 (fun b -> mk b)) in
+  for b = 0 to 7 do
+    for a = 0 to 255 do
+      List.iter
+        (fun s ->
+          Cpu.set_reg cpu 16 a;
+          sem_step d cpu ~pc:b ~sreg:(background a b land lnot reads lor s);
+          fold_regs d cpu [ 16 ])
+        (sreg_combos reads)
+    done
+  done
+
+let sem_sreg_op mk d cpu_of =
+  let cpu = cpu_of (List.init 8 (fun b -> mk b)) in
+  for b = 0 to 7 do
+    for s = 0 to 255 do
+      sem_step d cpu ~pc:b ~sreg:s
+    done
+  done
+
+let sem_nullary insn d cpu_of =
+  let cpu = cpu_of [ insn ] in
+  for s = 0 to 255 do
+    sem_step d cpu ~pc:0 ~sreg:s
+  done
+
+(* Observable side effects of a data-space store: the stack pointer
+   and whatever the UART transmitted. *)
+let fold_io_effects d cpu =
+  fold d (Cpu.sp cpu);
+  fold d (String.length (Cpu.uart_take_tx cpu))
+
+let sem_in d cpu_of =
+  let cpu = cpu_of (List.init 64 (fun a -> Isa.In (16, a))) in
+  for a = 0 to 63 do
+    for v = 0 to 255 do
+      Cpu.io_poke cpu a v;
+      sem_step d cpu ~pc:a ~sreg:(background v a);
+      fold_regs d cpu [ 16 ]
+    done
+  done
+
+let sem_out d cpu_of =
+  let cpu = cpu_of (List.init 64 (fun a -> Isa.Out (a, 16))) in
+  for a = 0 to 63 do
+    for v = 0 to 255 do
+      Cpu.set_reg cpu 16 v;
+      sem_step d cpu ~pc:a ~sreg:(background v a);
+      fold d (Cpu.io_peek cpu a);
+      fold d (Cpu.io_peek cpu Device.Io.eedr);
+      fold_io_effects d cpu
+    done
+  done
+
+let sem_sbi_cbi mk d cpu_of =
+  let cpu = cpu_of (List.init 256 (fun i -> mk (i / 8) (i mod 8))) in
+  for i = 0 to 255 do
+    for v = 0 to 255 do
+      Cpu.io_poke cpu (i / 8) v;
+      sem_step d cpu ~pc:i ~sreg:(background v i);
+      fold d (Cpu.io_peek cpu (i / 8));
+      fold_io_effects d cpu
+    done
+  done
+
+(* Data addresses: the register file, the I/O file, the extended I/O
+   space, SRAM edges and addresses past the end of data space. *)
+let data_addrs = List.init 0x200 Fun.id @ [ 0x200; 0x201; 0x1000; 0x21FE; 0x21FF; 0x2200; 0xFFFF ]
+let data_vals = [ 0x00; 0x5A; 0xA5; 0xFF ]
+
+let sem_lds d cpu_of =
+  let cpu = cpu_of (List.map (fun a -> Isa.Lds (16, a)) data_addrs) in
+  List.iteri
+    (fun i a ->
+      List.iter
+        (fun v ->
+          Cpu.data_poke cpu a v;
+          sem_step d cpu ~pc:(2 * i) ~sreg:(background v i);
+          fold_regs d cpu [ 16 ])
+        data_vals)
+    data_addrs
+
+let sem_sts d cpu_of =
+  let cpu = cpu_of (List.map (fun a -> Isa.Sts (a, 16)) data_addrs) in
+  List.iteri
+    (fun i a ->
+      List.iter
+        (fun v ->
+          Cpu.set_reg cpu 16 v;
+          sem_step d cpu ~pc:(2 * i) ~sreg:(background v i);
+          fold d (Cpu.data_peek cpu a);
+          fold_io_effects d cpu)
+        data_vals)
+    data_addrs
+
+let pointers = [ 0x0000; 0x0008; 0x0020; 0x0100; 0x0200; 0x21C0; 0x21F0; 0xFFFF ]
+
+let set_pair cpu r v =
+  Cpu.set_reg cpu r (v land 0xFF);
+  Cpu.set_reg cpu (r + 1) ((v lsr 8) land 0xFF)
+
+let sem_ldd_std ~store d cpu_of =
+  let slots = List.concat_map (fun b -> List.init 64 (fun q -> (b, q))) Isa.[ Y; Z ] in
+  let cpu =
+    cpu_of (List.map (fun (b, q) -> if store then Isa.Std (b, q, 16) else Isa.Ldd (16, b, q)) slots)
+  in
+  List.iteri
+    (fun pc (b, q) ->
+      let r = if b = Isa.Y then 28 else 30 in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun v ->
+              set_pair cpu r p;
+              if store then Cpu.set_reg cpu 16 v else Cpu.data_poke cpu (p + q) v;
+              sem_step d cpu ~pc ~sreg:(background v pc);
+              if store then begin
+                fold d (Cpu.data_peek cpu (p + q));
+                fold_io_effects d cpu
+              end
+              else fold_regs d cpu [ 16 ])
+            data_vals)
+        pointers)
+    slots
+
+let ptr_modes = Isa.[ X; X_inc; X_dec; Y_inc; Y_dec; Z_inc; Z_dec ]
+let ptr_values = List.init 0x400 Fun.id @ [ 0x21FF; 0x2200; 0xFFFF ]
+
+let sem_ld_st ~store d cpu_of =
+  let cpu =
+    cpu_of (List.map (fun p -> if store then Isa.St (p, 16) else Isa.Ld (16, p)) ptr_modes)
+  in
+  List.iteri
+    (fun pc mode ->
+      let r = match mode with Isa.X | X_inc | X_dec -> 26 | Y_inc | Y_dec -> 28 | _ -> 30 in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun v ->
+              set_pair cpu r p;
+              if store then Cpu.set_reg cpu 16 v
+              else begin
+                Cpu.data_poke cpu p v;
+                Cpu.data_poke cpu ((p - 1) land 0xFFFF) (v lxor 0xFF)
+              end;
+              sem_step d cpu ~pc ~sreg:(background v p);
+              fold_regs d cpu [ 16; r; r + 1 ];
+              if store then begin
+                fold d (Cpu.data_peek cpu p);
+                fold d (Cpu.data_peek cpu ((p - 1) land 0xFFFF));
+                fold_io_effects d cpu
+              end)
+            [ 0x00; 0xA5 ])
+        ptr_values)
+    ptr_modes
+
+let stack_pointers = [ 0x21FF; 0x2000; 0x0200; 0x0100; 0x0060; 0x0021; 0x0010; 0x0000 ]
+
+let sem_push_pop ~push d cpu_of =
+  let cpu = cpu_of [ (if push then Isa.Push 16 else Isa.Pop 16) ] in
+  List.iter
+    (fun sp ->
+      for v = 0 to 255 do
+        Cpu.set_sp cpu sp;
+        if push then Cpu.set_reg cpu 16 v else Cpu.data_poke cpu (sp + 1) v;
+        sem_step d cpu ~pc:0 ~sreg:(background v sp);
+        fold_regs d cpu [ 16 ];
+        fold d (Cpu.data_peek cpu sp);
+        fold_io_effects d cpu
+      done)
+    stack_pointers
+
+(* Program-memory loads: Z over the first 2 KB of a patterned image and
+   the 64 KB edge, and RAMPZ over its low values for the extended
+   forms. *)
+let sem_lpm insn ~rampz d cpu_of =
+  let filler = List.init 512 (fun i -> Isa.Ldi (16 + (i mod 16), (i * 37) land 0xFF)) in
+  let cpu = cpu_of (insn :: filler) in
+  let zs = List.init 0x800 Fun.id @ [ 0x8000; 0xFFFE; 0xFFFF ] in
+  List.iter
+    (fun rz ->
+      List.iter
+        (fun z ->
+          set_pair cpu 30 z;
+          Cpu.io_poke cpu Device.Io.rampz rz;
+          sem_step d cpu ~pc:0 ~sreg:(background z rz);
+          fold_regs d cpu [ 0; 16; 30; 31 ];
+          fold d (Cpu.io_peek cpu Device.Io.rampz))
+        zs)
+    (if rampz then [ 0; 1; 3 ] else [ 0 ])
+
+let semantics_cases =
+  Isa.
+    [
+      ("nop", sem_nullary Nop);
+      ("wdr", sem_nullary Wdr);
+      ("movw", sem_alu2 (fun d _ -> Movw (d, 18)) ~reads:0);
+      ("mov", sem_alu2 (fun d r -> Mov (d, r)) ~reads:0);
+      ("add", sem_alu2 (fun d r -> Add (d, r)) ~reads:0);
+      ("adc", sem_alu2 (fun d r -> Adc (d, r)) ~reads:cflag);
+      ("sub", sem_alu2 (fun d r -> Sub (d, r)) ~reads:0);
+      ("sbc", sem_alu2 (fun d r -> Sbc (d, r)) ~reads:(cflag lor zflag));
+      ("and", sem_alu2 (fun d r -> And (d, r)) ~reads:0);
+      ("or", sem_alu2 (fun d r -> Or (d, r)) ~reads:0);
+      ("eor", sem_alu2 (fun d r -> Eor (d, r)) ~reads:0);
+      ("cp", sem_alu2 (fun d r -> Cp (d, r)) ~reads:0);
+      ("cpc", sem_alu2 (fun d r -> Cpc (d, r)) ~reads:(cflag lor zflag));
+      ("mul", sem_alu2 (fun d r -> Mul (d, r)) ~reads:0);
+      ("ldi", sem_imm (fun d k -> Ldi (d, k)) ~reads:0);
+      ("subi", sem_imm (fun d k -> Subi (d, k)) ~reads:0);
+      ("sbci", sem_imm (fun d k -> Sbci (d, k)) ~reads:(cflag lor zflag));
+      ("andi", sem_imm (fun d k -> Andi (d, k)) ~reads:0);
+      ("ori", sem_imm (fun d k -> Ori (d, k)) ~reads:0);
+      ("cpi", sem_imm (fun d k -> Cpi (d, k)) ~reads:0);
+      ("com", sem_unary (fun d -> Com d) ~reads:0);
+      ("neg", sem_unary (fun d -> Neg d) ~reads:0);
+      ("inc", sem_unary (fun d -> Inc d) ~reads:0);
+      ("dec", sem_unary (fun d -> Dec d) ~reads:0);
+      ("lsr", sem_unary (fun d -> Lsr d) ~reads:0);
+      ("ror", sem_unary (fun d -> Ror d) ~reads:cflag);
+      ("asr", sem_unary (fun d -> Asr d) ~reads:(1 lsl Flag.v));
+      ("swap", sem_unary (fun d -> Swap d) ~reads:0);
+      ("adiw", sem_word (fun d k -> Adiw (d, k)));
+      ("sbiw", sem_word (fun d k -> Sbiw (d, k)));
+      ("bld", sem_bit (fun b -> Bld (16, b)) ~reads:(1 lsl Flag.t));
+      ("bst", sem_bit (fun b -> Bst (16, b)) ~reads:0);
+      ("bset", sem_sreg_op (fun b -> Bset b));
+      ("bclr", sem_sreg_op (fun b -> Bclr b));
+      ("in", sem_in);
+      ("out", sem_out);
+      ("sbi", sem_sbi_cbi (fun a b -> Sbi (a, b)));
+      ("cbi", sem_sbi_cbi (fun a b -> Cbi (a, b)));
+      ("lds", sem_lds);
+      ("sts", sem_sts);
+      ("ldd", sem_ldd_std ~store:false);
+      ("std", sem_ldd_std ~store:true);
+      ("ld", sem_ld_st ~store:false);
+      ("st", sem_ld_st ~store:true);
+      ("push", sem_push_pop ~push:true);
+      ("pop", sem_push_pop ~push:false);
+      ("lpm0", sem_lpm Lpm0 ~rampz:false);
+      ("lpm", sem_lpm (Lpm (16, false)) ~rampz:false);
+      ("lpm+", sem_lpm (Lpm (16, true)) ~rampz:false);
+      ("elpm0", sem_lpm Elpm0 ~rampz:true);
+      ("elpm", sem_lpm (Elpm (16, false)) ~rampz:true);
+      ("elpm+", sem_lpm (Elpm (16, true)) ~rampz:true);
+    ]
+
+let semantics_digest ~decode_cache run =
+  let d = { h = Int64.to_int 0xcbf29ce484222325L } in
+  let cpu_of insns =
+    let cpu = load insns in
+    Cpu.set_decode_cache cpu decode_cache;
+    cpu
+  in
+  run d cpu_of;
+  d.h
+
+(* Recorded at the stepper as it stood before the instruction semantics
+   were shared with the trace compiler. *)
+let pinned_digests =
+  [
+    ("nop", "0ab62a52251a0425"); ("wdr", "0ab62a52251a0425"); ("movw", "0c34eb9167f39b25");
+    ("mov", "38e8dc89009d8725"); ("add", "63db5d0e0670a1a5"); ("adc", "225ef78e998aad81");
+    ("sub", "732bbfc3db720225"); ("sbc", "6ed2208553e5da55"); ("and", "05e3d06091d92b11");
+    ("or", "2ab82df0d3beba25"); ("eor", "0f066cdb0f6a2525"); ("cp", "610a2e8bd8685225");
+    ("cpc", "0660a0d48053df55"); ("mul", "22f33c2dba12e7e9"); ("ldi", "7d626e48d515d325");
+    ("subi", "68e207b4374bb8a5"); ("sbci", "0790045492626d8d"); ("andi", "525d33255be44f1b");
+    ("ori", "62127c0e006b2307"); ("cpi", "08a6302c9c678d25"); ("com", "06634589434f1f77");
+    ("neg", "60f788928be39c4e"); ("inc", "606804b7499e929f"); ("dec", "75847c883a704d43");
+    ("lsr", "25ff6d8f1cdec115"); ("ror", "5c313320e78d8d85"); ("asr", "33ab7a0b52317da5");
+    ("swap", "4b75bd33feb971a5"); ("adiw", "1ef0e9c5455629b3"); ("sbiw", "2ad1eeff28670663");
+    ("bld", "6c38726c0a09a125"); ("bst", "53710e0de8088a25"); ("bset", "0f8e318b687e8425");
+    ("bclr", "62cdad2203fe6125"); ("in", "4d2c7ebd3c6c0525"); ("out", "6911d6b600541888");
+    ("sbi", "048bdd9b9e703d25"); ("cbi", "0e2e8b6c78e52225"); ("lds", "01e156a0b844c5bd");
+    ("sts", "436da608b4c5db41"); ("ldd", "540014ac9c859681"); ("std", "259338aab98198cd");
+    ("ld", "537d8a8d567610a2"); ("st", "02a38c601b5aefc0"); ("push", "146d7a4d13446b25");
+    ("pop", "462a2d090806c825"); ("lpm0", "647338cc13ae85fb"); ("lpm", "34f05752dc7973b7");
+    ("lpm+", "07f7eb783b9bee5c"); ("elpm0", "7fd7fa6a5ffcabc1"); ("elpm", "576d4ac93064651f");
+    ("elpm+", "38e31dea49223d0f");
+  ]
+
+(* Every opcode is checked before failing, so the message names each
+   one whose digest moved, with the digest it now has. *)
+let test_semantics_digests ~decode_cache () =
+  let moved =
+    List.filter_map
+      (fun (name, run) ->
+        let got = Printf.sprintf "%016x" (semantics_digest ~decode_cache run) in
+        if got = List.assoc name pinned_digests then None else Some (name ^ " " ^ got))
+      semantics_cases
+  in
+  Alcotest.(check (list string)) "opcodes whose digest moved" [] moved
+
 let () =
   Alcotest.run "cpu"
     [
@@ -320,5 +734,11 @@ let () =
           Alcotest.test_case "cycle accounting" `Quick test_cycle_counts;
           Alcotest.test_case "reset semantics" `Quick test_reset_preserves_memory;
           Alcotest.test_case "reflash clears peripherals" `Quick test_reflash_clears_peripherals;
+        ] );
+      ( "semantics",
+        [
+          Alcotest.test_case "digests" `Quick (test_semantics_digests ~decode_cache:true);
+          Alcotest.test_case "digests, uncached decode" `Quick
+            (test_semantics_digests ~decode_cache:false);
         ] );
     ]

@@ -86,19 +86,21 @@ let test_merge_over_fake_worker () =
              (Json.Obj
                 [
                   ("kind", Json.String "header");
-                  ("version", Json.Int 1);
+                  ("version", Json.Int Checkpoint.version);
                   ("spec_hash", Json.String sp.Checkpoint.spec_hash);
                   ("seed", Json.Int sp.Checkpoint.seed);
                   ("tasks", Json.Int sp.Checkpoint.tasks);
                 ]));
         let entry i =
+          let fields =
+            [
+              ("kind", Json.String "task");
+              ("index", Json.Int i);
+              ("result", Json.Obj [ ("v", Json.Int i) ]);
+            ]
+          in
           Json.to_string
-            (Json.Obj
-               [
-                 ("kind", Json.String "task");
-                 ("index", Json.Int i);
-                 ("result", Json.Obj [ ("v", Json.Int i) ]);
-               ])
+            (Json.Obj (fields @ [ ("digest", Json.String (Checkpoint.hash_fields fields)) ]))
         in
         (* duplicate the first index deliberately *)
         progress (entry lo);

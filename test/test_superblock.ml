@@ -329,6 +329,33 @@ let test_compile_threshold () =
       check_same (Printf.sprintf "%d entries" n) fused stepped)
     [ (15, false); (16, true); (40, true) ]
 
+(* asr computes S from N and the V flag it replaces, so it reads V: a
+   V writer just before it must keep its flags even when the asr
+   overwrites every flag it wrote.  Here inc sets V, asr turns it into
+   S, and brlt branches on S inside a hot loop. *)
+let test_asr_reads_v () =
+  let prog =
+    Isa.
+      [
+        Ldi (20, 40);
+        (* word 1 *) Ldi (16, 0x7F);
+        Inc 16;
+        Asr 17;
+        Brbs (Flag.s, 1);
+        Inc 18;
+        Dec 20;
+        Brbc (Flag.z, -7);
+        Break;
+      ]
+  in
+  let fused = load prog and stepped = load ~superblocks:false prog in
+  let blocks = ref 0 in
+  Cpu.set_block_tap fused ~on_block:(fun _ _ -> incr blocks) ~on_step:(fun _ _ -> ());
+  ignore (Cpu.run fused ~max_cycles:100_000);
+  ignore (Cpu.run stepped ~max_cycles:100_000);
+  Alcotest.(check bool) "a block ran" true (!blocks > 0);
+  check_same "inc; asr; brlt" fused stepped
+
 (* ---- satellite 1: saturating run budget ----------------------------- *)
 
 let test_max_int_budget_runs () =
@@ -542,6 +569,7 @@ let () =
           Alcotest.test_case "compare matches and budgets at every offset" `Quick
             test_differential_timer_dense;
           Alcotest.test_case "compile threshold" `Quick test_compile_threshold;
+          Alcotest.test_case "asr reads the V it replaces" `Quick test_asr_reads_v;
         ] );
       ( "budget",
         [
