@@ -506,7 +506,7 @@ let[@inline] flags_add t d r res =
     lor fbit Flag.c (c land 0x80 <> 0)
     lor fbit Flag.v v lor zns_bits res8 ~v)
 
-let[@inline] flags_sub ?(keep_z = false) t d r res =
+let[@inline] flags_sub ~keep_z t d r res =
   let s0 = sreg t in
   let res8 = res land 0xFF in
   let bw = (lnot d land r) lor (r land res) lor (res land lnot d) in
@@ -631,7 +631,7 @@ let[@inline] op_adc t d b =
 let[@inline] op_sub t d b =
   let a = reg t d in
   let res = a - b in
-  flags_sub t a b res;
+  flags_sub ~keep_z:false t a b res;
   set_reg t d res
 
 let[@inline] op_sbc t d b =
@@ -655,7 +655,7 @@ let[@inline] op_eor t d b =
   flags_logic t res;
   set_reg t d res
 
-let[@inline] op_cp t d b = flags_sub t (reg t d) b (reg t d - b)
+let[@inline] op_cp t d b = flags_sub ~keep_z:false t (reg t d) b (reg t d - b)
 
 let[@inline] op_cpc t d b =
   let c = if get_flag t Flag.c then 1 else 0 in
@@ -719,16 +719,12 @@ let[@inline] op_ror t d =
 let[@inline] op_asr t d =
   let a = reg t d in
   let res = (a lsr 1) lor (a land 0x80) in
-  let s0 = sreg t in
   let c = a land 1 <> 0 in
   let n = res land 0x80 <> 0 in
-  (* Net effect of the former sequence: S pairs N with the pre-update
-     V, then V becomes n xor c. *)
-  let v_old = (s0 lsr Flag.v) land 1 = 1 in
-  set_sreg t
-    (s0 land lnot mask_cvzns
-    lor fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n
-    lor fbit Flag.v (n <> c) lor fbit Flag.s (n <> v_old));
+  (* v = n xor c, so s = n xor v = c. *)
+  update_flags t ~mask:mask_cvzns
+    (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n
+    lor fbit Flag.v (n <> c) lor fbit Flag.s c);
   set_reg t d res
 
 let[@inline] op_swap t d =
@@ -1079,8 +1075,7 @@ let flag_masks (insn : Isa.t) : int * int =
   | Adc _ -> (mask_hcvzns, cbit)
   | Sbc _ | Sbci _ | Cpc _ -> (mask_hcvzns, cbit lor zbit)
   | And _ | Andi _ | Or _ | Ori _ | Eor _ | Inc _ | Dec _ -> (mask_vzns, 0)
-  | Com _ | Lsr _ -> (mask_cvzns, 0)
-  | Asr _ -> (mask_cvzns, 1 lsl Flag.v) (* its S pairs N with the V it replaces *)
+  | Com _ | Lsr _ | Asr _ -> (mask_cvzns, 0)
   | Ror _ -> (mask_cvzns, cbit)
   | Mul _ -> (cbit lor zbit, 0)
   | Adiw _ | Sbiw _ -> (mask_cvzn, 0)

@@ -24,9 +24,6 @@ let time f =
   let w1 = wall () and c1 = cpu () in
   (r, { wall_s = w1 -. w0; cpu_s = c1 -. c0 })
 
-let rate count span =
-  count /. (if span.wall_s > 0.0 then span.wall_s else epsilon_float)
-
 let span_to_json_fields s =
   [
     ("wall_s", Mavr_telemetry.Json.Float s.wall_s);

@@ -22,10 +22,6 @@ type span = { wall_s : float; cpu_s : float }
 (** [time f] runs [f ()] and measures it: [(result, span)]. *)
 val time : (unit -> 'a) -> 'a * span
 
-(** [rate count span] — events per wall-clock second, guarded against a
-    zero-length span. *)
-val rate : float -> span -> float
-
 val span_to_json_fields : span -> (string * Mavr_telemetry.Json.t) list
 
 (** [tracer ()] — a {!Mavr_telemetry.Span} tracer driven by this

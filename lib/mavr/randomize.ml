@@ -6,9 +6,7 @@ let plan img = Stream_patch.plan img ~page_bytes:Mavr_avr.Device.atmega2560.flas
 
 let apply img shuffle = Stream_patch.layout (plan img) shuffle
 
-let randomize_rng ~rng img = apply img (Shuffle.draw ~rng img)
-
-let randomize ~seed img = randomize_rng ~rng:(Rng.create ~seed) img
+let randomize ~seed img = apply img (Shuffle.draw ~rng:(Rng.create ~seed) img)
 
 let with_order img order = apply img (Shuffle.of_order img order)
 

@@ -19,10 +19,6 @@ val plan : Mavr_obj.Image.t -> Stream_patch.plan
     toolchain flags (cross-block relative transfers present). *)
 val randomize : seed:int -> Mavr_obj.Image.t -> Mavr_obj.Image.t
 
-(** [randomize_rng ~rng image] draws the permutation from an existing
-    generator (the master processor's state across re-randomizations). *)
-val randomize_rng : rng:Mavr_prng.Splitmix.t -> Mavr_obj.Image.t -> Mavr_obj.Image.t
-
 (** [with_order image order] applies a specific permutation — used by the
     brute-force experiments where the attacker enumerates layouts. *)
 val with_order : Mavr_obj.Image.t -> int array -> Mavr_obj.Image.t

@@ -250,19 +250,23 @@ let task_result_of_json ?tracer j =
 
 (* ---- task layout ----------------------------------------------------- *)
 
-(* Fixed and index-addressed for jobs-invariance: for each fault level,
-   the nd*na*trials attack grid followed by nd*trials attack-free control
-   flights. *)
-let layout ~faults ~trials =
-  let nd = Array.length defenses and na = Array.length attacks in
-  let nlevels = Array.length faults.Fault.Profile.levels in
-  let grid_tasks = nd * na * trials in
-  let per_level = grid_tasks + (nd * trials) in
-  (nd, na, nlevels, grid_tasks, per_level, nlevels * per_level)
+(* Fixed and index-addressed for jobs-invariance: the task space is a
+   sequence of [trials]-sized cells, cell [c] owning tasks [c * trials]
+   to [c * trials + trials - 1].  Per fault level come the nd*na attacked
+   cells (defense-major), then the nd attack-free control cells. *)
+let nd = Array.length defenses
+let na = Array.length attacks
+let cells_per_level = (nd * na) + nd
+let cell_count ~faults = Array.length faults.Fault.Profile.levels * cells_per_level
+
+(* Cell [c]'s fault level, defense and attack ([None] for a control). *)
+let cell_coords c =
+  let l = c / cells_per_level and r = c mod cells_per_level in
+  if r < nd * na then (l, r / na, Some (r mod na)) else (l, r - (nd * na), None)
 
 let checkpoint_spec ?(ms = 900) ?(faults = Fault.Profile.none) ?early_stop ?(traced = false)
     ~profile ~seed ~trials () =
-  let _, _, _, _, _, tasks = layout ~faults ~trials in
+  let tasks = cell_count ~faults * trials in
   let fields =
     [
       ("campaign", Json.String "montecarlo");
@@ -297,9 +301,9 @@ let attack_frames ti obs =
    merges shards by priming a fresh checkpoint with every shard's
    entries and re-running [run] over it, which executes zero trials).
    The global index space is the concatenation of [trials]-sized
-   per-cell blocks in cell order — [cell_base c = c * trials] — and
-   per-cell statistics ([key_stat]) read only that cell's own prefix, so
-   a sharded run's per-cell early-stop trajectory is identical to the
+   per-cell blocks in cell order (see [cell_coords]), and per-cell
+   statistics ([key_stat]) read only that cell's own prefix, so a
+   sharded run's per-cell early-stop trajectory is identical to the
    single-host one. *)
 let drive ?pool ?jobs ~ms ~faults ?tracer ?progress ?early_stop ?checkpoint
     ~cell_range:(cell_lo, cell_hi) ~seed ~trials (build : F.Build.t) =
@@ -312,7 +316,7 @@ let drive ?pool ?jobs ~ms ~faults ?tracer ?progress ?early_stop ?checkpoint
   let ti = Rop.analyze build in
   let obs = Rop.observe ti in
   let frames = Array.map (attack_frames ti obs) attacks in
-  let nd, na, nlevels, grid_tasks, per_level, tasks = layout ~faults ~trials in
+  let tasks = cell_count ~faults * trials in
   (* Running per-(defense, attack) tallies (summed across fault levels)
      for the progress heartbeat; atomics because worker domains bump
      them as trials land, in scheduling order. *)
@@ -364,18 +368,15 @@ let drive ?pool ?jobs ~ms ~faults ?tracer ?progress ?early_stop ?checkpoint
   let seeds = Engine.task_seeds ~seed ~tasks in
   let results : (outcome * Metrics.registry) option array = Array.make tasks None in
   let tally_outcome index o =
-    let rem = index mod per_level in
-    if rem < grid_tasks then begin
-      let d = rem / (na * trials) and ai = rem / trials mod na in
-      let done_, det, tk = tally.((d * na) + ai) in
-      Atomic.incr done_;
-      if o.detected then Atomic.incr det;
-      if o.takeover then Atomic.incr tk
-    end
-    else begin
-      Atomic.incr ctrl_flights;
-      if o.gcs_alarm_count > 0 then Atomic.incr ctrl_alarmed
-    end
+    match cell_coords (index / trials) with
+    | _, d, Some ai ->
+        let done_, det, tk = tally.((d * na) + ai) in
+        Atomic.incr done_;
+        if o.detected then Atomic.incr det;
+        if o.takeover then Atomic.incr tk
+    | _, _, None ->
+        Atomic.incr ctrl_flights;
+        if o.gcs_alarm_count > 0 then Atomic.incr ctrl_alarmed
   in
   (* Prime the frontier from the checkpoint: recorded results go back
      into their index slots (restoring their trace lanes when tracing),
@@ -397,39 +398,23 @@ let drive ?pool ?jobs ~ms ~faults ?tracer ?progress ?early_stop ?checkpoint
               | Error m -> raise (Checkpoint.Corrupt (Printf.sprintf "task %d: %s" i m))))
         (Checkpoint.entries ck));
   let body ~index ~rng =
-    let level = faults.Fault.Profile.levels.(index / per_level) in
+    let l, d, attack = cell_coords (index / trials) in
+    let level = faults.Fault.Profile.levels.(l) in
     let lname = level.Fault.Profile.name in
-    let rem = index mod per_level in
-    let inject, cell_label, span_args =
-      if rem < grid_tasks then begin
-        let d = rem / (na * trials) in
-        let ai = rem / trials mod na in
-        ( Some frames.(ai),
-          Printf.sprintf "%s/%s/%s" lname
-            (defense_name defenses.(d))
-            (attack_name attacks.(ai)),
-          [
-            ("index", Json.Int index);
-            ("level", Json.String lname);
-            ("defense", Json.String (defense_name defenses.(d)));
-            ("attack", Json.String (attack_name attacks.(ai)));
-          ] )
-      end
-      else begin
-        let d = (rem - grid_tasks) / trials in
-        ( None,
-          Printf.sprintf "%s/%s/control" lname (defense_name defenses.(d)),
-          [
-            ("index", Json.Int index);
-            ("level", Json.String lname);
-            ("defense", Json.String (defense_name defenses.(d)));
-            ("attack", Json.String "none");
-          ] )
-      end
+    let defense = defenses.(d) in
+    let inject = Option.map (fun ai -> frames.(ai)) attack in
+    let aname = match attack with Some ai -> attack_name attacks.(ai) | None -> "none" in
+    let cell_label =
+      Printf.sprintf "%s/%s/%s" lname (defense_name defense)
+        (if attack = None then "control" else aname)
     in
-    let defense =
-      if rem < grid_tasks then defenses.(rem / (na * trials))
-      else defenses.((rem - grid_tasks) / trials)
+    let span_args =
+      [
+        ("index", Json.Int index);
+        ("level", Json.String lname);
+        ("defense", Json.String (defense_name defense));
+        ("attack", Json.String aname);
+      ]
     in
     let lanes = lanes_for tracer ~index ~cell_label in
     let run_body () = trial ?lanes ~firmware ~inject ~defense ~level ~ms ~rng () in
@@ -444,20 +429,15 @@ let drive ?pool ?jobs ~ms ~faults ?tracer ?progress ?early_stop ?checkpoint
     | None -> ()
     | Some ck -> Checkpoint.record ck ~index (task_result_to_json ?lanes r)
   in
-  (* Statistical cells in fixed order: per level, the nd*na attacked
-     cells (defense-major) then the nd controls.  [cell_base] is strictly
-     increasing in the cell number, so ascending cell-major iteration
-     yields ascending global indices. *)
-  let cells_per_level = (nd * na) + nd in
-  let ncells = nlevels * cells_per_level in
+  (* Ascending cell-major iteration yields ascending global indices. *)
+  let ncells = cell_count ~faults in
   if cell_lo < 0 || cell_hi > ncells || cell_lo > cell_hi then
     invalid_arg
       (Printf.sprintf "Montecarlo: cell range [%d,%d) outside [0,%d)" cell_lo cell_hi ncells);
-  let cell_base c =
-    let l = c / cells_per_level and r = c mod cells_per_level in
-    (l * per_level) + (if r < nd * na then r * trials else grid_tasks + ((r - (nd * na)) * trials))
+  let is_control c =
+    let _, _, attack = cell_coords c in
+    attack = None
   in
-  let is_control c = c mod cells_per_level >= nd * na in
   (* Per-cell trial budget.  Without early stopping there is a single
      round at the full budget — exactly the old one-shot grid.  With it,
      every cell starts at min_trials and the driver runs deterministic
@@ -476,7 +456,7 @@ let drive ?pool ?jobs ~ms ~faults ?tracer ?progress ?early_stop ?checkpoint
   (* Successes among cell [c]'s first [n] trials: detections for
      attacked cells, alarmed flights (false alarms) for controls. *)
   let key_stat c n =
-    let base = cell_base c in
+    let base = c * trials in
     let k = ref 0 in
     for j = 0 to n - 1 do
       match results.(base + j) with
@@ -491,7 +471,7 @@ let drive ?pool ?jobs ~ms ~faults ?tracer ?progress ?early_stop ?checkpoint
   while !continue_ do
     let todo = ref [] in
     for c = cell_hi - 1 downto cell_lo do
-      let base = cell_base c in
+      let base = c * trials in
       for j = target.(c) - 1 downto 0 do
         if results.(base + j) = None then todo := (base + j) :: !todo
       done
@@ -528,7 +508,7 @@ let drive ?pool ?jobs ~ms ~faults ?tracer ?progress ?early_stop ?checkpoint
       match checkpoint with
       | None -> ()
       | Some ck ->
-          let base = cell_base c in
+          let base = c * trials in
           for j = tgt to trials - 1 do
             Checkpoint.skip ck ~index:(base + j) ~reason:"early_stop"
           done
@@ -538,16 +518,9 @@ let drive ?pool ?jobs ~ms ~faults ?tracer ?progress ?early_stop ?checkpoint
 
 let run ?pool ?jobs ?(ms = 900) ?(faults = Fault.Profile.none) ?tracer ?progress ?early_stop
     ?checkpoint ~seed ~trials (build : F.Build.t) =
-  let nd, na, nlevels, grid_tasks, per_level, _ = layout ~faults ~trials in
-  let cells_per_level = (nd * na) + nd in
-  let ncells = nlevels * cells_per_level in
   let results, target, cell_skipped, trials_skipped =
     drive ?pool ?jobs ~ms ~faults ?tracer ?progress ?early_stop ?checkpoint
-      ~cell_range:(0, ncells) ~seed ~trials build
-  in
-  let cell_base c =
-    let l = c / cells_per_level and r = c mod cells_per_level in
-    (l * per_level) + (if r < nd * na then r * trials else grid_tasks + ((r - (nd * na)) * trials))
+      ~cell_range:(0, cell_count ~faults) ~seed ~trials build
   in
   let metrics = Metrics.create () in
   Array.iter (function Some (_, r) -> Metrics.merge ~into:metrics r | None -> ()) results;
@@ -563,8 +536,7 @@ let run ?pool ?jobs ?(ms = 900) ?(faults = Fault.Profile.none) ?tracer ?progress
   let cell l d a =
     let c = (l * cells_per_level) + (d * na) + a in
     let n = target.(c) in
-    let base = cell_base c in
-    let fold f init = fold base n f init in
+    let fold f init = fold (c * trials) n f init in
     {
       defense = defenses.(d);
       attack = attacks.(a);
@@ -581,8 +553,7 @@ let run ?pool ?jobs ?(ms = 900) ?(faults = Fault.Profile.none) ?tracer ?progress
   let control l d =
     let c = (l * cells_per_level) + (nd * na) + d in
     let n = target.(c) in
-    let base = cell_base c in
-    let fold f init = fold base n f init in
+    let fold f init = fold (c * trials) n f init in
     {
       posture = defenses.(d);
       flights = n;
@@ -596,7 +567,7 @@ let run ?pool ?jobs ?(ms = 900) ?(faults = Fault.Profile.none) ?tracer ?progress
     }
   in
   let levels =
-    Array.init nlevels (fun l ->
+    Array.init (Array.length faults.Fault.Profile.levels) (fun l ->
         {
           level = faults.Fault.Profile.levels.(l);
           cells = Array.init (nd * na) (fun i -> cell l (i / na) (i mod na));
@@ -622,7 +593,7 @@ let run ?pool ?jobs ?(ms = 900) ?(faults = Fault.Profile.none) ?tracer ?progress
 let run_shard ?pool ?jobs ?(ms = 900) ?(faults = Fault.Profile.none) ?tracer ?progress
     ?early_stop ~checkpoint ~lo ~hi ~seed ~trials (build : F.Build.t) =
   if trials < 1 then invalid_arg "Montecarlo.run_shard: trials must be >= 1";
-  let _, _, _, _, _, tasks = layout ~faults ~trials in
+  let tasks = cell_count ~faults * trials in
   if lo < 0 || hi > tasks || lo > hi then
     invalid_arg (Printf.sprintf "Montecarlo.run_shard: range [%d,%d) outside [0,%d]" lo hi tasks);
   if lo mod trials <> 0 || hi mod trials <> 0 then
