@@ -118,7 +118,23 @@ let cmd_randomize =
        with it here by virtue of the process being single-threaded. *)
     let checked, span =
       Mavr_campaign.Clock.time (fun () ->
-          Mavr_core.Randomize.randomize_checked ~seed b.image)
+          match Mavr_core.Randomize.randomize ~seed b.image with
+          | exception Mavr_core.Stream_patch.Unpatchable m -> Error ("unpatchable image: " ^ m)
+          | r -> (
+              let original = b.image in
+              match Mavr_core.Randomize.verify_structure ~original ~randomized:r with
+              | Error m -> Error m
+              | Ok () -> (
+                  match Mavr_analysis.Equiv.validate ~original ~randomized:r with
+                  | Ok _ -> Ok r
+                  | Error (m :: _ as ms) ->
+                      Error
+                        (Format.asprintf "translation validation failed: %d mismatch(es), first: %a"
+                           (List.length ms) Mavr_analysis.Equiv.pp_mismatch m)
+                  | Error [] ->
+                      Error
+                        "translation validation failed: validator rejected the image without a \
+                         mismatch")))
     in
     match checked with
     | Error m ->
@@ -1304,20 +1320,6 @@ let cmd_tables =
     0
   in
   Cmd.v (Cmd.info "tables" ~doc:"Quick Table I/II/III summary") Term.(const run $ const ())
-
-(* Close the dependency loop at program start: Mavr_analysis.Equiv
-   depends on mavr_core, so the randomizer receives its translation
-   validator by injection.  Every randomize_checked call in this binary
-   proves semantic equivalence, not just structural sanity. *)
-let () =
-  Mavr_core.Randomize.set_translation_validator (fun ~original ~randomized ->
-      match Mavr_analysis.Equiv.validate ~original ~randomized with
-      | Ok _ -> Ok ()
-      | Error (m :: _ as ms) ->
-          Error
-            (Format.asprintf "%d mismatch(es), first: %a" (List.length ms)
-               Mavr_analysis.Equiv.pp_mismatch m)
-      | Error [] -> Error "validator rejected the image without a mismatch")
 
 let () =
   let doc = "MAVR: code-reuse stealthy attacks and mitigation on UAVs (ICDCS 2015 reproduction)" in

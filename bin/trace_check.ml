@@ -11,8 +11,9 @@
      trace_check --progress FILE  validate a Progress JSONL stream:
                                   every line parses, seq increases by 1,
                                   done is monotonic and never exceeds
-                                  total, and the stream ends with a
-                                  reason:"final" line at done = total
+                                  total, and the stream's one
+                                  reason:"final" line is its last, at
+                                  done = total
      trace_check --analyze FILE   validate a `mavr analyze --json`
                                   document against schema version 2:
                                   required cfg/gadgets/census sections
@@ -176,10 +177,10 @@ let jsonl_lines path =
   String.split_on_char '\n' (read_file path) |> List.filter (fun l -> String.trim l <> "")
 
 (* Core of --progress and the heartbeat prefix of --serve: returns
-   (lines, final done, final total, last reason). *)
+   (lines, final done, final total, last reason, final lines). *)
 let check_progress_lines lines =
   let last_seq = ref 0 and last_done = ref 0 and last_total = ref 0 in
-  let last_reason = ref "" in
+  let last_reason = ref "" and finals = ref 0 in
   List.iteri
     (fun i line ->
       let ctx = Printf.sprintf "line %d" (i + 1) in
@@ -195,19 +196,24 @@ let check_progress_lines lines =
       last_done := d;
       last_total := total;
       match str "reason" j with
-      | Some r -> last_reason := r
+      | Some r ->
+          if r = "final" then incr finals;
+          last_reason := r
       | None -> fail "%s: missing reason" ctx)
     lines;
-  (List.length lines, !last_done, !last_total, !last_reason)
+  (List.length lines, !last_done, !last_total, !last_reason, !finals)
+
+(* A finished run says so once, on its last line: a reader that stops at
+   the first final line must see the whole run. *)
+let require_one_final ~what reason finals =
+  if reason <> "final" then fail "%s ends with reason %S, expected \"final\"" what reason;
+  if finals <> 1 then fail "%s carries %d final lines, expected exactly one" what finals
 
 let validate_progress path =
   let lines = jsonl_lines path in
   if lines = [] then fail "empty progress stream";
-  let n, d, total, reason = check_progress_lines lines in
-  (* A stream that ends without a final line means the terminal heartbeat
-     was dropped — the bug the Progress.task_done frontier path exists to
-     prevent. *)
-  if reason <> "final" then fail "stream ends with reason %S, expected \"final\"" reason;
+  let n, d, total, reason, finals = check_progress_lines lines in
+  require_one_final ~what:"stream" reason finals;
   if d <> total then fail "final line reports %d/%d tasks" d total;
   Printf.printf "progress ok: %d lines, %d/%d tasks\n" n d total
 
@@ -222,8 +228,8 @@ let validate_progress path =
 let validate_dispatch path =
   let lines = jsonl_lines path in
   if lines = [] then fail "empty dispatch progress stream";
-  let n, d, total, reason = check_progress_lines lines in
-  if reason <> "final" then fail "stream ends with reason %S, expected \"final\"" reason;
+  let n, d, total, reason, finals = check_progress_lines lines in
+  require_one_final ~what:"stream" reason finals;
   if d <> total then fail "final line reports %d/%d tasks" d total;
   let shards0 = ref (-1) and workers0 = ref (-1) in
   let last_sd = ref 0 and last_dead = ref 0 and last_re = ref 0 in
@@ -360,16 +366,15 @@ let split_serve_lines path =
 
 let validate_serve path =
   let heartbeats, last = split_serve_lines path in
-  let n, d, total, reason =
-    if heartbeats = [] then (0, 0, 0, "final") else check_progress_lines heartbeats
+  let n, d, total, reason, finals =
+    if heartbeats = [] then (0, 0, 0, "final", 1) else check_progress_lines heartbeats
   in
   let lj = match J.of_string last with Ok j -> j | Error e -> fail "terminal line: %s" e in
   (match str "kind" lj with
   | Some "result" -> (
       (* A successful session's heartbeat stream obeys the same contract
          as --progress: it ends final, with every task done. *)
-      if heartbeats <> [] && reason <> "final" then
-        fail "heartbeats end with reason %S, expected \"final\"" reason;
+      require_one_final ~what:"heartbeat stream" reason finals;
       if d <> total then fail "final heartbeat reports %d/%d tasks" d total;
       match mem "result" lj with
       | Some _ -> ()

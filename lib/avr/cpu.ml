@@ -466,6 +466,7 @@ let shadow_ret t got =
 let flag_bit = 1
 
 let[@inline] get_flag t f = (sreg t lsr f) land 1 = flag_bit
+let[@inline] carry t = t.sreg_v land 1
 
 let set_flag t f v =
   let s = sreg t in
@@ -605,7 +606,12 @@ let take_timer_interrupt t =
    have if written out in place — no call and no closure, without
    flambda.  None of them charges cycles ([insn_cycles] does).  The
    register-register and register-immediate forms share one function,
-   which takes the second operand's value. *)
+   which takes the second operand's value.  A pure ALU function takes a
+   flags switch, [~fl]: the stepper passes [true], and the trace
+   compiler's flag-free closures pass [false] to skip the flag commit.
+   Every caller passes a literal, so inlining folds the test away.
+   Compares have no switch: with their flags dead they compile to
+   nothing. *)
 
 let base_reg = function Y -> y_reg | Z -> z_reg
 
@@ -616,139 +622,143 @@ let[@inline] op_movw t d r =
 let[@inline] op_ldi t d k = set_reg t d k
 let[@inline] op_mov t d r = set_reg t d (reg t r)
 
-let[@inline] op_add t d b =
+let[@inline] op_add ~fl t d b =
   let a = reg t d in
   let res = a + b in
-  flags_add t a b res;
+  if fl then flags_add t a b res;
   set_reg t d res
 
-let[@inline] op_adc t d b =
+let[@inline] op_adc ~fl t d b =
   let a = reg t d in
-  let res = a + b + if get_flag t Flag.c then 1 else 0 in
-  flags_add t a b res;
+  let res = a + b + carry t in
+  if fl then flags_add t a b res;
   set_reg t d res
 
-let[@inline] op_sub t d b =
+let[@inline] op_sub ~fl t d b =
   let a = reg t d in
   let res = a - b in
-  flags_sub ~keep_z:false t a b res;
+  if fl then flags_sub ~keep_z:false t a b res;
   set_reg t d res
 
-let[@inline] op_sbc t d b =
+let[@inline] op_sbc ~fl t d b =
   let a = reg t d in
-  let res = a - b - if get_flag t Flag.c then 1 else 0 in
-  flags_sub ~keep_z:true t a b res;
+  let res = a - b - carry t in
+  if fl then flags_sub ~keep_z:true t a b res;
   set_reg t d res
 
-let[@inline] op_and t d b =
+let[@inline] op_and ~fl t d b =
   let res = reg t d land b in
-  flags_logic t res;
+  if fl then flags_logic t res;
   set_reg t d res
 
-let[@inline] op_or t d b =
+let[@inline] op_or ~fl t d b =
   let res = reg t d lor b in
-  flags_logic t res;
+  if fl then flags_logic t res;
   set_reg t d res
 
-let[@inline] op_eor t d b =
+let[@inline] op_eor ~fl t d b =
   let res = reg t d lxor b in
-  flags_logic t res;
+  if fl then flags_logic t res;
   set_reg t d res
 
 let[@inline] op_cp t d b = flags_sub ~keep_z:false t (reg t d) b (reg t d - b)
+let[@inline] op_cpc t d b = flags_sub ~keep_z:true t (reg t d) b (reg t d - b - carry t)
 
-let[@inline] op_cpc t d b =
-  let c = if get_flag t Flag.c then 1 else 0 in
-  flags_sub ~keep_z:true t (reg t d) b (reg t d - b - c)
-
-let[@inline] op_mul t d r =
+let[@inline] op_mul ~fl t d r =
   let p = reg t d * reg t r in
   set_reg t 0 (p land 0xFF);
   set_reg t 1 ((p lsr 8) land 0xFF);
-  update_flags t
-    ~mask:((1 lsl Flag.c) lor (1 lsl Flag.z))
-    (fbit Flag.c (p land 0x8000 <> 0) lor fbit Flag.z (p land 0xFFFF = 0))
+  if fl then
+    update_flags t
+      ~mask:((1 lsl Flag.c) lor (1 lsl Flag.z))
+      (fbit Flag.c (p land 0x8000 <> 0) lor fbit Flag.z (p land 0xFFFF = 0))
 
-let[@inline] op_com t d =
+let[@inline] op_com ~fl t d =
   let res = 0xFF - reg t d in
-  update_flags t ~mask:mask_cvzns ((1 lsl Flag.c) lor zns_bits res ~v:false);
+  if fl then update_flags t ~mask:mask_cvzns ((1 lsl Flag.c) lor zns_bits res ~v:false);
   set_reg t d res
 
-let[@inline] op_neg t d =
+let[@inline] op_neg ~fl t d =
   let a = reg t d in
   let res = (0x100 - a) land 0xFF in
   let v = res = 0x80 in
-  update_flags t ~mask:mask_hcvzns
-    (fbit Flag.c (res <> 0) lor fbit Flag.v v
-    lor fbit Flag.h ((res lor a) land 0x08 <> 0)
-    lor zns_bits res ~v);
+  if fl then
+    update_flags t ~mask:mask_hcvzns
+      (fbit Flag.c (res <> 0) lor fbit Flag.v v
+      lor fbit Flag.h ((res lor a) land 0x08 <> 0)
+      lor zns_bits res ~v);
   set_reg t d res
 
-let[@inline] op_inc t d =
+let[@inline] op_inc ~fl t d =
   let res = (reg t d + 1) land 0xFF in
   let v = res = 0x80 in
-  update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
+  if fl then update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
   set_reg t d res
 
-let[@inline] op_dec t d =
+let[@inline] op_dec ~fl t d =
   let res = (reg t d - 1) land 0xFF in
   let v = res = 0x7F in
-  update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
+  if fl then update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
   set_reg t d res
 
-let[@inline] op_lsr t d =
+let[@inline] op_lsr ~fl t d =
   let a = reg t d in
   let res = a lsr 1 in
   (* n = 0, v = c, s = n xor v = v. *)
   let c = a land 1 <> 0 in
-  update_flags t ~mask:mask_cvzns
-    (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.v c lor fbit Flag.s c);
+  if fl then
+    update_flags t ~mask:mask_cvzns
+      (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.v c lor fbit Flag.s c);
   set_reg t d res
 
-let[@inline] op_ror t d =
+let[@inline] op_ror ~fl t d =
   let a = reg t d in
-  let res = (a lsr 1) lor (if get_flag t Flag.c then 0x80 else 0) in
+  let res = (a lsr 1) lor (carry t lsl 7) in
   let c = a land 1 <> 0 in
   let n = res land 0x80 <> 0 in
   let v = n <> c in
-  update_flags t ~mask:mask_cvzns
-    (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n lor fbit Flag.v v
-    lor fbit Flag.s (n <> v));
+  if fl then
+    update_flags t ~mask:mask_cvzns
+      (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n lor fbit Flag.v v
+      lor fbit Flag.s (n <> v));
   set_reg t d res
 
-let[@inline] op_asr t d =
+let[@inline] op_asr ~fl t d =
   let a = reg t d in
   let res = (a lsr 1) lor (a land 0x80) in
   let c = a land 1 <> 0 in
   let n = res land 0x80 <> 0 in
   (* v = n xor c, so s = n xor v = c. *)
-  update_flags t ~mask:mask_cvzns
-    (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n
-    lor fbit Flag.v (n <> c) lor fbit Flag.s c);
+  if fl then
+    update_flags t ~mask:mask_cvzns
+      (fbit Flag.c c lor fbit Flag.z (res = 0) lor fbit Flag.n n
+      lor fbit Flag.v (n <> c) lor fbit Flag.s c);
   set_reg t d res
 
 let[@inline] op_swap t d =
   let a = reg t d in
   set_reg t d (((a lsl 4) lor (a lsr 4)) land 0xFF)
 
-let[@inline] op_adiw t d k =
+let[@inline] op_adiw ~fl t d k =
   let v = word_reg t d in
   let res = (v + k) land 0xFFFF in
-  update_flags t ~mask:mask_cvzn
-    (fbit Flag.c (v + k > 0xFFFF)
-    lor fbit Flag.z (res = 0)
-    lor fbit Flag.n (res land 0x8000 <> 0)
-    lor fbit Flag.v (res land 0x8000 <> 0 && v land 0x8000 = 0));
+  if fl then
+    update_flags t ~mask:mask_cvzn
+      (fbit Flag.c (v + k > 0xFFFF)
+      lor fbit Flag.z (res = 0)
+      lor fbit Flag.n (res land 0x8000 <> 0)
+      lor fbit Flag.v (res land 0x8000 <> 0 && v land 0x8000 = 0));
   set_word_reg t d res
 
-let[@inline] op_sbiw t d k =
+let[@inline] op_sbiw ~fl t d k =
   let v = word_reg t d in
   let res = (v - k) land 0xFFFF in
-  update_flags t ~mask:mask_cvzn
-    (fbit Flag.c (v < k)
-    lor fbit Flag.z (res = 0)
-    lor fbit Flag.n (res land 0x8000 <> 0)
-    lor fbit Flag.v (res land 0x8000 = 0 && v land 0x8000 <> 0));
+  if fl then
+    update_flags t ~mask:mask_cvzn
+      (fbit Flag.c (v < k)
+      lor fbit Flag.z (res = 0)
+      lor fbit Flag.n (res land 0x8000 <> 0)
+      lor fbit Flag.v (res land 0x8000 = 0 && v land 0x8000 <> 0));
   set_word_reg t d res
 
 (* [lpm] is [lpm r0, Z]; likewise [elpm]. *)
@@ -812,31 +822,31 @@ let exec_insn t pc0 (insn : Isa.t) cost =
   | Movw (d, r) -> op_movw t d r
   | Ldi (d, k) -> op_ldi t d k
   | Mov (d, r) -> op_mov t d r
-  | Add (d, r) -> op_add t d (reg t r)
-  | Adc (d, r) -> op_adc t d (reg t r)
-  | Sub (d, r) -> op_sub t d (reg t r)
-  | Sbc (d, r) -> op_sbc t d (reg t r)
-  | And (d, r) -> op_and t d (reg t r)
-  | Or (d, r) -> op_or t d (reg t r)
-  | Eor (d, r) -> op_eor t d (reg t r)
+  | Add (d, r) -> op_add ~fl:true t d (reg t r)
+  | Adc (d, r) -> op_adc ~fl:true t d (reg t r)
+  | Sub (d, r) -> op_sub ~fl:true t d (reg t r)
+  | Sbc (d, r) -> op_sbc ~fl:true t d (reg t r)
+  | And (d, r) -> op_and ~fl:true t d (reg t r)
+  | Or (d, r) -> op_or ~fl:true t d (reg t r)
+  | Eor (d, r) -> op_eor ~fl:true t d (reg t r)
   | Cp (d, r) -> op_cp t d (reg t r)
   | Cpc (d, r) -> op_cpc t d (reg t r)
-  | Mul (d, r) -> op_mul t d r
-  | Subi (d, k) -> op_sub t d k
-  | Sbci (d, k) -> op_sbc t d k
-  | Andi (d, k) -> op_and t d k
-  | Ori (d, k) -> op_or t d k
+  | Mul (d, r) -> op_mul ~fl:true t d r
+  | Subi (d, k) -> op_sub ~fl:true t d k
+  | Sbci (d, k) -> op_sbc ~fl:true t d k
+  | Andi (d, k) -> op_and ~fl:true t d k
+  | Ori (d, k) -> op_or ~fl:true t d k
   | Cpi (d, k) -> op_cp t d k
-  | Com d -> op_com t d
-  | Neg d -> op_neg t d
-  | Inc d -> op_inc t d
-  | Dec d -> op_dec t d
-  | Lsr d -> op_lsr t d
-  | Ror d -> op_ror t d
-  | Asr d -> op_asr t d
+  | Com d -> op_com ~fl:true t d
+  | Neg d -> op_neg ~fl:true t d
+  | Inc d -> op_inc ~fl:true t d
+  | Dec d -> op_dec ~fl:true t d
+  | Lsr d -> op_lsr ~fl:true t d
+  | Ror d -> op_ror ~fl:true t d
+  | Asr d -> op_asr ~fl:true t d
   | Swap d -> op_swap t d
-  | Adiw (d, k) -> op_adiw t d k
-  | Sbiw (d, k) -> op_sbiw t d k
+  | Adiw (d, k) -> op_adiw ~fl:true t d k
+  | Sbiw (d, k) -> op_sbiw ~fl:true t d k
   | Lpm0 -> op_lpm t 0 false
   | Lpm (d, inc) -> op_lpm t d inc
   | Elpm0 -> op_elpm t 0 false
@@ -969,7 +979,7 @@ let superblocks_enabled t = t.use_superblocks
    runs — and tail-calls the continuation: continuation-threaded code,
    one indirect call per instruction, no dispatch loop.
 
-   Cycle accounting is batched: [FPure] closures never touch
+   Cycle accounting is batched: [FPure] and [FAlu] closures never touch
    [t.cycles].  Their static costs ([insn_cycles]) accumulate in a
    compile-time [pending] counter that is flushed (one add of a
    captured constant) immediately before any operation able to observe
@@ -980,14 +990,29 @@ let superblocks_enabled t = t.use_superblocks
    take the flush amount; [FStore] builders additionally take a stop
    continuation, because [io_write] can set [t.block_stop] (timer
    re-arm, SREG.I set) which must abandon the rest of the fused trace
-   after the current instruction. *)
+   after the current instruction.
+
+   A pure ALU instruction ([FAlu]) picks one of two literal closures
+   over its [op_*], each passing a literal [~fl], so inlining folds the
+   flag switch away.  With [flags] the op commits its flags, then
+   continues at [kc] when SREG land [mask] = [want] and otherwise
+   leaves by [kx]: a lone op has [mask] = 0 and always continues, and
+   an ALU op followed by a flag branch is one closure, the branch's test
+   folded in.  Without, where per-flag liveness finds every flag the op
+   writes dead, the op skips its flag commit and continues at [kc]; a
+   dead compare is [kc] itself, so it compiles to nothing. *)
+type after = { mask : int; want : int; kc : t -> unit; kx : t -> unit }
+
 type fuse =
   | FPure of ((t -> unit) -> t -> unit) (* builder k *)
+  | FAlu of (bool -> after -> t -> unit) (* builder flags after *)
   | FLoad of (int -> (t -> unit) -> t -> unit) (* builder flush k *)
   | FStore of (int -> (t -> unit) -> (t -> unit) -> t -> unit) (* builder flush stop k *)
 
 let[@inline] flush t fl = t.cycles <- t.cycles + fl
 let[@inline] resume t stop k = if t.block_stop then stop t else k t
+let[@inline] next t a = if t.sreg_v land a.mask = a.want then a.kc t else a.kx t
+let alu f = Some (FAlu f)
 
 let compile_body (insn : Isa.t) : fuse option =
   match insn with
@@ -995,31 +1020,52 @@ let compile_body (insn : Isa.t) : fuse option =
   | Movw (d, r) -> Some (FPure (fun k t -> op_movw t d r; k t))
   | Ldi (d, v) -> Some (FPure (fun k t -> op_ldi t d v; k t))
   | Mov (d, r) -> Some (FPure (fun k t -> op_mov t d r; k t))
-  | Add (d, r) -> Some (FPure (fun k t -> op_add t d (reg t r); k t))
-  | Adc (d, r) -> Some (FPure (fun k t -> op_adc t d (reg t r); k t))
-  | Sub (d, r) -> Some (FPure (fun k t -> op_sub t d (reg t r); k t))
-  | Sbc (d, r) -> Some (FPure (fun k t -> op_sbc t d (reg t r); k t))
-  | And (d, r) -> Some (FPure (fun k t -> op_and t d (reg t r); k t))
-  | Or (d, r) -> Some (FPure (fun k t -> op_or t d (reg t r); k t))
-  | Eor (d, r) -> Some (FPure (fun k t -> op_eor t d (reg t r); k t))
-  | Cp (d, r) -> Some (FPure (fun k t -> op_cp t d (reg t r); k t))
-  | Cpc (d, r) -> Some (FPure (fun k t -> op_cpc t d (reg t r); k t))
-  | Mul (d, r) -> Some (FPure (fun k t -> op_mul t d r; k t))
-  | Subi (d, v) -> Some (FPure (fun k t -> op_sub t d v; k t))
-  | Sbci (d, v) -> Some (FPure (fun k t -> op_sbc t d v; k t))
-  | Andi (d, v) -> Some (FPure (fun k t -> op_and t d v; k t))
-  | Ori (d, v) -> Some (FPure (fun k t -> op_or t d v; k t))
-  | Cpi (d, v) -> Some (FPure (fun k t -> op_cp t d v; k t))
-  | Com d -> Some (FPure (fun k t -> op_com t d; k t))
-  | Neg d -> Some (FPure (fun k t -> op_neg t d; k t))
-  | Inc d -> Some (FPure (fun k t -> op_inc t d; k t))
-  | Dec d -> Some (FPure (fun k t -> op_dec t d; k t))
-  | Lsr d -> Some (FPure (fun k t -> op_lsr t d; k t))
-  | Ror d -> Some (FPure (fun k t -> op_ror t d; k t))
-  | Asr d -> Some (FPure (fun k t -> op_asr t d; k t))
+  | Add (d, r) -> alu (fun fl a -> if fl then (fun t -> op_add ~fl:true t d (reg t r); next t a)
+      else fun t -> op_add ~fl:false t d (reg t r); a.kc t)
+  | Adc (d, r) -> alu (fun fl a -> if fl then (fun t -> op_adc ~fl:true t d (reg t r); next t a)
+      else fun t -> op_adc ~fl:false t d (reg t r); a.kc t)
+  | Sub (d, r) -> alu (fun fl a -> if fl then (fun t -> op_sub ~fl:true t d (reg t r); next t a)
+      else fun t -> op_sub ~fl:false t d (reg t r); a.kc t)
+  | Sbc (d, r) -> alu (fun fl a -> if fl then (fun t -> op_sbc ~fl:true t d (reg t r); next t a)
+      else fun t -> op_sbc ~fl:false t d (reg t r); a.kc t)
+  | And (d, r) -> alu (fun fl a -> if fl then (fun t -> op_and ~fl:true t d (reg t r); next t a)
+      else fun t -> op_and ~fl:false t d (reg t r); a.kc t)
+  | Or (d, r) -> alu (fun fl a -> if fl then (fun t -> op_or ~fl:true t d (reg t r); next t a)
+      else fun t -> op_or ~fl:false t d (reg t r); a.kc t)
+  | Eor (d, r) -> alu (fun fl a -> if fl then (fun t -> op_eor ~fl:true t d (reg t r); next t a)
+      else fun t -> op_eor ~fl:false t d (reg t r); a.kc t)
+  | Cp (d, r) -> alu (fun fl a -> if fl then (fun t -> op_cp t d (reg t r); next t a) else a.kc)
+  | Cpc (d, r) -> alu (fun fl a -> if fl then (fun t -> op_cpc t d (reg t r); next t a) else a.kc)
+  | Mul (d, r) -> alu (fun fl a -> if fl then (fun t -> op_mul ~fl:true t d r; next t a)
+      else fun t -> op_mul ~fl:false t d r; a.kc t)
+  | Subi (d, v) -> alu (fun fl a -> if fl then (fun t -> op_sub ~fl:true t d v; next t a)
+      else fun t -> op_sub ~fl:false t d v; a.kc t)
+  | Sbci (d, v) -> alu (fun fl a -> if fl then (fun t -> op_sbc ~fl:true t d v; next t a)
+      else fun t -> op_sbc ~fl:false t d v; a.kc t)
+  | Andi (d, v) -> alu (fun fl a -> if fl then (fun t -> op_and ~fl:true t d v; next t a)
+      else fun t -> op_and ~fl:false t d v; a.kc t)
+  | Ori (d, v) -> alu (fun fl a -> if fl then (fun t -> op_or ~fl:true t d v; next t a)
+      else fun t -> op_or ~fl:false t d v; a.kc t)
+  | Cpi (d, v) -> alu (fun fl a -> if fl then (fun t -> op_cp t d v; next t a) else a.kc)
+  | Com d -> alu (fun fl a -> if fl then (fun t -> op_com ~fl:true t d; next t a)
+      else fun t -> op_com ~fl:false t d; a.kc t)
+  | Neg d -> alu (fun fl a -> if fl then (fun t -> op_neg ~fl:true t d; next t a)
+      else fun t -> op_neg ~fl:false t d; a.kc t)
+  | Inc d -> alu (fun fl a -> if fl then (fun t -> op_inc ~fl:true t d; next t a)
+      else fun t -> op_inc ~fl:false t d; a.kc t)
+  | Dec d -> alu (fun fl a -> if fl then (fun t -> op_dec ~fl:true t d; next t a)
+      else fun t -> op_dec ~fl:false t d; a.kc t)
+  | Lsr d -> alu (fun fl a -> if fl then (fun t -> op_lsr ~fl:true t d; next t a)
+      else fun t -> op_lsr ~fl:false t d; a.kc t)
+  | Ror d -> alu (fun fl a -> if fl then (fun t -> op_ror ~fl:true t d; next t a)
+      else fun t -> op_ror ~fl:false t d; a.kc t)
+  | Asr d -> alu (fun fl a -> if fl then (fun t -> op_asr ~fl:true t d; next t a)
+      else fun t -> op_asr ~fl:false t d; a.kc t)
   | Swap d -> Some (FPure (fun k t -> op_swap t d; k t))
-  | Adiw (d, v) -> Some (FPure (fun k t -> op_adiw t d v; k t))
-  | Sbiw (d, v) -> Some (FPure (fun k t -> op_sbiw t d v; k t))
+  | Adiw (d, v) -> alu (fun fl a -> if fl then (fun t -> op_adiw ~fl:true t d v; next t a)
+      else fun t -> op_adiw ~fl:false t d v; a.kc t)
+  | Sbiw (d, v) -> alu (fun fl a -> if fl then (fun t -> op_sbiw ~fl:true t d v; next t a)
+      else fun t -> op_sbiw ~fl:false t d v; a.kc t)
   | Lpm0 -> Some (FPure (fun k t -> op_lpm t 0 false; k t))
   | Lpm (d, inc) -> Some (FPure (fun k t -> op_lpm t d inc; k t))
   | Elpm0 -> Some (FPure (fun k t -> op_elpm t 0 false; k t))
@@ -1085,158 +1131,6 @@ let flag_masks (insn : Isa.t) : int * int =
   | Nop | Movw _ | Ldi _ | Mov _ | Swap _ | Wdr
   | Lpm0 | Lpm _ | Elpm0 | Elpm _ -> (0, 0)
   | _ -> (0, allf)
-
-(* Flag-free bodies for the pure ALU ops.  [NfElide] marks compares:   *)
-(* with dead flags they have no effect at all and compile to nothing.  *)
-type nf =
-  | NfNone
-  | NfElide
-  | NfMk of ((t -> unit) -> t -> unit)
-
-let compile_flagless (insn : Isa.t) : nf =
-  match insn with
-  | Cp _ | Cpc _ | Cpi _ -> NfElide
-  | Add (d, r) -> NfMk (fun k t -> set_reg t d (reg t d + reg t r); k t)
-  | Adc (d, r) ->
-      NfMk (fun k t -> set_reg t d (reg t d + reg t r + (t.sreg_v land 1)); k t)
-  | Sub (d, r) -> NfMk (fun k t -> set_reg t d (reg t d - reg t r); k t)
-  | Sbc (d, r) ->
-      NfMk (fun k t -> set_reg t d (reg t d - reg t r - (t.sreg_v land 1)); k t)
-  | Subi (d, v) -> NfMk (fun k t -> set_reg t d (reg t d - v); k t)
-  | Sbci (d, v) ->
-      NfMk (fun k t -> set_reg t d (reg t d - v - (t.sreg_v land 1)); k t)
-  | And (d, r) -> NfMk (fun k t -> set_reg t d (reg t d land reg t r); k t)
-  | Andi (d, v) -> NfMk (fun k t -> set_reg t d (reg t d land v); k t)
-  | Or (d, r) -> NfMk (fun k t -> set_reg t d (reg t d lor reg t r); k t)
-  | Ori (d, v) -> NfMk (fun k t -> set_reg t d (reg t d lor v); k t)
-  | Eor (d, r) -> NfMk (fun k t -> set_reg t d (reg t d lxor reg t r); k t)
-  | Inc d -> NfMk (fun k t -> set_reg t d (reg t d + 1); k t)
-  | Dec d -> NfMk (fun k t -> set_reg t d (reg t d - 1); k t)
-  | Com d -> NfMk (fun k t -> set_reg t d (0xFF - reg t d); k t)
-  | Neg d -> NfMk (fun k t -> set_reg t d (0x100 - reg t d); k t)
-  | Lsr d -> NfMk (fun k t -> set_reg t d (reg t d lsr 1); k t)
-  | Asr d ->
-      NfMk
-        (fun k t ->
-          let a = reg t d in
-          set_reg t d ((a lsr 1) lor (a land 0x80));
-          k t)
-  | Ror d ->
-      NfMk
-        (fun k t ->
-          let a = reg t d in
-          set_reg t d ((a lsr 1) lor ((t.sreg_v land 1) lsl 7));
-          k t)
-  | Mul (d, r) ->
-      NfMk
-        (fun k t ->
-          let p = reg t d * reg t r in
-          set_reg t 0 p;
-          set_reg t 1 (p lsr 8);
-          k t)
-  | Adiw (d, v) -> NfMk (fun k t -> set_word_reg t d (word_reg t d + v); k t)
-  | Sbiw (d, v) -> NfMk (fun k t -> set_word_reg t d (word_reg t d - v); k t)
-  | _ -> NfNone
-
-(* ALU + flag-branch superinstruction: when a pure ALU op is followed  *)
-(* by a branch on a flag it writes, and the rest of its flags are dead *)
-(* along the predicted path, the pair compiles to one closure that     *)
-(* tests the would-be flag straight from the arithmetic.  The full     *)
-(* SREG update is materialised only on the mispredicted side exit,     *)
-(* immediately before control leaves the trace, so the architectural   *)
-(* flag state at every observation point is bit-identical to stepping. *)
-let pair_fuse (insn : Isa.t) ~flag ~sense ~(kc : t -> unit) ~(kx : t -> unit) :
-    (t -> unit) option =
-  let zf = Flag.z and cf = Flag.c and nf = Flag.n in
-  let zmask = 1 lsl Flag.z in
-  let sub2 geta getb dest ~keep =
-    if flag = zf || flag = nf || flag = cf then
-      Some
-        (fun t ->
-          let a = geta t and b = getb t in
-          let res = a - b - (if keep then t.sreg_v land 1 else 0) in
-          let zkeep = (not keep) || t.sreg_v land zmask <> 0 in
-          (match dest with Some d -> set_reg t d res | None -> ());
-          let fv =
-            if flag = cf then res < 0
-            else if flag = nf then res land 0x80 <> 0
-            else res land 0xFF = 0 && zkeep
-          in
-          if fv = sense then kc t
-          else begin
-            flags_sub ~keep_z:keep t a b res;
-            kx t
-          end)
-    else None
-  in
-  let add2 d getb ~carry =
-    if flag = zf || flag = nf || flag = cf then
-      Some
-        (fun t ->
-          let a = reg t d and b = getb t in
-          let res = a + b + (if carry then t.sreg_v land 1 else 0) in
-          set_reg t d res;
-          let fv =
-            if flag = cf then res > 0xFF
-            else if flag = nf then res land 0x80 <> 0
-            else res land 0xFF = 0
-          in
-          if fv = sense then kc t
-          else begin
-            flags_add t a b res;
-            kx t
-          end)
-    else None
-  in
-  let logic2 d mkres =
-    if flag = zf || flag = nf then
-      Some
-        (fun t ->
-          let res = mkres t in
-          set_reg t d res;
-          let fv = if flag = nf then res land 0x80 <> 0 else res = 0 in
-          if fv = sense then kc t
-          else begin
-            flags_logic t res;
-            kx t
-          end)
-    else None
-  in
-  let step1 d delta vmagic =
-    if flag = zf || flag = nf then
-      Some
-        (fun t ->
-          let res = (reg t d + delta) land 0xFF in
-          set_reg t d res;
-          let fv = if flag = nf then res land 0x80 <> 0 else res = 0 in
-          if fv = sense then kc t
-          else begin
-            let v = res = vmagic in
-            update_flags t ~mask:mask_vzns (fbit Flag.v v lor zns_bits res ~v);
-            kx t
-          end)
-    else None
-  in
-  let rd r t = reg t r
-  and ct v _ = v in
-  match insn with
-  | Dec d -> step1 d (-1) 0x7F
-  | Inc d -> step1 d 1 0x80
-  | Subi (d, v) -> sub2 (rd d) (ct v) (Some d) ~keep:false
-  | Cpi (d, v) -> sub2 (rd d) (ct v) None ~keep:false
-  | Sub (d, r) -> sub2 (rd d) (rd r) (Some d) ~keep:false
-  | Cp (d, r) -> sub2 (rd d) (rd r) None ~keep:false
-  | Sbci (d, v) -> sub2 (rd d) (ct v) (Some d) ~keep:true
-  | Sbc (d, r) -> sub2 (rd d) (rd r) (Some d) ~keep:true
-  | Cpc (d, r) -> sub2 (rd d) (rd r) None ~keep:true
-  | Add (d, r) -> add2 d (rd r) ~carry:false
-  | Adc (d, r) -> add2 d (rd r) ~carry:true
-  | And (d, r) -> logic2 d (fun t -> reg t d land reg t r)
-  | Andi (d, v) -> logic2 d (fun t -> reg t d land v)
-  | Or (d, r) -> logic2 d (fun t -> reg t d lor reg t r)
-  | Ori (d, v) -> logic2 d (fun t -> reg t d lor v)
-  | Eor (d, r) -> logic2 d (fun t -> reg t d lxor reg t r)
-  | _ -> None
 
 (* Trace length cap: bounds compile latency, the worst-case cycle span
    a fused trace can cover (the entry-time interrupt margin), and the
@@ -1384,7 +1278,7 @@ let compile_block t entry_pc =
     let s = arr.(i) in
     pend.(i + 1) <-
       (match s.s_kind with
-      | KBody (FPure _) | KGoto -> pend.(i) + s.s_cost
+      | KBody (FPure _ | FAlu _) | KGoto -> pend.(i) + s.s_cost
       | KBody (FLoad _ | FStore _) | KCall _ -> s.s_cost
       | KCond (ct, cont_cost, _, _) ->
           (if ctest_io ct then 0 else pend.(i)) + cont_cost)
@@ -1397,7 +1291,7 @@ let compile_block t entry_pc =
   for i = nslots - 1 downto 0 do
     live.(i) <-
       (match arr.(i).s_kind with
-      | KBody (FPure _) ->
+      | KBody (FPure _ | FAlu _) ->
           let wr, rd = flag_masks arr.(i).s_insn in
           (live.(i + 1) land lnot wr) lor rd
       | KBody (FLoad _ | FStore _) | KCall _ | KCond _ -> allf
@@ -1439,31 +1333,18 @@ let compile_block t entry_pc =
       let knext = ks.(i + 1) in
       ks.(i) <-
         (match s.s_kind with
-        | KBody (FPure mk) -> (
-            let wr, _ = flag_masks s.s_insn in
-            (* ALU + flag-branch pair: the branch must test a flag this
-               op writes, and the op's remaining flags must be dead
-               along the continue path (the pair's own side exit
-               materialises them). *)
-            let fused =
-              if wr = 0 || i + 1 >= nslots then None
-              else
-                match arr.(i + 1).s_kind with
-                | KCond (CFlag (b, sense), _, exit_pc, exit_cost)
-                  when wr land (1 lsl b) <> 0 && wr land live.(i + 2) = 0 ->
-                    let kx = mk_exit (pend.(i + 1) + exit_cost) exit_pc (i + 2) in
-                    pair_fuse s.s_insn ~flag:b ~sense ~kc:ks.(i + 2) ~kx
-                | _ -> None
-            in
-            match fused with
-            | Some f -> f
-            | None ->
-                if wr <> 0 && wr land live.(i + 1) = 0 then
-                  match compile_flagless s.s_insn with
-                  | NfElide -> knext
-                  | NfMk mknf -> mknf knext
-                  | NfNone -> mk knext
-                else mk knext)
+        | KBody (FPure mk) -> mk knext
+        | KBody (FAlu mk) -> (
+            match if i + 1 < nslots then Some arr.(i + 1).s_kind else None with
+            | Some (KCond (CFlag (b, sense), _, exit_pc, exit_cost)) ->
+                (* ALU + flag-branch pair: the op commits every flag it
+                   writes, so either way out sees stepping's SREG. *)
+                let mask = 1 lsl b in
+                let kx = mk_exit (pend.(i + 1) + exit_cost) exit_pc (i + 2) in
+                mk true { mask; want = (if sense then mask else 0); kc = ks.(i + 2); kx }
+            | _ ->
+                let flags = fst (flag_masks s.s_insn) land live.(i + 1) <> 0 in
+                mk flags { mask = 0; want = 0; kc = knext; kx = knext })
         | KBody (FLoad mk) -> mk pend.(i) knext
         | KBody (FStore mk) -> mk pend.(i) (mk_exit s.s_cost s.s_next cnt) knext
         | KGoto -> knext

@@ -154,25 +154,19 @@ let attach ?(prefix = "avr") ?(recorder_capacity = 64) ~registry cpu =
   (* Single-stepped instructions (interrupt windows, superblocks off)
      are classified eagerly — that path is already per-instruction. *)
   let stepped = p.stepped in
+  (* The tables keyed by block grow by doubling, at least to [i + 1]. *)
+  let grow a i fill =
+    let n = Array.make (max (i + 1) (2 * Array.length a)) fill in
+    Array.blit a 0 n 0 (Array.length a);
+    n
+  in
   let ensure_exec idx =
-    let m = p.execs in
-    if idx < Array.length m then m
-    else begin
-      let n = Array.make (max (idx + 1) (2 * Array.length m)) 0 in
-      Array.blit m 0 n 0 (Array.length m);
-      p.execs <- n;
-      n
-    end
+    if idx >= Array.length p.execs then p.execs <- grow p.execs idx 0;
+    p.execs
   in
   let ensure_info key =
-    let m = p.infos in
-    if key < Array.length m then m
-    else begin
-      let n = Array.make (max (key + 1) (2 * Array.length m)) None in
-      Array.blit m 0 n 0 (Array.length m);
-      p.infos <- n;
-      n
-    end
+    if key >= Array.length p.infos then p.infos <- grow p.infos key None;
+    p.infos
   in
   (* Aggregation, amortized across the 13 mix cells: one cumulative
      prefix walk over every block ever executed, cached until more
@@ -222,16 +216,8 @@ let attach ?(prefix = "avr") ?(recorder_capacity = 64) ~registry cpu =
   let heads = ref (Array.make 256 no_head) in
   let head (info : Cpu.block_info) =
     let key = info.Cpu.bi_key in
+    if key >= Array.length !heads then heads := grow !heads key no_head;
     let h = !heads in
-    let h =
-      if key < Array.length h then h
-      else begin
-        let n = Array.make (max (key + 1) (2 * Array.length h)) no_head in
-        Array.blit h 0 n 0 (Array.length h);
-        heads := n;
-        n
-      end
-    in
     let s = Array.unsafe_get h key in
     if s != no_head then s
     else begin

@@ -15,9 +15,6 @@ let run_tasks ?pool ?jobs ~tasks body =
   | Some p -> Pool.run p ~tasks body
   | None -> Pool.with_pool ?jobs (fun p -> Pool.run p ~tasks body)
 
-module Span = Mavr_telemetry.Span
-module Json = Mavr_telemetry.Json
-
 (* The resumable primitive: run [body] for an arbitrary subset of a
    campaign's global index space.  [seeds] is the full schedule from
    {!task_seeds}; [indices] selects which tasks actually run this round —
@@ -39,24 +36,3 @@ let iter_indices ?pool ?jobs ?progress ~seeds ~indices body =
     Option.iter Progress.task_done progress
   in
   run_tasks ?pool ?jobs ~tasks run
-
-let map ?pool ?jobs ?tracer ?(task_name = Printf.sprintf "task-%04d") ?progress ~seed ~tasks f =
-  let seeds = task_seeds ~seed ~tasks in
-  let results = Array.make tasks None in
-  let body ~index:i ~rng =
-    let compute () = results.(i) <- Some (f ~index:i ~rng) in
-    match tracer with
-    | None -> compute ()
-    | Some tr ->
-        (* One lane per task, sorted by index: lane content depends only
-           on (seed, index), so the stripped trace is jobs-invariant. *)
-        let lane = Span.lane tr ~sort:i (task_name i) in
-        Span.span lane
-          ~args:[ ("index", Json.Int i); ("seed", Json.Int seeds.(i)) ]
-          "task" compute
-  in
-  iter_indices ?pool ?jobs ?progress ~seeds ~indices:(Array.init tasks Fun.id) body;
-  Array.map (function Some v -> v | None -> assert false) results
-
-let map_reduce ?pool ?jobs ?tracer ?task_name ?progress ~seed ~tasks ~map:f ~reduce init =
-  Array.fold_left reduce init (map ?pool ?jobs ?tracer ?task_name ?progress ~seed ~tasks f)

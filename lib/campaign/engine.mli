@@ -1,4 +1,4 @@
-(** Deterministic parallel map-reduce over seeded Monte Carlo tasks.
+(** Deterministic parallel runs of seeded Monte Carlo tasks.
 
     The paper's evaluation is Monte Carlo at heart — survival across K
     randomized layouts (§VII-A), expected brute-force probes over layout
@@ -10,9 +10,8 @@
     - per-task PRNG seeds are derived up front from a single root seed by
       {!Mavr_prng.Splitmix} splitting ({!task_seeds}), so no task's
       randomness depends on scheduling;
-    - results land in an index-addressed array, so no task's position
-      depends on completion order;
-    - {!map_reduce} folds that array in index order.
+    - each task writes its result into slot [index] of the caller's
+      array, so no task's position depends on completion order.
 
     Tasks must not share mutable state; give each worker its own
     {!Mavr_telemetry.Metrics} registry and combine with
@@ -21,12 +20,12 @@
 (** [task_seeds ~seed ~tasks] — the per-task seed schedule: [tasks]
     independent 63-bit seeds split off the root [seed].  Exposed so
     callers that need the raw seeds (e.g. [Randomize.randomize ~seed])
-    use exactly the schedule {!map} would. *)
+    use exactly the schedule {!iter_indices} runs. *)
 val task_seeds : seed:int -> tasks:int -> int array
 
 (** [iter_indices ?pool ?jobs ?progress ~seeds ~indices body] runs
-    [body ~index ~rng] for each global index in [indices] — the
-    resumable primitive under {!map}.  [seeds] is the {e full} schedule
+    [body ~index ~rng] for each global index in [indices], the engine's
+    one primitive.  [seeds] is the {e full} schedule
     from {!task_seeds}; [indices] selects the subset that runs this
     round (a resumed campaign passes its uncompleted frontier, an
     early-stopping driver one batch per open cell).  [rng] is always
@@ -43,44 +42,3 @@ val iter_indices :
   indices:int array ->
   (index:int -> rng:Mavr_prng.Splitmix.t -> unit) ->
   unit
-
-(** [map ?pool ?jobs ~seed ~tasks f] runs [f ~index ~rng] for each index
-    in [0 .. tasks-1] and returns the results in index order.  [rng] is a
-    private generator seeded from the task's split seed.  With [?pool]
-    the caller's pool is reused (its [jobs] applies and [?jobs] is
-    ignored); otherwise a temporary pool of [jobs] domains is created.
-
-    Observability hooks (both default off, and neither perturbs the
-    computation): with [?tracer], each task body runs inside a span
-    named ["task"] (args: index, split seed) on its own lane,
-    [task_name index] (default ["task-NNNN"]), sorted by index — so
-    the timing-stripped trace content is identical for any [jobs].
-    With [?progress], [tasks] is added to the stream's total up front
-    and {!Progress.task_done} fires after every completion.
-    @raise Pool.Task_failed when a task raises (lowest index). *)
-val map :
-  ?pool:Pool.t ->
-  ?jobs:int ->
-  ?tracer:Mavr_telemetry.Span.tracer ->
-  ?task_name:(int -> string) ->
-  ?progress:Progress.t ->
-  seed:int ->
-  tasks:int ->
-  (index:int -> rng:Mavr_prng.Splitmix.t -> 'a) ->
-  'a array
-
-(** [map_reduce ... ~map:f ~reduce init] — {!map}, then a sequential
-    index-order fold from [init], so the reduction is deterministic even
-    for non-commutative [reduce]. *)
-val map_reduce :
-  ?pool:Pool.t ->
-  ?jobs:int ->
-  ?tracer:Mavr_telemetry.Span.tracer ->
-  ?task_name:(int -> string) ->
-  ?progress:Progress.t ->
-  seed:int ->
-  tasks:int ->
-  map:(index:int -> rng:Mavr_prng.Splitmix.t -> 'a) ->
-  reduce:('b -> 'a -> 'b) ->
-  'b ->
-  'b

@@ -6,7 +6,7 @@
     drain from a chunked atomic queue.  Scheduling is dynamic (chunks go
     to whichever domain is free), so callers must not depend on which
     domain runs which index — determinism comes from writing results into
-    index-addressed slots, which {!Engine.map} does.
+    index-addressed slots, as {!Engine.iter_indices}' callers do.
 
     Task exceptions are never swallowed: every scheduled task still runs,
     then {!run} raises {!Task_failed} for the {e lowest} failing index —

@@ -70,18 +70,18 @@ let emit_locked t ~reason =
 let task_done t =
   let d = Atomic.fetch_and_add t.done_ 1 + 1 in
   if d >= Atomic.get t.total then begin
-    (* Frontier completion: this is the one line consumers key off to know
-       the phase finished, so it must not be droppable.  Block for the lock
-       instead of try_lock — the old try_lock path silently lost the
-       terminal line whenever another domain happened to be mid-emission at
-       the instant the last task completed.  Note a multi-phase run (e.g.
-       census then grid, each adding to [total]) crosses done = total once
-       per phase frontier, so a stream may carry several "final" lines; the
-       last one always has done = total for the whole run. *)
+    (* Frontier completion: every task counted so far is done, so this
+       heartbeat must not be droppable.  Block for the lock instead of
+       try_lock — the old try_lock path silently lost the frontier line
+       whenever another domain happened to be mid-emission at the instant
+       the last task completed.  A multi-phase run (e.g. census then grid,
+       each adding to [total]) crosses done = total once per phase, so
+       this is a heartbeat: only the caller knows when the run is over,
+       and says so with one [emit ~reason:"final"]. *)
     Mutex.lock t.lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.lock)
-      (fun () -> emit_locked t ~reason:"final")
+      (fun () -> emit_locked t ~reason:"heartbeat")
   end
   else if Mutex.try_lock t.lock then
     (* try_lock: if another domain is mid-emission, skip — its line will

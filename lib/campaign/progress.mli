@@ -13,10 +13,10 @@
     only when the heartbeat interval has elapsed {e and} the sink lock
     is free ([try_lock] — a busy sink never blocks a worker).  The one
     exception is the frontier completion (done reaches total): that
-    emission blocks for the lock and is guaranteed, with
-    [reason = "final"].  A run whose phases each call {!add_total}
-    crosses the frontier once per phase, so a stream may carry several
-    "final" lines; the last one covers the whole run.  The
+    emission blocks for the lock and is guaranteed.  A run whose phases
+    each call {!add_total} crosses the frontier once per phase, so the
+    frontier line is a heartbeat too; the caller ends the stream with
+    one [emit ~reason:"final"], its only final line.  The
     stream is advisory by design: line {e content} sampled mid-run
     depends on scheduling and carries wall-clock times, so it lives
     outside the deterministic-output contract (unlike [--trace]'s
@@ -43,8 +43,8 @@ val add_total : t -> int -> unit
 val on_heartbeat : t -> (unit -> (string * Mavr_telemetry.Json.t) list) -> unit
 
 (** [task_done t] — one task finished; may emit a heartbeat line.  The
-    completion that brings done up to total always emits a line with
-    [reason = "final"] (blocking for the sink lock if necessary). *)
+    completion that brings done up to total always emits one (blocking
+    for the sink lock if necessary). *)
 val task_done : t -> unit
 
 (** [emit t ~reason] — force one line out (start / final summary),

@@ -25,26 +25,6 @@ let verify_structure ~original ~randomized =
       | Error m -> Error ("randomized image invalid: " ^ m)
       | Ok () -> Ok ()
 
-(* Full translation validation lives in the analysis library
-   (Mavr_analysis.Equiv), which depends on this one — so the validator
-   is injected at program start instead of called directly. *)
-let translation_validator :
-    (original:Image.t -> randomized:Image.t -> (unit, string) result) ref =
-  ref (fun ~original:_ ~randomized:_ -> Ok ())
-
-let set_translation_validator f = translation_validator := f
-
-let randomize_checked ~seed img =
-  match randomize ~seed img with
-  | exception Stream_patch.Unpatchable m -> Error ("unpatchable image: " ^ m)
-  | r -> (
-      match verify_structure ~original:img ~randomized:r with
-      | Error m -> Error m
-      | Ok () -> (
-          match !translation_validator ~original:img ~randomized:r with
-          | Ok () -> Ok r
-          | Error m -> Error ("translation validation failed: " ^ m)))
-
 let layout_distance a b =
   let addr_of img =
     List.fold_left

@@ -31,16 +31,3 @@ val verify_structure :
 (** [layout_distance a b] is the number of functions whose address differs
     between the two images (0 = same layout) — a quick diversity metric. *)
 val layout_distance : Mavr_obj.Image.t -> Mavr_obj.Image.t -> int
-
-(** Inject a translation validator (e.g. the semantic-equivalence proof
-    in [Mavr_analysis.Equiv], which depends on this library and so
-    cannot be called directly).  The default accepts everything. *)
-val set_translation_validator :
-  (original:Mavr_obj.Image.t -> randomized:Mavr_obj.Image.t -> (unit, string) result) -> unit
-
-(** [randomize_checked ~seed image] randomizes and then proves the
-    result: structural sanity ({!verify_structure}) plus the injected
-    translation validator.  [Error] instead of raising on unpatchable
-    images. *)
-val randomize_checked :
-  seed:int -> Mavr_obj.Image.t -> (Mavr_obj.Image.t, string) result

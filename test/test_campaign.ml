@@ -78,9 +78,17 @@ let test_pool_zero_tasks_and_caps () =
 
 (* ---- engine determinism -------------------------------------------- *)
 
+(* Every task of the schedule through [Engine.iter_indices], each result
+   placed in its index's slot. *)
+let engine_results ~jobs ~seed ~tasks f =
+  let out = Array.make tasks None in
+  Engine.iter_indices ~jobs ~seeds:(Engine.task_seeds ~seed ~tasks)
+    ~indices:(Array.init tasks Fun.id) (fun ~index ~rng -> out.(index) <- Some (f ~index ~rng));
+  out
+
 let test_engine_jobs_invariant () =
   let run jobs =
-    Engine.map ~jobs ~seed:99 ~tasks:64 (fun ~index ~rng ->
+    engine_results ~jobs ~seed:99 ~tasks:64 (fun ~index ~rng ->
         (* Consume task-local randomness so scheduling bugs would show. *)
         let a = Rng.int rng 1_000_000 in
         let b = Rng.int rng 1_000_000 in
@@ -90,7 +98,7 @@ let test_engine_jobs_invariant () =
   Alcotest.(check bool) "jobs=1 and jobs=4 bit-identical" true (r1 = r4)
 
 let test_engine_seed_sensitivity () =
-  let run seed = Engine.map ~jobs:2 ~seed ~tasks:16 (fun ~index:_ ~rng -> Rng.next rng) in
+  let run seed = engine_results ~jobs:2 ~seed ~tasks:16 (fun ~index:_ ~rng -> Rng.next rng) in
   Alcotest.(check bool) "different roots, different streams" true (run 1 <> run 2);
   Alcotest.(check bool) "same root, same stream" true (run 5 = run 5)
 
@@ -102,14 +110,6 @@ let test_task_seeds_disjoint_from_legacy () =
      tests/examples use; the derived schedule must stay clear of it. *)
   Alcotest.(check bool) "no seed in the hand-picked 0..1000 range" true
     (Array.for_all (fun s -> s > 1000) seeds)
-
-let test_map_reduce_index_order () =
-  let v =
-    Engine.map_reduce ~jobs:4 ~seed:3 ~tasks:26
-      ~map:(fun ~index ~rng:_ -> String.make 1 (Char.chr (Char.code 'a' + index)))
-      ~reduce:( ^ ) ""
-  in
-  Alcotest.(check string) "reduce folds in index order" "abcdefghijklmnopqrstuvwxyz" v
 
 (* ---- clock ---------------------------------------------------------- *)
 
@@ -460,7 +460,6 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_engine_seed_sensitivity;
           Alcotest.test_case "task seeds disjoint from legacy" `Quick
             test_task_seeds_disjoint_from_legacy;
-          Alcotest.test_case "map_reduce index order" `Quick test_map_reduce_index_order;
         ] );
       ("clock", [ Alcotest.test_case "monotonic wall clock" `Quick test_clock_monotonic ]);
       ( "merge",

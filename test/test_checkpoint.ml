@@ -298,9 +298,10 @@ let test_pool_stats_live () =
 
 let test_progress_terminal_heartbeat () =
   (* With a huge interval, every mid-run heartbeat after the first is
-     suppressed — the frontier completion alone must still produce the
-     final line.  (Before the fix, task_done only emitted inside the
-     interval gate, so a quiet stream simply ended without one.) *)
+     suppressed — the frontier completion alone must still produce a
+     line.  (Before the fix, task_done only emitted inside the interval
+     gate, so a quiet stream simply ended without one.)  The frontier
+     line is a heartbeat: only the caller's explicit emit says final. *)
   let lines = ref [] in
   let p = Progress.create ~interval_s:1e9 ~sink:(fun l -> lines := l :: !lines) () in
   Progress.add_total p 3;
@@ -308,14 +309,15 @@ let test_progress_terminal_heartbeat () =
   Progress.task_done p;
   Progress.task_done p;
   (* First completion heartbeats (fresh stream), second is gated out,
-     third crosses the frontier: exactly two lines, the last one final. *)
+     third crosses the frontier: exactly two lines, the last at done =
+     total. *)
   Alcotest.(check int) "gated stream" 2 (List.length !lines);
   match !lines with
   | last :: _ -> (
       match Json.of_string last with
       | Error e -> Alcotest.failf "bad line: %s" e
       | Ok j ->
-          Alcotest.(check (option string)) "reason" (Some "final")
+          Alcotest.(check (option string)) "reason" (Some "heartbeat")
             (Option.bind (Json.member "reason" j) Json.to_str);
           Alcotest.(check (option int)) "done" (Some 3)
             (Option.bind (Json.member "done" j) Json.to_int))
@@ -324,8 +326,8 @@ let test_progress_terminal_heartbeat () =
 let test_progress_final_under_contention () =
   (* Pin the sink lock (via a provider that blocks inside an emission on
      another domain) while the last task completes: the frontier emission
-     must wait for the lock and still deliver the final line.  Before the
-     fix task_done used try_lock unconditionally, so this interleaving
+     must wait for the lock and still deliver its line.  Before the fix
+     task_done used try_lock unconditionally, so this interleaving
      silently dropped it. *)
   let lines = ref [] in
   let p = Progress.create ~interval_s:0.0 ~sink:(fun l -> lines := l :: !lines) () in
@@ -357,7 +359,8 @@ let test_progress_final_under_contention () =
       match Json.of_string last with
       | Error e -> Alcotest.failf "bad line: %s" e
       | Ok j ->
-          Alcotest.(check (option string)) "last line is final" (Some "final")
+          Alcotest.(check (option string)) "last line is the frontier heartbeat"
+            (Some "heartbeat")
             (Option.bind (Json.member "reason" j) Json.to_str);
           Alcotest.(check (option int)) "at done=total" (Some 1)
             (Option.bind (Json.member "done" j) Json.to_int))

@@ -135,15 +135,14 @@ let test_strip_timing_zeroes_host_only () =
 
 let traced_engine_run ~jobs =
   let t = Span.create () in
-  let _ =
-    Engine.map ~jobs ~tracer:t ~seed:9 ~tasks:8 (fun ~index ~rng ->
-        (* Deterministic per-task content: an instant whose arg derives
-           from the split seed, plus a nested span. *)
-        let l = Span.lane t ~sort:index (Printf.sprintf "task-%04d" index) in
-        Span.instant l ~args:[ ("draw", Json.Int (Mavr_prng.Splitmix.next rng land 0xffff) ) ]
-          "draw";
-        Span.span l "body" (fun () -> index * index))
-  in
+  Engine.iter_indices ~jobs ~seeds:(Engine.task_seeds ~seed:9 ~tasks:8)
+    ~indices:(Array.init 8 Fun.id) (fun ~index ~rng ->
+      (* Deterministic per-task content: an instant whose arg derives
+         from the split seed, plus a nested span. *)
+      let l = Span.lane t ~sort:index (Printf.sprintf "task-%04d" index) in
+      Span.instant l ~args:[ ("draw", Json.Int (Mavr_prng.Splitmix.next rng land 0xffff) ) ]
+        "draw";
+      ignore (Span.span l "body" (fun () -> index * index)));
   t
 
 let test_stripped_export_jobs_invariant () =
@@ -236,6 +235,11 @@ let test_progress_seq_and_fields () =
       let total = Option.bind (Json.member "total" j) Json.to_int in
       Alcotest.(check bool) "done <= total" true (d <= total))
     parsed;
+  (* The frontier line (third task) is a heartbeat; the explicit emit is
+     the stream's only final line. *)
+  Alcotest.(check (list (option string))) "reasons"
+    [ Some "heartbeat"; Some "heartbeat"; Some "heartbeat"; Some "final" ]
+    (List.map (fun j -> Option.bind (Json.member "reason" j) Json.to_str) parsed);
   (match List.rev parsed with
   | last :: _ ->
       Alcotest.(check (option string)) "final reason" (Some "final")
@@ -265,7 +269,8 @@ let test_progress_interval_gate () =
 
 let test_pool_stats () =
   Pool.with_pool ~jobs:2 (fun pool ->
-      let _ = Engine.map ~pool ~seed:4 ~tasks:32 (fun ~index ~rng:_ -> index) in
+      Engine.iter_indices ~pool ~seeds:(Engine.task_seeds ~seed:4 ~tasks:32)
+        ~indices:(Array.init 32 Fun.id) (fun ~index:_ ~rng:_ -> ());
       let stats = Pool.stats pool in
       Alcotest.(check int) "one slot per domain" (Pool.jobs pool) (Array.length stats);
       let total = Array.fold_left (fun acc s -> acc + s.Pool.tasks_run) 0 stats in

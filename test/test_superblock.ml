@@ -357,6 +357,152 @@ let test_asr_after_v_writer () =
   Alcotest.(check bool) "a block ran" true (!blocks > 0);
   check_same "inc; asr; brlt" fused stepped
 
+(* ---- ALU trace forms -------------------------------------------------- *)
+
+(* The trace compiler gives a pure ALU instruction one of three forms,
+   depending on what follows it in the trace: its flags live (the trace
+   ends after it), its flags dead (an [add] overwrites every flag it
+   writes; a compare then compiles to nothing), and fused with a
+   following [brbs]/[brbc] on a flag it writes.  Each form runs every
+   operand value against single-stepping, with SREG entering with C
+   clear (Z, V, H set) and C set (N, S, T set).  Operands: r16 and r17
+   (r16 and every K for the immediate forms; for adiw/sbiw, r25:r24
+   with every K, every low byte and six high bytes at the carry, sign
+   and zero edges); the killer [add] works on r20/r21. *)
+
+type alu_form = Live | Dead | Pair of bool * int (* brbs?, SREG bit *)
+
+type alu_operands =
+  | Bin of (int -> int -> Isa.t) (* every r16 x r17 *)
+  | Imm of (int -> int -> Isa.t) (* every r16 x K *)
+  | Un of (int -> Isa.t) (* every r16 *)
+  | Word of (int -> int -> Isa.t) (* r25:r24 x every K of 0..63 *)
+
+let alu_cases =
+  let open Isa in
+  let hcvzns = Flag.[ h; c; v; z; n; s ] and vzns = Flag.[ v; z; n; s ] in
+  let cvzns = Flag.c :: vzns and cvzn = Flag.[ c; v; z; n ] in
+  [
+    ("add", Bin (fun d r -> Add (d, r)), hcvzns);
+    ("adc", Bin (fun d r -> Adc (d, r)), hcvzns);
+    ("sub", Bin (fun d r -> Sub (d, r)), hcvzns);
+    ("sbc", Bin (fun d r -> Sbc (d, r)), hcvzns);
+    ("cp", Bin (fun d r -> Cp (d, r)), hcvzns);
+    ("cpc", Bin (fun d r -> Cpc (d, r)), hcvzns);
+    ("and", Bin (fun d r -> And (d, r)), vzns);
+    ("or", Bin (fun d r -> Or (d, r)), vzns);
+    ("eor", Bin (fun d r -> Eor (d, r)), vzns);
+    ("mul", Bin (fun d r -> Mul (d, r)), Flag.[ c; z ]);
+    ("subi", Imm (fun d k -> Subi (d, k)), hcvzns);
+    ("sbci", Imm (fun d k -> Sbci (d, k)), hcvzns);
+    ("cpi", Imm (fun d k -> Cpi (d, k)), hcvzns);
+    ("andi", Imm (fun d k -> Andi (d, k)), vzns);
+    ("ori", Imm (fun d k -> Ori (d, k)), vzns);
+    ("com", Un (fun d -> Com d), cvzns);
+    ("neg", Un (fun d -> Neg d), hcvzns);
+    ("inc", Un (fun d -> Inc d), vzns);
+    ("dec", Un (fun d -> Dec d), vzns);
+    ("lsr", Un (fun d -> Lsr d), cvzns);
+    ("ror", Un (fun d -> Ror d), cvzns);
+    ("asr", Un (fun d -> Asr d), cvzns);
+    ("adiw", Word (fun d k -> Adiw (d, k)), cvzn);
+    ("sbiw", Word (fun d k -> Sbiw (d, k)), cvzn);
+  ]
+
+(* One snippet per form, five words long whatever the form, so the
+   immediate forms can lay one snippet per K side by side. *)
+let alu_snippet form op =
+  let killer = Isa.Add (20, 21) in
+  match form with
+  | Live -> Isa.[ op; Break; Nop; Nop; Nop ]
+  | Dead -> Isa.[ op; killer; Break; Nop; Nop ]
+  | Pair (set, b) ->
+      let br = if set then Isa.Brbs (b, 2) else Isa.Brbc (b, 2) in
+      Isa.[ op; br; killer; Break; Break ]
+
+(* Everything an ALU snippet can change. *)
+let alu_same a b =
+  Cpu.pc a = Cpu.pc b
+  && Cpu.cycles a = Cpu.cycles b
+  && Cpu.instructions_retired a = Cpu.instructions_retired b
+  && Cpu.sreg a = Cpu.sreg b
+  && Cpu.halted a = Cpu.halted b
+  && List.for_all (fun r -> Cpu.reg a r = Cpu.reg b r) [ 0; 1; 16; 17; 20; 21; 24; 25 ]
+
+let alu_form_name = function
+  | Live -> "flags live"
+  | Dead -> "flags dead"
+  | Pair (set, b) -> Printf.sprintf "%s %d" (if set then "brbs" else "brbc") b
+
+let alu_form_diff name operands form =
+  let ops =
+    match operands with
+    | Bin f -> [ f 16 17 ]
+    | Un f -> [ f 16 ]
+    | Imm f -> List.init 256 (f 16)
+    | Word f -> List.init 64 (f 24)
+  in
+  let prog = List.concat_map (alu_snippet form) ops in
+  let fused = load prog and stepped = load ~superblocks:false prog in
+  let entered = ref 0 in
+  Cpu.set_block_tap fused
+    ~on_block:(fun info _ -> if info.Cpu.bi_pc mod 5 = 0 then incr entered)
+    ~on_step:(fun _ _ -> ());
+  let runs = ref 0 in
+  let run_one snippet regs c =
+    let go cpu =
+      Cpu.reset cpu;
+      Cpu.set_pc cpu (5 * snippet);
+      List.iter (fun (r, v) -> Cpu.set_reg cpu r v) ((0, 0xA5) :: (1, 0x3C) :: regs);
+      Cpu.io_poke cpu Io.sreg (if c = 0 then 0x2A else 0x55);
+      ignore (Cpu.run cpu ~max_cycles:1_000)
+    in
+    incr runs;
+    go fused;
+    go stepped;
+    if not (alu_same fused stepped) then
+      Alcotest.failf "%s, %s at %s, C=%d (snippet %d): trace and stepping disagree" name
+        (alu_form_name form)
+        (String.concat "," (List.map (fun (r, v) -> Printf.sprintf "r%d=%d" r v) regs))
+        c snippet
+  in
+  let killer_regs = [ (20, 0x5A); (21, 0xC3) ] in
+  List.iteri
+    (fun snippet _ ->
+      for c = 0 to 1 do
+        match operands with
+        | Bin _ ->
+            for a = 0 to 255 do
+              for b = 0 to 255 do
+                run_one snippet ((16, a) :: (17, b) :: killer_regs) c
+              done
+            done
+        | Imm _ | Un _ ->
+            for a = 0 to 255 do
+              run_one snippet ((16, a) :: killer_regs) c
+            done
+        | Word _ ->
+            List.iter
+              (fun hi ->
+                for lo = 0 to 255 do
+                  run_one snippet ((24, lo) :: (25, hi) :: killer_regs) c
+                done)
+              [ 0x00; 0x01; 0x7F; 0x80; 0xFE; 0xFF ]
+      done)
+    ops;
+  (* The first [hot_entries] - 1 entries of each snippet are stepped. *)
+  let stepped_entries = 15 * List.length ops in
+  if !entered < !runs - stepped_entries then
+    Alcotest.failf "%s, %s: only %d of %d runs entered the trace" name (alu_form_name form)
+      !entered !runs
+
+let test_alu_trace_forms () =
+  List.iter
+    (fun (name, operands, written) ->
+      let pairs = List.concat_map (fun b -> [ Pair (true, b); Pair (false, b) ]) written in
+      List.iter (alu_form_diff name operands) (Live :: Dead :: pairs))
+    alu_cases
+
 (* ---- satellite 1: saturating run budget ----------------------------- *)
 
 let test_max_int_budget_runs () =
@@ -572,6 +718,7 @@ let () =
           Alcotest.test_case "compile threshold" `Quick test_compile_threshold;
           Alcotest.test_case "asr after a V writer in a hot loop" `Quick
             test_asr_after_v_writer;
+          Alcotest.test_case "ALU trace forms over every operand" `Quick test_alu_trace_forms;
         ] );
       ( "budget",
         [
