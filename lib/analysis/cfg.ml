@@ -121,7 +121,6 @@ let recover (img : Image.t) =
   { image = img; reachable; sweep; entries; leaders }
 
 let insn_at t addr = Hashtbl.find_opt t.reachable addr
-let sweep_insn_at t addr = Hashtbl.find_opt t.sweep addr
 let is_reachable t addr = Hashtbl.mem t.reachable addr
 
 let sorted_reachable t =

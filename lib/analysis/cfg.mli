@@ -43,10 +43,6 @@ val entries : t -> (int * provenance) list
     or [None] when [addr] is not a descent-reached boundary. *)
 val insn_at : t -> int -> (Mavr_avr.Isa.t * int) option
 
-(** [sweep_insn_at t addr] — fallback linear-sweep decode at [addr]
-    (only populated for gaps descent never reached). *)
-val sweep_insn_at : t -> int -> (Mavr_avr.Isa.t * int) option
-
 val is_reachable : t -> int -> bool
 
 (** Every descent-reached instruction boundary, ascending — the node set

@@ -55,18 +55,6 @@ module Solver (D : DOMAIN) = struct
     { in_states = states; iterations = !iterations }
 end
 
-let predecessors ~nodes ~succs =
-  let preds = Hashtbl.create (max 16 (2 * List.length nodes)) in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun m ->
-          let cur = match Hashtbl.find_opt preds m with Some l -> l | None -> [] in
-          Hashtbl.replace preds m (n :: cur))
-        (succs n))
-    nodes;
-  fun n -> match Hashtbl.find_opt preds n with Some l -> l | None -> []
-
 (* Iterative Tarjan, so deep call chains cannot overflow the OCaml
    stack.  Components come out in reverse topological order of the
    condensation: every edge from an emitted component targets an
@@ -147,7 +135,6 @@ module Callgraph = struct
 
   let owner t addr = t.owner_of addr
   let icall_targets t = t.icall_targets
-  let node t key = Hashtbl.find_opt t.nodes key
 
   let nodes t =
     Hashtbl.fold (fun _ n acc -> n :: acc) t.nodes []

@@ -5,7 +5,7 @@
     to per-edge out-states, and the engine iterates a FIFO worklist
     until the in-states stop changing under the client's lattice join.
     Forward analyses pass the CFG successor edges; backward analyses
-    pass the reversed edges (see {!predecessors}) and read "in-state"
+    pass the reversed edges and read "in-state"
     as the state {e after} the instruction.
 
     Per-edge out-states (rather than one out-state fanned to every
@@ -53,10 +53,6 @@ module Solver (D : DOMAIN) : sig
     result
 end
 
-(** [predecessors ~nodes ~succs] materializes the reversed edge map —
-    the edge function a backward analysis feeds to {!Solver.solve}. *)
-val predecessors : nodes:int list -> succs:(int -> int list) -> int -> int list
-
 (** [sccs ~nodes ~succs] — strongly connected components (iterative
     Tarjan), in reverse topological order of the condensation: each
     component precedes every component with an edge {e into} it, so
@@ -89,8 +85,6 @@ module Callgraph : sig
 
   (** Ascending by [entry]. *)
   val nodes : t -> node list
-
-  val node : t -> int -> node option
 
   (** [owner t addr] is the partition key of the code at [addr]. *)
   val owner : t -> int -> int

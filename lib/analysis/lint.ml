@@ -14,7 +14,6 @@ type kind =
   | Funptr_out_of_bounds
   | Funptr_not_function
   | Stray_sp_write
-  | Unbounded_uplink_copy
 
 type finding = { kind : kind; addr : int; target : int option; detail : string; context : string }
 
@@ -27,7 +26,6 @@ let kind_name = function
   | Funptr_out_of_bounds -> "funptr_out_of_bounds"
   | Funptr_not_function -> "funptr_not_function"
   | Stray_sp_write -> "stray_sp_write"
-  | Unbounded_uplink_copy -> "unbounded_uplink_copy"
 
 (* A three-line disassembly listing starting at the offending address. *)
 let context_at (img : Image.t) addr =
@@ -39,8 +37,6 @@ let context_at (img : Image.t) addr =
 
 let finding img kind addr ?target detail =
   { kind; addr; target; detail; context = context_at img addr }
-
-let make img kind addr ?target detail = finding img kind addr ?target detail
 
 (* ---- transfer targets ------------------------------------------------ *)
 

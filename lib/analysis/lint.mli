@@ -32,8 +32,6 @@ type kind =
   | Funptr_out_of_bounds
   | Funptr_not_function
   | Stray_sp_write
-  | Unbounded_uplink_copy
-      (** emitted by {!Taint.to_lint_findings}, never by {!run} itself *)
 
 type finding = {
   kind : kind;
@@ -44,10 +42,6 @@ type finding = {
 }
 
 val kind_name : kind -> string
-
-(** Build a finding (with disassembly context) from outside this module —
-    used by analyses that surface results in lint form, e.g. {!Taint}. *)
-val make : Mavr_obj.Image.t -> kind -> int -> ?target:int -> string -> finding
 
 (** [run ?cfg image] checks every invariant; [cfg] avoids re-recovering
     a CFG the caller already has.  An empty list means the image is

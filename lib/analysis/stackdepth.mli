@@ -31,9 +31,6 @@ type sp_class =
 
 type bound = Finite of int | Unbounded of string
 
-val bound_max : bound -> bound -> bound
-val bound_add : bound -> int -> bound
-
 (** Depth lattice value: exact bytes below entry SP, or widened top. *)
 type dval = D of int | DTop
 

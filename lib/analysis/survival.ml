@@ -43,12 +43,7 @@ let payload_feasible ~reference ~(gadgets : Gadget.paper_gadgets) candidate =
   let* () = check "write_mem" gadgets.write_mem in
   check "write_mem_pops" gadgets.write_mem_pops
 
-type seeding = Legacy | Root of int
-
-let layout_seeds ~seeding ~layouts =
-  match seeding with
-  | Legacy -> Array.init layouts (fun i -> i + 1)
-  | Root seed -> Engine.task_seeds ~seed ~tasks:layouts
+type seeding = Root of int
 
 type t = {
   layouts : int;
@@ -60,11 +55,11 @@ type t = {
   feasible_layouts : int;
 }
 
-let census ?max_len ?(seed = Root 0) ?jobs ?pool ?tracer ?progress ~layouts image =
+let census ?max_len ?seed:(Root root = Root 0) ?jobs ?pool ?tracer ?progress ~layouts image =
   let base = Gadget.scan ?max_len image in
   let base_n = List.length base in
   let paper = Gadget.locate_paper_gadgets image in
-  let seeds = layout_seeds ~seeding:seed ~layouts in
+  let seeds = Engine.task_seeds ~seed:root ~tasks:layouts in
   Option.iter (fun p -> Mavr_campaign.Progress.add_total p layouts) progress;
   (* One task per randomized layout.  [image] and [base] are immutable
      and shared read-only across domains; each slot of the two result

@@ -15,41 +15,14 @@
       the emulator — all three paper-gadget addresses must decode to the
       reference sequences. *)
 
-(** [chain_at ?cap img addr] — the forward decode chain a return landing
-    at byte address [addr] would execute: instructions up to and
-    including the first [ret], capped at [cap] (default 24).  Total at
-    the image edge: a truncated two-word instruction decodes as [Data]
-    per [Decode.decode_bytes]'s contract, and the chain stops at the last
-    word without reading past the image. *)
-val chain_at : ?cap:int -> Mavr_obj.Image.t -> int -> Mavr_avr.Isa.t list
-
-(** [gadget_survives ~candidate g] — the decode chain at [g.byte_addr]
-    in [candidate] still matches [g.insns] exactly. *)
-val gadget_survives : candidate:Mavr_obj.Image.t -> Mavr_core.Gadget.t -> bool
-
-(** [payload_feasible ~reference ~gadgets candidate] — static verdict on
-    whether a §IV payload built against [reference] (with the harvested
-    [gadgets] addresses) would still find its gadgets in [candidate].
-    [Error] names the first gadget whose decode diverges. *)
-val payload_feasible :
-  reference:Mavr_obj.Image.t ->
-  gadgets:Mavr_core.Gadget.paper_gadgets ->
-  Mavr_obj.Image.t ->
-  (unit, string) result
-
 (** How the census draws its per-layout randomization seeds.
 
     [Root s] (the default, with [s = 0]) splits [layouts] independent
     63-bit seeds off the root via {!Mavr_campaign.Engine.task_seeds}:
     two censuses with different roots measure disjoint layout samples,
     and none of the seeds collide with the small hand-picked seeds
-    (1, 2, 7, ...) used throughout the tests and examples.
-
-    [Legacy] reproduces the pre-campaign behaviour — layout [i] gets
-    seed [i + 1] — which silently re-ran exactly those hand-picked
-    layouts; it is kept only so the PR-3 EXPERIMENTS numbers remain
-    reproducible bit-for-bit. *)
-type seeding = Legacy | Root of int
+    (1, 2, 7, ...) used throughout the tests and examples. *)
+type seeding = Root of int
 
 type t = {
   layouts : int;  (** number of randomized layouts measured *)
@@ -90,3 +63,30 @@ val census :
 
 val to_json : t -> Mavr_telemetry.Json.t
 val pp : Format.formatter -> t -> unit
+
+(** {2 Test hooks}
+
+    Used only by the tests, to check the census's per-layout verdicts;
+    a static oracle for flown attack outcomes is to build on them. *)
+
+(** [chain_at ?cap img addr] — the forward decode chain a return landing
+    at byte address [addr] would execute: instructions up to and
+    including the first [ret], capped at [cap] (default 24).  Total at
+    the image edge: a truncated two-word instruction decodes as [Data]
+    per [Decode.decode_bytes]'s contract, and the chain stops at the last
+    word without reading past the image. *)
+val chain_at : ?cap:int -> Mavr_obj.Image.t -> int -> Mavr_avr.Isa.t list
+
+(** [gadget_survives ~candidate g] — the decode chain at [g.byte_addr]
+    in [candidate] still matches [g.insns] exactly. *)
+val gadget_survives : candidate:Mavr_obj.Image.t -> Mavr_core.Gadget.t -> bool
+
+(** [payload_feasible ~reference ~gadgets candidate] — static verdict on
+    whether a §IV payload built against [reference] (with the harvested
+    [gadgets] addresses) would still find its gadgets in [candidate].
+    [Error] names the first gadget whose decode diverges. *)
+val payload_feasible :
+  reference:Mavr_obj.Image.t ->
+  gadgets:Mavr_core.Gadget.paper_gadgets ->
+  Mavr_obj.Image.t ->
+  (unit, string) result

@@ -306,12 +306,6 @@ let analyze cfg =
     nodes = List.length nodes;
   }
 
-let to_lint_findings img report =
-  List.map
-    (fun f ->
-      Lint.make img Lint.Unbounded_uplink_copy f.branch_addr ~target:f.store_addr f.detail)
-    report.findings
-
 let to_json report =
   Json.Obj
     [

@@ -43,9 +43,5 @@ type report = {
 
 val analyze : Cfg.t -> report
 
-(** Findings as {!Lint.Unbounded_uplink_copy} lint findings ([addr] =
-    branch, [target] = store). *)
-val to_lint_findings : Mavr_obj.Image.t -> report -> Lint.finding list
-
 val to_json : report -> Mavr_telemetry.Json.t
 val pp_finding : Format.formatter -> finding -> unit

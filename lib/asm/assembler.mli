@@ -68,10 +68,14 @@ exception Error of string
     @raise Error on undefined/duplicate labels or out-of-range branches. *)
 val assemble : relax:bool -> program -> output
 
-(** [find_symbol out name] looks up a function symbol.
-    @raise Not_found when absent. *)
-val find_symbol : output -> string -> symbol
-
 (** [label_value out name]
     @raise Not_found when absent. *)
 val label_value : output -> string -> int
+
+(** {2 Test hooks}
+
+    Used only by the tests, to find where the assembler placed a function. *)
+
+(** [find_symbol out name] looks up a function symbol.
+    @raise Not_found when absent. *)
+val find_symbol : output -> string -> symbol

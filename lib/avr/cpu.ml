@@ -57,7 +57,6 @@ type t = {
   mutable icache_insn : Isa.t array;
   mutable icache_meta : int array;
   mutable icache_epoch : int;
-  mutable use_icache : bool;
   (* Superblock engine: straight-line runs of instructions fused into
      closure arrays ([block]), compiled lazily at a word address the
      batched run loop has entered [hot_entries] times ([block_hits]
@@ -164,7 +163,6 @@ let create ?(device = Device.atmega2560) () =
     icache_insn = [||];
     icache_meta = [||];
     icache_epoch = -1;
-    use_icache = true;
     blocks = [||];
     block_hits = Bytes.empty;
     blocks_epoch = -1;
@@ -325,24 +323,14 @@ let fill_entry t pc =
    execution entry points sync once instead of paying an epoch compare
    per instruction. *)
 let sync_icache t =
-  if t.use_icache && t.icache_epoch <> Memory.flash_epoch t.mem then refresh_icache t
-
-(* Both switches sync their cache when flipped: the batched loops sync
-   only at entry, and a tap callback may flip a switch mid-run, after a
-   reflash made while the cache was off. *)
-let set_decode_cache t enabled =
-  t.use_icache <- enabled;
-  sync_icache t
-
-let decode_cache_enabled t = t.use_icache
+  if t.icache_epoch <> Memory.flash_epoch t.mem then refresh_icache t
 
 (* Fetch the (insn, length-in-words) pair at word address [pc].
    Precondition: the cache is sync'd ([sync_icache]).  [skip_next] can
    probe one word past the programmed image; out-of-range addresses fall
-   back to a raw decode, exactly as the uncached path reads erased
-   flash. *)
+   back to a raw decode of the (erased) flash there. *)
 let fetch t pc =
-  if t.use_icache && pc >= 0 && pc < Array.length t.icache_meta then begin
+  if pc >= 0 && pc < Array.length t.icache_meta then begin
     let meta = Array.unsafe_get t.icache_meta pc in
     let meta = if meta <> 0 then meta else fill_entry t pc in
     (Array.unsafe_get t.icache_insn pc, meta land 3)
@@ -918,22 +906,13 @@ let exec_one t =
        pc0 by program_bytes, and a sync'd cache spans exactly
        (program_bytes + 1) / 2 entries.  The cached entry carries the
        cost too, so the stepper never matches an instruction twice. *)
-    if t.use_icache then begin
-      let meta = Array.unsafe_get t.icache_meta pc0 in
-      let meta = if meta <> 0 then meta else fill_entry t pc0 in
-      let insn = Array.unsafe_get t.icache_insn pc0 in
-      t.pc <- pc0 + (meta land 3);
-      if t.tap_on then t.tap_step pc0 insn;
-      t.retired <- t.retired + 1;
-      exec_insn t pc0 insn (meta lsr 2)
-    end
-    else begin
-      let insn, words = decode_raw t pc0 in
-      t.pc <- pc0 + words;
-      if t.tap_on then t.tap_step pc0 insn;
-      t.retired <- t.retired + 1;
-      exec_insn t pc0 insn (insn_cycles t.dev insn)
-    end
+    let meta = Array.unsafe_get t.icache_meta pc0 in
+    let meta = if meta <> 0 then meta else fill_entry t pc0 in
+    let insn = Array.unsafe_get t.icache_insn pc0 in
+    t.pc <- pc0 + (meta land 3);
+    if t.tap_on then t.tap_step pc0 insn;
+    t.retired <- t.retired + 1;
+    exec_insn t pc0 insn (meta lsr 2)
   end
 
 let step t =
@@ -964,11 +943,12 @@ let refresh_blocks t =
 let sync_blocks t =
   if t.use_superblocks && t.blocks_epoch <> Memory.flash_epoch t.mem then refresh_blocks t
 
+(* Syncs when flipped: the batched loops sync only at entry, and a tap
+   callback may flip the switch mid-run, after a reflash made while it
+   was off. *)
 let set_superblocks t enabled =
   t.use_superblocks <- enabled;
   sync_blocks t
-
-let superblocks_enabled t = t.use_superblocks
 
 (* ---- Trace compiler ------------------------------------------------- *)
 
@@ -1530,10 +1510,6 @@ let enable_shadow_stack t ~overhead_cycles =
   t.shadow <- Some [];
   t.shadow_overhead <- overhead_cycles
 
-let disable_shadow_stack t =
-  t.shadow <- None;
-  t.shadow_overhead <- 0
-
 let shadow_depth t = match t.shadow with Some l -> List.length l | None -> 0
 let interrupts_taken t = t.interrupts_taken
 
@@ -1569,7 +1545,6 @@ let io_poke t a v =
 
 let program_size t = t.program_bytes
 let eeprom_peek t a = Memory.eeprom_get t.mem a
-let eeprom_poke t a v = Memory.eeprom_set t.mem a v
 
 let is_sp_or_sreg t a =
   let r = a - t.dev.Device.io_base in

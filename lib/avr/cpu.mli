@@ -57,11 +57,8 @@ val reset : t -> unit
 val pc : t -> int  (** program counter, in words *)
 
 val pc_byte_addr : t -> int
-val set_pc : t -> int -> unit
 
 val sp : t -> int  (** stack pointer (data-space address) *)
-
-val set_sp : t -> int -> unit
 
 (** Lowest SP value ever observed on this CPU (any write path: pushes,
     calls, interrupt entry, direct SPL/SPH stores), i.e. the deepest
@@ -72,7 +69,6 @@ val set_sp : t -> int -> unit
 val sp_watermark : t -> int
 
 val reg : t -> int -> int
-val set_reg : t -> int -> int -> unit
 val sreg : t -> int
 val cycles : t -> int
 val instructions_retired : t -> int
@@ -82,10 +78,6 @@ val instructions_retired : t -> int
     erased cells. *)
 val program_size : t -> int
 val halted : t -> halt option
-
-(** Force a halt state (used by fault-injection tests).  Fires the halt
-    tap like any organic fault. *)
-val force_halt : t -> halt -> unit
 
 (** {2 Telemetry taps}
 
@@ -124,9 +116,6 @@ type block_info = private { bi_key : int; bi_pc : int; bi_insns : Isa.t array }
     code runs. *)
 val set_block_tap :
   t -> on_block:(block_info -> int -> unit) -> on_step:(int -> Isa.t -> unit) -> unit
-
-val clear_block_tap : t -> unit
-val block_tap_active : t -> bool
 
 (** [set_irq_tap t (Some f)] — [f ~latency ~masked] fires when an
     interrupt is taken: [latency] is the hardware dispatch latency
@@ -179,14 +168,8 @@ val run_until :
     invalidated whenever the flash epoch moves — [load_program] or a
     bootloader page write — so a freshly randomized image never executes
     a stale decode.  Each entry also carries the instruction's static
-    cycle cost, so a cached step matches on the instruction once.  Enabled by default; the switch exists for the
-    differential tests and before/after benchmarks.  Like
-    {!set_superblocks}, it may be flipped at any time, including from a
-    tap callback in the middle of a run. *)
-
-val set_decode_cache : t -> bool -> unit
-
-val decode_cache_enabled : t -> bool
+    cycle cost, so a cached step matches on the instruction once.  It is
+    always on: every stepped instruction goes through it. *)
 
 (** {2 Superblock threaded-code engine}
 
@@ -220,9 +203,6 @@ val decode_cache_enabled : t -> bool
     the switch may be flipped at any time, including from a tap callback
     mid-run, and takes effect at the next block boundary. *)
 
-val set_superblocks : t -> bool -> unit
-val superblocks_enabled : t -> bool
-
 (** Process-wide default consulted by {!create} — lets a campaign
     driver flip every subsequently created CPU (including those built
     inside worker domains) without threading a flag through the
@@ -234,16 +214,6 @@ val set_superblocks_default : bool -> unit
 (** [uart_send t s] queues bytes for the device to receive. *)
 val uart_send : t -> string -> unit
 
-(** [set_uart_tx_pacing t ~cycles_per_byte] models the transmitter's wire
-    rate: after each byte the data register stays busy (UCSRA bit 5
-    clear) for that many cycles, and writes during the busy window are
-    dropped — as on real hardware.  0 (the default) transmits
-    instantly. *)
-val set_uart_tx_pacing : t -> cycles_per_byte:int -> unit
-
-(** [uart_rx_pending t] is the number of undelivered host→device bytes. *)
-val uart_rx_pending : t -> int
-
 (** [uart_take_tx t] drains and returns bytes the device transmitted. *)
 val uart_take_tx : t -> string
 
@@ -253,17 +223,9 @@ val watchdog_feeds : t -> int
 
 val last_feed_cycles : t -> int
 
-(** Host-side I/O register access (e.g. the simulator setting the gyro
-    sensor registers, or tests reading them back after an attack). *)
-val io_peek : t -> int -> int
-
+(** Host-side I/O register write (e.g. the simulator setting the gyro
+    sensor registers). *)
 val io_poke : t -> int -> int -> unit
-
-(** Host-side EEPROM access (the persistent configuration memory; survives
-    reflashing, unlike program flash). *)
-val eeprom_peek : t -> int -> int
-
-val eeprom_poke : t -> int -> int -> unit
 
 (** Host-side data-space access. *)
 val data_peek : t -> int -> int
@@ -288,7 +250,44 @@ val stack_slice : t -> pos:int -> len:int -> string
     also resets the shadow stack; call right after [load_program]). *)
 val enable_shadow_stack : t -> overhead_cycles:int -> unit
 
-val disable_shadow_stack : t -> unit
+(** {2 Test hooks}
+
+    Used only by the tests: they set machine state directly, fault the
+    CPU, check the tap lifecycle, switch superblocks off as the reference
+    engine, pace the UART, and observe state the firmware leaves behind. *)
+
+val set_pc : t -> int -> unit
+
+val set_sp : t -> int -> unit
+
+val set_reg : t -> int -> int -> unit
+
+(** Force a halt state (used by fault-injection tests).  Fires the halt
+    tap like any organic fault. *)
+val force_halt : t -> halt -> unit
+
+val clear_block_tap : t -> unit
+
+val block_tap_active : t -> bool
+
+val set_superblocks : t -> bool -> unit
+
+(** [set_uart_tx_pacing t ~cycles_per_byte] models the transmitter's wire
+    rate: after each byte the data register stays busy (UCSRA bit 5
+    clear) for that many cycles, and writes during the busy window are
+    dropped — as on real hardware.  0 (the default) transmits
+    instantly. *)
+val set_uart_tx_pacing : t -> cycles_per_byte:int -> unit
+
+(** [uart_rx_pending t] is the number of undelivered host→device bytes. *)
+val uart_rx_pending : t -> int
+
+(** Host-side I/O register read, without peripheral side effects. *)
+val io_peek : t -> int -> int
+
+(** Host-side EEPROM access (the persistent configuration memory; survives
+    reflashing, unlike program flash). *)
+val eeprom_peek : t -> int -> int
 
 (** Depth of the shadow stack (0 when disabled or at top level). *)
 val shadow_depth : t -> int

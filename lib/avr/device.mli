@@ -106,8 +106,6 @@ module External_flash : sig
       randomizer relies on, §VI-B3). *)
   val read : t -> pos:int -> len:int -> string
 
-  val read_byte : t -> int -> int
-
   (** Number of bytes currently programmed. *)
   val content_length : t -> int
 

@@ -26,5 +26,3 @@ val decode_words : ?pos:int -> ?len:int -> string -> (Isa.t * int) array
 (** [listing code ~pos ~len] pretty-prints a region, one instruction per
     line, in the objdump-like format of the paper's gadget figures. *)
 val listing : ?pos:int -> ?len:int -> string -> string
-
-val pp_line : Format.formatter -> line -> unit

@@ -115,16 +115,6 @@ let transfer : t -> Transfer.t = function
   | Break | Data _ -> Transfer.Stop
   | _ -> Transfer.Straight
 
-let stack_push_bytes ~pc_bytes = function
-  | Push _ -> 1
-  | Call _ | Rcall _ | Icall -> pc_bytes
-  | _ -> 0
-
-let stack_pop_bytes ~pc_bytes = function
-  | Pop _ -> 1
-  | Ret | Reti -> pc_bytes
-  | _ -> 0
-
 module Flag = struct
   let c = 0
   let z = 1

@@ -130,17 +130,6 @@ end
 
 val transfer : t -> Transfer.t
 
-(** [stack_push_bytes ~pc_bytes i] — bytes the instruction pushes onto
-    the hardware stack: 1 for [push], [pc_bytes] (3 on the ATmega2560)
-    for the return address of [call]/[rcall]/[icall], 0 otherwise.
-    Interrupt entry pushes [pc_bytes] too, but that is an event, not an
-    instruction — account for it separately. *)
-val stack_push_bytes : pc_bytes:int -> t -> int
-
-(** [stack_pop_bytes ~pc_bytes i] — bytes popped: 1 for [pop],
-    [pc_bytes] for [ret]/[reti], 0 otherwise. *)
-val stack_pop_bytes : pc_bytes:int -> t -> int
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

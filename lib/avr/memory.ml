@@ -3,7 +3,6 @@ type t = {
   flash : Bytes.t;
   data : Bytes.t;
   eeprom : Bytes.t;
-  mutable page_writes : int;
   mutable flash_epoch : int;
 }
 
@@ -13,7 +12,6 @@ let create dev =
     flash = Bytes.make dev.Device.flash_bytes '\xff';
     data = Bytes.make (Device.data_end dev) '\x00';
     eeprom = Bytes.make dev.Device.eeprom_bytes '\xff';
-    page_writes = 0;
     flash_epoch = 0;
   }
 
@@ -34,8 +32,6 @@ let flash_word t word_addr =
   let b = word_addr * 2 in
   flash_byte t b lor (flash_byte t (b + 1) lsl 8)
 
-let flash_size t = Bytes.length t.flash
-
 let flash_write_page t ~page_addr data =
   let page = t.dev.Device.flash_page_bytes in
   if page_addr mod page <> 0 then invalid_arg "Memory.flash_write_page: unaligned page";
@@ -43,10 +39,8 @@ let flash_write_page t ~page_addr data =
   if page_addr + page > Bytes.length t.flash then
     invalid_arg "Memory.flash_write_page: beyond flash";
   Bytes.blit_string data 0 t.flash page_addr page;
-  t.page_writes <- t.page_writes + 1;
   t.flash_epoch <- t.flash_epoch + 1
 
-let flash_page_writes t = t.page_writes
 let flash_contents t = Bytes.to_string t.flash
 
 (* Register-file fast path: addresses 0..31 are always inside the data
@@ -60,8 +54,6 @@ let data_get t addr =
 
 let data_set t addr v =
   if addr >= 0 && addr < Bytes.length t.data then Bytes.set t.data addr (Char.unsafe_chr (v land 0xFF))
-
-let in_data_space t addr = addr >= 0 && addr < Bytes.length t.data
 
 let data_slice t ~pos ~len =
   let size = Bytes.length t.data in

@@ -25,19 +25,10 @@ val flash_byte : t -> int -> int
 (** [flash_word t word_addr] is the little-endian 16-bit program word. *)
 val flash_word : t -> int -> int
 
-val flash_size : t -> int
-
 (** [flash_write_page t ~page_addr data] emulates bootloader/SPM page
-    programming and increments the wear counter. [page_addr] must be
-    page-aligned and [data] exactly one page. *)
+    programming. [page_addr] must be page-aligned and [data] exactly one
+    page. *)
 val flash_write_page : t -> page_addr:int -> string -> unit
-
-(** Total pages programmed since [create] (wear-leveling input to the
-    re-randomization frequency analysis, §V-C). *)
-val flash_page_writes : t -> int
-
-(** Copy of the full flash contents (for host-side scanning/disassembly). *)
-val flash_contents : t -> string
 
 (** [flash_epoch t] increments on every flash mutation ({!load_flash} or
     {!flash_write_page}).  Consumers that cache decoded program words
@@ -60,12 +51,17 @@ val reg_get : t -> int -> int
 
 val reg_set : t -> int -> int -> unit
 
-(** [in_data_space t addr] is true when [addr] is a legal data address. *)
-val in_data_space : t -> int -> bool
-
 val data_slice : t -> pos:int -> len:int -> string
 
 (** {2 EEPROM} *)
 
 val eeprom_get : t -> int -> int
 val eeprom_set : t -> int -> int -> unit
+
+(** {2 Test hooks}
+
+    Used only by the tests, to read back what a fault or a reflash left in
+    flash. *)
+
+(** Copy of the full flash contents (for host-side scanning/disassembly). *)
+val flash_contents : t -> string

@@ -12,6 +12,7 @@ let class_names =
 
 let n_classes = Array.length class_names
 
+(* The index into [class_names]. *)
 let class_of (i : Isa.t) =
   match i with
   | Isa.Add _ | Isa.Adc _ | Isa.Sub _ | Isa.Sbc _ | Isa.And _ | Isa.Or _ | Isa.Eor _
@@ -57,6 +58,7 @@ let mnemonic (i : Isa.t) =
   | Isa.Bclr _ -> "bclr" | Isa.Wdr -> "wdr" | Isa.Sleep -> "sleep" | Isa.Break -> "break"
   | Isa.Data _ -> "(data)"
 
+(* Registry key fragment for a halt reason ("wild_pc", ...). *)
 let halt_key = function
   | Cpu.Illegal_instruction _ -> "illegal"
   | Cpu.Wild_pc _ -> "wild_pc"
@@ -263,11 +265,6 @@ let attach ?(prefix = "avr") ?(recorder_capacity = 64) ~registry cpu =
             death, before any recovery path reflashes and keeps going. *)
          p.last_dump <- Some (render_dump p h)));
   p
-
-let detach t =
-  Cpu.clear_block_tap t.cpu;
-  Cpu.set_irq_tap t.cpu None;
-  Cpu.set_halt_tap t.cpu None
 
 (* ---- hotness export -------------------------------------------------- *)
 

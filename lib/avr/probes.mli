@@ -32,29 +32,11 @@
 
 type t
 
-(** Coarse instruction-mix classes, in counter-index order. *)
-val class_names : string array
-
-val n_classes : int
-
-(** [class_of insn] is the index into {!class_names}. *)
-val class_of : Isa.t -> int
-
-(** Static mnemonic head (no operands, no allocation). *)
-val mnemonic : Isa.t -> string
-
-(** Registry key fragment for a halt reason (["wild_pc"], ...). *)
-val halt_key : Cpu.halt -> string
-
 (** [attach ?prefix ?recorder_capacity ~registry cpu] registers the
     metric set under [<prefix>.] (default ["avr"]) and installs the
     taps.  [recorder_capacity] bounds the flight-recorder ring (default
     64 events).  Replaces any taps already installed on [cpu]. *)
 val attach : ?prefix:string -> ?recorder_capacity:int -> registry:Mavr_telemetry.Metrics.registry -> Cpu.t -> t
-
-(** Uninstalls all three taps.  Registry entries remain (frozen at their
-    last values; sampled gauges keep reading the CPU). *)
-val detach : t -> unit
 
 val registry : t -> Mavr_telemetry.Metrics.registry
 val recorder : t -> Mavr_telemetry.Recorder.t
@@ -66,10 +48,6 @@ val flight_record : t -> Mavr_telemetry.Recorder.event list
     state, and the last N cycle-stamped events.  [None] until the first
     fault. *)
 val last_fault_dump : t -> string option
-
-(** Halts observed since attach (recoveries may reset the CPU and keep
-    running; the count survives). *)
-val faults_seen : t -> int
 
 (** Lowest stack pointer observed (deepest stack; the engine's exact
     watermark), [None] before any SP write. *)
@@ -100,3 +78,15 @@ val block_stats : t -> block_stat list
 (** Instructions retired single-stepped (interrupt windows, superblocks
     disabled) — execution the block rows don't cover. *)
 val stepped_insns : t -> int
+
+(** {2 Test hooks}
+
+    Used only by the tests, to check the instruction-mix counters and the
+    fault count against a known run. *)
+
+(** Coarse instruction-mix classes, in counter-index order. *)
+val class_names : string array
+
+(** Halts observed since attach (recoveries may reset the CPU and keep
+    running; the count survives). *)
+val faults_seen : t -> int

@@ -7,7 +7,6 @@
 
 type t
 
-val zero : t
 val one : t
 
 (** [of_int n] converts a non-negative [n].
@@ -25,9 +24,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 
 val mul : t -> t -> t
-
-(** [mul_int a k] multiplies by a small non-negative integer. *)
-val mul_int : t -> int -> t
 
 (** [divmod_int a k] is [(a / k, a mod k)] for [0 < k <= 2^30]. *)
 val divmod_int : t -> int -> t * int
@@ -57,3 +53,10 @@ val to_string : t -> string
 val of_string : string -> t
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Test hooks}
+
+    Used only by the tests, to state exact bounds on the security figures. *)
+
+(** [mul_int a k] multiplies by a small non-negative integer. *)
+val mul_int : t -> int -> t

@@ -30,7 +30,6 @@ type t = {
   lock : Mutex.t;
   entries : (int, entry) Hashtbl.t;  (* guarded by [lock] *)
   mutable since_snapshot : int;  (* guarded by [lock] *)
-  mutable snapshots : int;  (* guarded by [lock] *)
   mutable abort_after : int option;  (* test hook; guarded by [lock] *)
   mutable recorded : int;  (* live [record]s this process; guarded by [lock] *)
 }
@@ -172,8 +171,7 @@ let snapshot_locked t =
               Unix.fsync fd);
           Sys.rename tmp path;
           fsync_dir (Filename.dirname path));
-      t.since_snapshot <- 0;
-      t.snapshots <- t.snapshots + 1
+      t.since_snapshot <- 0
 
 let emit_stream t line = match t.stream with None -> () | Some sink -> sink line
 
@@ -189,7 +187,6 @@ let create ?path ?stream ?(every = 32) spec =
       lock = Mutex.create ();
       entries = Hashtbl.create 256;
       since_snapshot = 0;
-      snapshots = 0;
       abort_after = None;
       recorded = 0;
     }
@@ -284,7 +281,6 @@ let resume ~path ?stream ?(every = 32) spec =
       lock = Mutex.create ();
       entries = Hashtbl.create 256;
       since_snapshot = 0;
-      snapshots = 0;
       abort_after = None;
       recorded = 0;
     }
@@ -342,9 +338,5 @@ let entries t =
 let completed t =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () -> Hashtbl.length t.entries)
-
-let snapshots_written t =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () -> t.snapshots)
 
 let spec t = t.spec

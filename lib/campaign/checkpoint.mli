@@ -102,7 +102,6 @@ val entries : t -> (int * entry) list
 (** Number of recorded entries (tasks + skips). *)
 val completed : t -> int
 
-val snapshots_written : t -> int
 val spec : t -> spec
 
 (** Test hook for the CI kill/resume rules: after the [n]th {e live}

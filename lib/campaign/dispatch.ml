@@ -11,7 +11,6 @@ let address_of_string s =
     Error (Printf.sprintf "unsupported worker address scheme in %S (only unix: for now)" s)
   else Ok (Unix_socket s)
 
-let address_to_string = function Unix_socket p -> "unix:" ^ p
 
 type shard = { lo : int; hi : int }
 

@@ -34,8 +34,6 @@ type address = Unix_socket of string
 (** Accepts ["unix:PATH"] or a bare path. *)
 val address_of_string : string -> (address, string) result
 
-val address_to_string : address -> string
-
 (** Contiguous global-index range [\[lo, hi)], block-aligned. *)
 type shard = { lo : int; hi : int }
 

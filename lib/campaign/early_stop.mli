@@ -30,13 +30,6 @@ val z : t -> float
 val min_trials : t -> int
 val batch : t -> int
 
-(** [wilson ~z ~n ~k] — Wilson score interval [(lo, hi)] for [k]
-    successes in [n] trials; [(0, 1)] when [n = 0]. *)
-val wilson : z:float -> n:int -> k:int -> float * float
-
-(** Half the Wilson interval width. *)
-val halfwidth : z:float -> n:int -> k:int -> float
-
 (** [should_stop t ~n ~k] — [n >= min_trials] and the halfwidth met the
     target. *)
 val should_stop : t -> n:int -> k:int -> bool
@@ -44,3 +37,15 @@ val should_stop : t -> n:int -> k:int -> bool
 (** Policy parameters as JSON fields (for the campaign document's
     ["early_stop"] section). *)
 val to_json_fields : t -> (string * Mavr_telemetry.Json.t) list
+
+(** {2 Test hooks}
+
+    Used only by the tests, to check the interval arithmetic behind the
+    stopping rule. *)
+
+(** [wilson ~z ~n ~k] — Wilson score interval [(lo, hi)] for [k]
+    successes in [n] trials; [(0, 1)] when [n = 0]. *)
+val wilson : z:float -> n:int -> k:int -> float * float
+
+(** Half the Wilson interval width. *)
+val halfwidth : z:float -> n:int -> k:int -> float

@@ -149,6 +149,8 @@ let run t ~tasks body =
     raise_first_failure job
   end
 
+(* Joins the worker domains.  Idempotent.  The pool must not be used
+   afterwards. *)
 let shutdown t =
   Mutex.lock t.mutex;
   t.stopping <- true;

@@ -22,10 +22,6 @@ exception Task_failed of { index : int; exn : exn; backtrace : string }
     @raise Invalid_argument when [jobs < 1]. *)
 val create : ?jobs:int -> unit -> t
 
-(** Upper cap applied to [jobs] (oversubscribing domains degrades an
-    OCaml 5 runtime rapidly). *)
-val max_jobs : int
-
 val jobs : t -> int
 
 type domain_stats = {
@@ -47,9 +43,13 @@ val stats : t -> domain_stats array
     @raise Task_failed when any task raised (lowest index reported). *)
 val run : t -> tasks:int -> (int -> unit) -> unit
 
-(** [shutdown t] joins the worker domains.  Idempotent.  The pool must
-    not be used afterwards. *)
-val shutdown : t -> unit
-
 (** [with_pool ?jobs f] — create, apply, always shutdown. *)
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
+
+(** {2 Test hooks}
+
+    Used only by the tests, to check that {!create} caps the job count. *)
+
+(** Upper cap applied to [jobs] (oversubscribing domains degrades an
+    OCaml 5 runtime rapidly). *)
+val max_jobs : int

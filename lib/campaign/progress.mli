@@ -51,8 +51,14 @@ val task_done : t -> unit
     bypassing the interval gate but not the lock. *)
 val emit : t -> reason:string -> unit
 
+val total : t -> int
+
+(** {2 Test hooks}
+
+    Used only by the tests, to check the stream's counters against the
+    lines it wrote. *)
+
 (** Lines emitted so far (the last line's ["seq"]). *)
 val lines_emitted : t -> int
 
 val tasks_done : t -> int
-val total : t -> int

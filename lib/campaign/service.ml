@@ -9,6 +9,7 @@ let send_line oc line =
 
 let send_obj oc fields = send_line oc (Json.to_string (Json.Obj fields))
 
+(* One request/response exchange over arbitrary channels. *)
 let handle_channel handler ic oc =
   match input_line ic with
   | exception End_of_file ->

@@ -37,7 +37,3 @@ val serve : socket:string -> ?max_requests:int -> handler -> (int, string) resul
 (** [serve_stdio handler] runs one request over stdin/stdout — the same
     protocol without a socket, for CI and piping. *)
 val serve_stdio : handler -> unit
-
-(** [handle_channel handler ic oc] — one request/response exchange over
-    arbitrary channels (exposed for tests). *)
-val handle_channel : handler -> in_channel -> out_channel -> unit

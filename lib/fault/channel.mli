@@ -46,12 +46,6 @@ val create : rng:Mavr_prng.Splitmix.t -> params -> t
 val params : t -> params
 val stats : t -> stats
 
-(** [corrupt t bytes] applies the byte-level error processes (burst,
-    drop, flip, dup) and returns the bytes as received.  No jitter: the
-    result is delivered now.  [""] passes through untouched without
-    consuming randomness. *)
-val corrupt : t -> string -> string
-
 (** [push t ~now bytes] corrupts [bytes] and enqueues them for delivery
     at [now + jitter].  Due times are clamped monotonically so delivery
     order always equals send order. *)
@@ -65,9 +59,20 @@ val due : t -> now:int -> string
     sites use this.  With {!clean} params it is the identity. *)
 val transmit : t -> now:int -> string -> string
 
-(** Bytes enqueued but not yet due (in-flight under jitter). *)
-val in_flight : t -> int
-
 (** [attach_metrics ~prefix t registry] exports the stats as sampled
     counters (additive under campaign merge). *)
 val attach_metrics : prefix:string -> t -> Mavr_telemetry.Metrics.registry -> unit
+
+(** {2 Test hooks}
+
+    Used only by the tests, to drive the corruption model on a byte string
+    and to see what is still in flight. *)
+
+(** [corrupt t bytes] applies the byte-level error processes (burst,
+    drop, flip, dup) and returns the bytes as received.  No jitter: the
+    result is delivered now.  [""] passes through untouched without
+    consuming randomness. *)
+val corrupt : t -> string -> string
+
+(** Bytes enqueued but not yet due (in-flight under jitter). *)
+val in_flight : t -> int

@@ -72,6 +72,7 @@ let reflash_severe = { Reflash.page_corrupt_ppm = 10_000; max_retries = 3 }
 
 let none = { name = "none"; levels = [| level_off |] }
 
+(* Channel noise only (bit flips / drops / dups / bursts / jitter). *)
 let lossy =
   let lvl name c = { level_off with name; downlink = c; uplink = c } in
   {

@@ -17,16 +17,12 @@ type level = {
   reflash : Reflash.params;
 }
 
-val level_off : level
 val level_is_off : level -> bool
 
 type t = { name : string; levels : level array }
 
 (** Single clean level: fault machinery entirely out of the loop. *)
 val none : t
-
-(** Channel noise only (bit flips / drops / dups / bursts / jitter). *)
-val lossy : t
 
 (** Memory upsets only (SRAM + flash bit flips). *)
 val seu : t
@@ -37,3 +33,9 @@ val stress : t
 val all : t list
 val of_string : string -> (t, string) result
 val names : string list
+
+(** {2 Test hooks}
+
+    Used only by the tests, to build a level that isolates one fault kind. *)
+
+val level_off : level

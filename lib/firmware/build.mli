@@ -15,9 +15,6 @@ type t = {
   pad_bytes : int;
 }
 
-(** Number of runtime-kernel functions included in every build. *)
-val runtime_function_count : int
-
 (** [build ?pad profile toolchain] assembles a firmware.  When [pad] is
     omitted it is computed so that the {e stock} build of [profile] hits
     [profile.target_size] (a stock dry-run is performed if needed). *)

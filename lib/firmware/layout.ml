@@ -22,7 +22,6 @@ let gyro_cfg = 0x48E
 let tick = 0x490
 
 let telem = 0x500
-let telem_len = 26
 let telem_gyro_off = 14
 let telem_accel_off = 8
 let param_area = 0x540
@@ -37,7 +36,6 @@ let scratch i = 0x600 + (8 * (i mod 256))
    stay inside physical SRAM. *)
 let stack_top = 0x217F
 let free_region = 0x1800
-let free_region_len = 0x800
 
 let vuln_buffer_len = 64
 let vuln_frame_size = 66

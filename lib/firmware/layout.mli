@@ -50,7 +50,6 @@ val telem : int
 (** 26-byte RAW_IMU payload block streamed as telemetry; xgyro is at
     [telem + telem_gyro_off]. *)
 
-val telem_len : int
 val telem_gyro_off : int
 
 val telem_accel_off : int
@@ -71,8 +70,6 @@ val stack_top : int
 val free_region : int
 (** Start of the SRAM region unused by the application — where ROP attack
     V3 stages its arbitrarily large payload. *)
-
-val free_region_len : int
 
 val vuln_buffer_len : int
 (** Size of the stack buffer in the vulnerable PARAM_SET handler. *)

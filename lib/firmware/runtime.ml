@@ -14,7 +14,6 @@ let brne s = Br (`Cbit Isa.Flag.z, s)
 let brlo s = Br (`Sbit Isa.Flag.c, s)
 let ret = i Isa.Ret
 
-let label_copy_loop = "hps_copy"
 let label_stk_move = "hps_teardown"
 let label_write_mem = "ps_write_mem"
 let label_write_mem_pops = "ps_pops"

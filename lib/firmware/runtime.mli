@@ -31,10 +31,10 @@ val functions :
 (** [defines] : the SRAM address constants used by the kernel. *)
 val defines : (string * int) list
 
-(** Labels of interest to tests and the attack builder (resolved after
-    assembly via {!Mavr_asm.Assembler.label_value}). *)
-val label_copy_loop : string
-(** Inside the vulnerable copy loop of the PARAM_SET handler. *)
+(** {2 Test hooks}
+
+    Labels used only by the tests, to find the paper's gadgets in an
+    assembled build (resolved via {!Mavr_asm.Assembler.label_value}). *)
 
 val label_stk_move : string
 (** First instruction of the Fig. 4 teardown/gadget. *)

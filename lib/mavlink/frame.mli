@@ -21,19 +21,10 @@ val crc_len : int
     out of byte range. *)
 val encode : ?crc_extra:int -> t -> string
 
-(** [encode_raw ~declared_len t] renders a frame whose {e length field} is
-    [declared_len] regardless of the actual payload size — the malformed
-    packet a malicious ground station sends once the receiver's length
-    check is disabled (§IV-B).  The CRC is computed over the bytes
-    actually sent so the firmware accepts it. *)
-val encode_raw : ?crc_extra:int -> declared_len:int -> t -> string
-
 type error =
   | Bad_magic
   | Bad_crc of { got : int; expected : int }
   | Truncated
-
-val pp_error : Format.formatter -> error -> unit
 
 (** [decode ?crc_extra ?pos s] parses one complete frame starting at
     offset [pos] (default 0) of [s]; returns the frame and the number of
@@ -41,5 +32,19 @@ val pp_error : Format.formatter -> error -> unit
     scan a buffer without copying a fresh suffix per attempt.
     @raise Invalid_argument when [pos] is outside [s]. *)
 val decode : ?crc_extra_of:(int -> int) -> ?pos:int -> string -> (t * int, error) result
+
+(** {2 Test hooks}
+
+    Used only by the tests: [encode_raw] crafts frames that lie about their
+    length, and the others account for and report what the decoder did. *)
+
+(** [encode_raw ~declared_len t] renders a frame whose {e length field} is
+    [declared_len] regardless of the actual payload size — the malformed
+    packet a malicious ground station sends once the receiver's length
+    check is disabled (§IV-B).  The CRC is computed over the bytes
+    actually sent so the firmware accepts it. *)
+val encode_raw : ?crc_extra:int -> declared_len:int -> t -> string
+
+val pp_error : Format.formatter -> error -> unit
 
 val wire_length : t -> int

@@ -14,13 +14,7 @@ type def = {
 }
 
 val heartbeat : def
-val sys_status : def
-val param_set : def
-val gps_raw_int : def
 val raw_imu : def
-val attitude : def
-val command_long : def
-val statustext : def
 
 (** All known definitions, ascending [msgid]. *)
 val all : def list

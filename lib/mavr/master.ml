@@ -138,6 +138,7 @@ let stored_hex t = Flash.read t.ext_flash ~pos:0 ~len:(Flash.content_length t.ex
 let stored t =
   match t.stored with Some s -> s | None -> invalid_arg "Master: not provisioned"
 
+(* The Table II quantity for this master's link. *)
 let startup_overhead_ms t bytes = Serial.programming_ms t.config.link bytes
 
 (* A §VI-B3 streaming session: draw a permutation, lay the stored image

@@ -66,13 +66,6 @@ val stored_hex : t -> string
     @raise Invalid_argument when not provisioned. *)
 val boot : t -> app:Mavr_avr.Cpu.t -> unit
 
-(** The image currently running on the application processor.  Note this
-    is the master's knowledge; the attacker can never read it (readout
-    protection fuse, §V-A3). *)
-val current_image : t -> Mavr_obj.Image.t
-
-val boots : t -> int
-
 (** Number of reprogramming operations performed (flash wear; the part is
     rated for 10,000, §VI-A). *)
 val reflashes : t -> int
@@ -99,13 +92,6 @@ val attacks_detected : t -> int
 
 val set_reflash_faults : t -> Mavr_fault.Reflash.t option -> unit
 
-(** Extra transfers forced by the most recent programming session
-    (verify retries, +1 when it fell back); 0 on a clean stream. *)
-val last_flash_retries : t -> int
-
-(** Sessions that exhausted the retry budget and fell back. *)
-val fallback_streams : t -> int
-
 (** [check_and_recover t ~app] performs one watchdog evaluation: when the
     application has halted or has been silent past the configured window,
     the master re-randomizes and reprograms it.  Returns [true] when a
@@ -117,10 +103,6 @@ val check_and_recover : t -> app:Mavr_avr.Cpu.t -> bool
     re-randomizing and restarting the application processor.  Returns the
     number of failed attacks detected during this window. *)
 val supervise : t -> app:Mavr_avr.Cpu.t -> cycles:int -> int
-
-(** [startup_overhead_ms t image_bytes] — the Table II quantity for this
-    master's link. *)
-val startup_overhead_ms : t -> int -> float
 
 (** [attach_telemetry ?prefix t ~registry ~recorder] exports the master's
     counters as sampled gauges ([<prefix>.boots], [.reflashes],
@@ -140,3 +122,22 @@ val attach_telemetry :
   registry:Mavr_telemetry.Metrics.registry ->
   recorder:Mavr_telemetry.Recorder.t ->
   unit
+
+(** {2 Test hooks}
+
+    Used only by the tests, to observe the master's knowledge and its
+    flash-session history. *)
+
+(** The image currently running on the application processor.  Note this
+    is the master's knowledge; the attacker can never read it (readout
+    protection fuse, §V-A3). *)
+val current_image : t -> Mavr_obj.Image.t
+
+val boots : t -> int
+
+(** Extra transfers forced by the most recent programming session
+    (verify retries, +1 when it fell back); 0 on a clean stream. *)
+val last_flash_retries : t -> int
+
+(** Sessions that exhausted the retry budget and fell back. *)
+val fallback_streams : t -> int

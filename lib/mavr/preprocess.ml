@@ -1,5 +1,9 @@
 module Image = Mavr_obj.Image
 
+(* The flash offsets (within the non-executable low-flash rodata region,
+   [exec_low_end .. text_start)) holding 16-bit words that decode as the
+   word address of some function start.  A superset-of-truth heuristic:
+   every real pointer is found; coincidental data may be too. *)
 let scan_function_pointers (img : Image.t) =
   let starts = Hashtbl.create 512 in
   List.iter

@@ -9,12 +9,10 @@
     cross-checked — and so images reconstructed without assembler
     metadata could still be preprocessed. *)
 
-(** [scan_function_pointers image] returns the flash offsets (within the
-    non-executable low-flash rodata region, [exec_low_end ..
-    text_start)) holding 16-bit words that decode as the word address of
-    some function start.  A superset-of-truth heuristic: every real
-    pointer is found; coincidental data may be too. *)
-val scan_function_pointers : Mavr_obj.Image.t -> int list
+(** {2 Test hooks}
+
+    Used only by the tests, to cross-check the scan against the
+    assembler's recorded pointer locations. *)
 
 (** [verify image] checks the assembler-recorded [funptr_locs] against the
     scan: [Ok ()] when every recorded pointer is discovered by the scan.

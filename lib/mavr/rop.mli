@@ -22,7 +22,7 @@
     - {b V2} ([v2_stealthy]): two frames (one benign staging frame, one
       71-byte trigger); performs up to 6 arbitrary 3-byte writes and
       returns cleanly — execution continues as if nothing happened.
-    - {b V3} ([v3_trampoline]): arbitrarily many frames; stages an
+    - {b V3} ([v3_stage], [v3_execute]): arbitrarily many frames; stages an
       unbounded payload into free SRAM 18 bytes per volley (every volley
       returns cleanly), then pivots into it and executes it as one big
       chain before returning cleanly again. *)
@@ -71,12 +71,6 @@ val v1_basic : target_info -> observation -> writes:write list -> string list
     @raise Invalid_argument with more than 6 writes. *)
 val v2_stealthy : target_info -> observation -> writes:write list -> string list
 
-(** [v3_trampoline ti obs ~payload ~dest] — stages [payload] at SRAM
-    address [dest] (clean return after every volley), then executes it:
-    the payload itself is assembled into a chain performing [payload]'s
-    writes... see [v3_stage] and [v3_execute] for the two phases. *)
-val v3_stage : target_info -> observation -> data:string -> dest:int -> string list
-
 (** [v3_execute ti obs ~chain_dest ~writes] — stages a (possibly very
     long) chain of [writes] at [chain_dest] and fires one trigger volley
     that pivots into it; the big chain repairs and returns cleanly. *)
@@ -94,7 +88,16 @@ val big_chain_bytes : target_info -> observation -> writes:write list -> string
     the master processor's detection path. *)
 val crash_probe : target_info -> string list
 
-(** Frame-geometry constants derived in the module (exposed for tests). *)
-val trigger_len : int
+(** {2 Test hooks}
+
+    Used only by the tests, to run attack V3's staging phase alone and to
+    check the trigger frame's geometry. *)
+
+(** [v3_stage ti obs ~data ~dest] — attack V3's staging phase alone:
+    the volleys that write [data] to SRAM address [dest], 3 bytes per
+    write and up to 6 writes per volley, each returning cleanly. *)
+val v3_stage : target_info -> observation -> data:string -> dest:int -> string list
+
 (** Length of the trigger frame payload (72: exactly up to the return
     address, no caller-stack damage). *)
+val trigger_len : int

@@ -18,10 +18,6 @@ let entropy_bits_with_padding ~n ~slack_bytes =
   in
   entropy_bits ~n +. gaps 1 0.0
 
-let success_probability_at ~n ~j =
-  let nf = Nat.log2_factorial n in
-  if j < 1 then 0.0 else 2.0 ** (-.nf)
-
 let factorial_int n =
   if n < 0 || n > 20 then invalid_arg "Security.factorial_int: out of range";
   let rec go i acc = if i > n then acc else go (i + 1) (acc * i) in

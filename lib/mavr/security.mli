@@ -28,11 +28,6 @@ val entropy_bits : n:int -> float
     adds relative to the factorial term. *)
 val entropy_bits_with_padding : n:int -> slack_bytes:int -> float
 
-(** [success_probability_at ~n ~j] for the static defense: exactly [1/N]
-    for every [1 <= j <= N] (the paper's telescoping product), as a
-    float. *)
-val success_probability_at : n:int -> j:int -> float
-
 (** {2 Monte-Carlo validation on small n}
 
     Empirical mean attempts over [trials] simulated attackers; compare

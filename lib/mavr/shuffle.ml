@@ -33,11 +33,6 @@ let draw ~rng img =
   Rng.shuffle rng order;
   layout img order
 
-let is_identity t =
-  let id = ref true in
-  Array.iteri (fun k i -> if k <> i then id := false) t.order;
-  !id
-
 let map_addr (img : Image.t) t addr =
   if addr < img.text_start || addr >= img.text_end then addr
   else

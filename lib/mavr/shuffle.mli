@@ -25,8 +25,6 @@ val identity : Mavr_obj.Image.t -> t
     [0..n-1]. *)
 val of_order : Mavr_obj.Image.t -> int array -> t
 
-(** [is_identity t] *)
-val is_identity : t -> bool
 
 (** [map_addr image t old_addr] maps a byte address inside some function
     to its new address (same offset within the moved block).  Addresses

@@ -134,10 +134,8 @@ let apply img shuffle ~page_bytes =
   let p = plan img ~page_bytes in
   (layout p shuffle, p.ledger)
 
-let randomize_image_rng ~rng img ~page_bytes = apply img (Shuffle.draw ~rng img) ~page_bytes
-
 let randomize_image ~seed img ~page_bytes =
-  randomize_image_rng ~rng:(Mavr_prng.Splitmix.create ~seed) img ~page_bytes
+  apply img (Shuffle.draw ~rng:(Mavr_prng.Splitmix.create ~seed) img) ~page_bytes
 
 let check_randomizable img =
   let page_bytes = Mavr_avr.Device.atmega2560.flash_page_bytes in

@@ -74,12 +74,6 @@ val apply :
 val randomize_image :
   seed:int -> Mavr_obj.Image.t -> page_bytes:int -> Mavr_obj.Image.t * stats
 
-(** [randomize_image_rng ~rng image ~page_bytes] — like
-    {!randomize_image} but drawing the permutation from a live generator
-    (the master processor's entropy state across re-randomizations). *)
-val randomize_image_rng :
-  rng:Mavr_prng.Splitmix.t -> Mavr_obj.Image.t -> page_bytes:int -> Mavr_obj.Image.t * stats
-
 (** [check_randomizable image] — whether [image] can be randomized at
     all (§V-B3, §VI-B1): its plan builds at the ATmega2560's page size,
     and its identity layout keeps every pointer within [icall]'s reach.

@@ -79,8 +79,6 @@ let function_containing t addr = Option.map (Array.get t.symbol_array) (function
 
 let code_of t sym = String.sub t.code sym.addr sym.size
 
-let function_starts t = Array.map (fun s -> s.addr) t.symbol_array
-
 let is_function_start t addr =
   (* Binary search over the ascending symbol array. *)
   let arr = t.symbol_array in

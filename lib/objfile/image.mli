@@ -51,19 +51,21 @@ val function_containing : t -> int -> symbol option
     {!function_containing}'s answer. *)
 val function_index : t -> int -> int option
 
-(** [code_of t sym] is the machine code of one function block. *)
-val code_of : t -> symbol -> string
-
-(** Ascending byte addresses of the function symbols. *)
-val function_starts : t -> int array
-
 (** [is_function_start t addr] — whether [addr] is exactly a function
     entry (the property the lint checks of vector-table and vtable
     targets rely on). *)
 val is_function_start : t -> int -> bool
 
+val pp_summary : Format.formatter -> t -> unit
+
+(** {2 Test hooks}
+
+    Used only by the tests, to compare function blocks and binary
+    generations. *)
+
+(** [code_of t sym] is the machine code of one function block. *)
+val code_of : t -> symbol -> string
+
 (** FNV-1a hash of the code bytes — a cheap fingerprint used in tests and
     by the master processor to distinguish binary generations. *)
 val fingerprint : t -> int
-
-val pp_summary : Format.formatter -> t -> unit

@@ -106,4 +106,3 @@ let of_hex text =
   in
   match Image.validate img with Ok () -> img | Error e -> fail "func_addrs: %s" e
 
-let equal_meta a b = a = b

@@ -8,9 +8,6 @@
     {!meta_base}, far above any real AVR flash address, so standard tools
     still understand the file. *)
 
-(** Address of the metadata segment inside the combined HEX file. *)
-val meta_base : int
-
 type meta = {
   exec_low_end : int;
   text_start : int;
@@ -18,15 +15,6 @@ type meta = {
   func_addrs : int list;  (** ascending function start addresses *)
   funptr_locs : int list;  (** flash offsets of stored function pointers *)
 }
-
-val meta_of_image : Image.t -> meta
-
-(** [to_blob meta] serializes (little-endian, magic ["MAVR1"]). *)
-val to_blob : meta -> string
-
-(** [of_blob s]
-    @raise Invalid_argument on bad magic or truncated input. *)
-val of_blob : string -> meta
 
 (** [to_hex image] is the preprocessed HEX file: symbol blob at
     {!meta_base} followed by the program at 0. *)
@@ -42,5 +30,19 @@ val to_hex : Image.t -> string
     function pointer past its end. *)
 val of_hex : string -> Image.t
 
-(** [equal_meta a b] *)
-val equal_meta : meta -> meta -> bool
+(** {2 Test hooks}
+
+    Used only by the tests, to round-trip the metadata blob and to craft
+    HEX files with bad metadata. *)
+
+(** Address of the metadata segment inside the combined HEX file. *)
+val meta_base : int
+
+val meta_of_image : Image.t -> meta
+
+(** [to_blob meta] serializes (little-endian, magic ["MAVR1"]). *)
+val to_blob : meta -> string
+
+(** [of_blob s]
+    @raise Invalid_argument on bad magic or truncated input. *)
+val of_blob : string -> meta

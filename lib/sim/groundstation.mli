@@ -40,11 +40,7 @@ val attack_suspected : t -> bool
 (** Telemetry truth channel: last xgyro raw value seen in RAW_IMU. *)
 val last_gyro_raw : t -> int option
 
-(** Last xacc raw value seen in RAW_IMU. *)
-val last_accel_raw : t -> int option
-
 val frames_received : t -> int
-val heartbeats_received : t -> int
 
 (** [attach_metrics ?prefix t registry] exports the ground station's
     counters as sampled gauges ([<prefix>.frames], [.heartbeats],
@@ -52,3 +48,12 @@ val heartbeats_received : t -> int
     parser's statistics under [<prefix>.link] (frames_ok, crc_errors,
     bytes_dropped, bytes_pending). *)
 val attach_metrics : ?prefix:string -> t -> Mavr_telemetry.Metrics.registry -> unit
+
+(** {2 Test hooks}
+
+    Used only by the tests, to check what the ground station decoded. *)
+
+(** Last xacc raw value seen in RAW_IMU. *)
+val last_accel_raw : t -> int option
+
+val heartbeats_received : t -> int

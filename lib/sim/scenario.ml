@@ -83,7 +83,6 @@ let master t = t.master
 let faults t = t.faults
 let sensors t = t.sensors
 let now_ms t = t.now_ms
-let dynamics t = t.dyn
 
 let uplink_channel faults = Option.bind faults Mavr_fault.Injector.uplink
 let downlink_channel faults = Option.bind faults Mavr_fault.Injector.downlink

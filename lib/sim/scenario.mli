@@ -45,7 +45,6 @@ val master : t -> Mavr_core.Master.t option
 val faults : t -> Mavr_fault.Injector.t option
 
 val now_ms : t -> float
-val dynamics : t -> Dynamics.state
 
 (** The noisy sensor suite feeding the memory-mapped sensor registers. *)
 val sensors : t -> Sensors.t

@@ -78,9 +78,6 @@ let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
 let value c = c.c
 let set g v = g.g <- v
-let gauge_value g = g.g
-let set_max g v = if v > g.g then g.g <- v
-let set_min g v = if v < g.g then g.g <- v
 
 let observe h v =
   h.n <- h.n + 1;

@@ -31,15 +31,6 @@ val value : counter -> int
 
 type gauge
 
-val gauge : registry -> string -> gauge
-val set : gauge -> int -> unit
-val gauge_value : gauge -> int
-
-(** [set_max g v] ([set_min]) ratchets the gauge upward (downward). *)
-val set_max : gauge -> int -> unit
-
-val set_min : gauge -> int -> unit
-
 type histogram
 
 val histogram : registry -> string -> histogram
@@ -121,10 +112,19 @@ val of_json : Json.t -> (registry, string) result
     snapshot was taken at. *)
 val to_jsonl : ?cycle:int -> registry -> string
 
+(** Human-readable aligned table of the snapshot. *)
+val pp_summary : Format.formatter -> registry -> unit
+
+(** {2 Test hooks}
+
+    Used only by the tests: [gauge] builds owned gauges for the merge
+    checks, [of_jsonl] parses {!to_jsonl} back, [pp_value] prints a value
+    in a failure message. *)
+
+val gauge : registry -> string -> gauge
+val set : gauge -> int -> unit
+
 (** Parses {!to_jsonl} output back; the round-trip equals {!snapshot}. *)
 val of_jsonl : string -> ((string * value_snapshot) list, string) result
 
 val pp_value : Format.formatter -> value_snapshot -> unit
-
-(** Human-readable aligned table of the snapshot. *)
-val pp_summary : Format.formatter -> registry -> unit

@@ -27,9 +27,6 @@ val capacity : t -> int
 (** Events currently retained (≤ capacity). *)
 val length : t -> int
 
-(** Events ever recorded, including overwritten ones. *)
-val total_recorded : t -> int
-
 val record : t -> cycle:int -> ?kind:kind -> ?value:int -> string -> unit
 
 (** [record] specialized to [Point] with every argument required: the
@@ -49,5 +46,11 @@ val pp_event : Format.formatter -> event -> unit
     retained event. *)
 val pp_dump : Format.formatter -> t -> unit
 
-val event_to_json : event -> Json.t
 val to_json : t -> Json.t
+
+(** {2 Test hooks}
+
+    Used only by the tests, to count overwritten events. *)
+
+(** Events ever recorded, including overwritten ones. *)
+val total_recorded : t -> int

@@ -63,9 +63,6 @@ let lane t ?(sort = 0) ?(domain = Host) name =
           Hashtbl.add t.lanes name l;
           l)
 
-let lane_name l = l.l_name
-let lane_domain l = l.l_domain
-
 let push l e =
   l.l_events <- e :: l.l_events;
   l.l_count <- l.l_count + 1
@@ -125,19 +122,6 @@ let cycle_instant l ~cycle ?(args = []) name =
       e_instant = true;
       e_ts = float_of_int cycle;
       e_dur = 0.;
-      e_cpu = 0.;
-      e_depth = List.length l.l_stack;
-      e_args = args;
-    }
-
-let cycle_span l ~begin_cycle ~end_cycle ?(args = []) name =
-  require l Cycles "cycle_span";
-  push l
-    {
-      e_name = name;
-      e_instant = false;
-      e_ts = float_of_int begin_cycle;
-      e_dur = float_of_int (end_cycle - begin_cycle);
       e_cpu = 0.;
       e_depth = List.length l.l_stack;
       e_args = args;

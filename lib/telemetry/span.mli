@@ -46,9 +46,6 @@ val create : ?clock:clock -> unit -> tracer
     domain-completion order. *)
 val lane : tracer -> ?sort:int -> ?domain:time_domain -> string -> lane
 
-val lane_name : lane -> string
-val lane_domain : lane -> time_domain
-
 (** {2 Host-domain spans}  ([Invalid_argument] on a [Cycles] lane) *)
 
 (** [span lane ?args name f] runs [f ()] inside a span; the span closes
@@ -64,11 +61,6 @@ val end_span : lane -> unit
 val instant : lane -> ?args:(string * Json.t) list -> string -> unit
 
 (** {2 Cycles-domain spans}  ([Invalid_argument] on a [Host] lane) *)
-
-val cycle_instant : lane -> cycle:int -> ?args:(string * Json.t) list -> string -> unit
-
-val cycle_span :
-  lane -> begin_cycle:int -> end_cycle:int -> ?args:(string * Json.t) list -> string -> unit
 
 (** [of_recorder lane events] folds a flight-recorder window (oldest
     first, as {!Recorder.events} returns it) into a [Cycles] lane:
@@ -89,16 +81,6 @@ type view = {
   v_depth : int;  (** nesting depth at emission *)
   v_args : (string * Json.t) list;
 }
-
-(** Timing-free event views in deterministic export order: lanes sorted
-    by (domain, sort, name), events in per-lane emission order.  This
-    is the content the jobs-invariance tests compare. *)
-val views : tracer -> view list
-
-(** Total events recorded (all lanes). *)
-val event_count : tracer -> int
-
-val lane_count : tracer -> int
 
 (** [merge ~into src] appends every [src] lane's completed events into
     the same-named lane of [into] (created if absent).  Open spans are
@@ -133,3 +115,20 @@ val to_trace_event : ?strip_timing:bool -> tracer -> Json.t
     {!views}, each carrying a monotonic ["seq"].  Same
     [~strip_timing] semantics. *)
 val to_jsonl : ?strip_timing:bool -> tracer -> string
+
+(** {2 Test hooks}
+
+    Used only by the tests, to emit a cycles-domain event directly and to
+    inspect what a tracer recorded. *)
+
+val cycle_instant : lane -> cycle:int -> ?args:(string * Json.t) list -> string -> unit
+
+(** Timing-free event views in deterministic export order: lanes sorted
+    by (domain, sort, name), events in per-lane emission order.  This
+    is the content the jobs-invariance tests compare. *)
+val views : tracer -> view list
+
+(** Total events recorded (all lanes). *)
+val event_count : tracer -> int
+
+val lane_count : tracer -> int

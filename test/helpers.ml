@@ -52,3 +52,24 @@ let telemetry cpu ~cycles =
   (r, frames, Mavr_mavlink.Parser.stats parser)
 
 let qtest = QCheck_alcotest.to_alcotest
+
+(* The predecode-cache oracle.  It turns superblocks off, so every
+   instruction is stepped, and taps each step: the decode the stepper
+   dispatches at a pc must be the decode of the flash as it is at that
+   moment.  The returned function reads [(steps, first mismatch)], the
+   mismatch as (pc, dispatched, live). *)
+let decode_oracle cpu =
+  let mem = Cpu.mem cpu in
+  let steps = ref 0 and mismatch = ref None in
+  Cpu.set_superblocks cpu false;
+  Cpu.set_block_tap cpu
+    ~on_block:(fun _ _ -> ())
+    ~on_step:(fun pc insn ->
+      incr steps;
+      let live =
+        fst
+          (Mavr_avr.Decode.decode (Mavr_avr.Memory.flash_word mem pc)
+             (Mavr_avr.Memory.flash_word mem (pc + 1)))
+      in
+      if insn <> live && !mismatch = None then mismatch := Some (pc, insn, live));
+  fun () -> (!steps, !mismatch)

@@ -4,7 +4,7 @@ let check_int msg expected actual = Alcotest.(check int) msg expected actual
 let check_str msg expected actual = Alcotest.(check string) msg expected actual
 
 let test_of_to_int () =
-  check_int "roundtrip 0" 0 (Nat.to_int Nat.zero);
+  check_int "roundtrip 0" 0 (Nat.to_int (Nat.of_int 0));
   check_int "roundtrip 1" 1 (Nat.to_int Nat.one);
   check_int "roundtrip 42" 42 (Nat.to_int (Nat.of_int 42));
   check_int "roundtrip large" 123_456_789_012_345 (Nat.to_int (Nat.of_int 123_456_789_012_345));
@@ -12,7 +12,7 @@ let test_of_to_int () =
       ignore (Nat.of_int (-1)))
 
 let test_to_string () =
-  check_str "zero" "0" (Nat.to_string Nat.zero);
+  check_str "zero" "0" (Nat.to_string (Nat.of_int 0));
   check_str "small" "7" (Nat.to_string (Nat.of_int 7));
   check_str "limb boundary" "1000000000" (Nat.to_string (Nat.of_int 1_000_000_000));
   check_str "two limbs" "123456789987654321" (Nat.to_string (Nat.of_int 123456789987654321))
@@ -39,7 +39,7 @@ let test_mul () =
   (* Verified with independent bignum arithmetic. *)
   check_str "big product" "121932631356500531347203169112635269"
     (Nat.to_string (Nat.mul a b));
-  check_str "by zero" "0" (Nat.to_string (Nat.mul a Nat.zero));
+  check_str "by zero" "0" (Nat.to_string (Nat.mul a (Nat.of_int 0)));
   check_str "by one" (Nat.to_string a) (Nat.to_string (Nat.mul a Nat.one));
   check_str "mul_int matches mul" (Nat.to_string (Nat.mul a (Nat.of_int 77)))
     (Nat.to_string (Nat.mul_int a 77))

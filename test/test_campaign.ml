@@ -219,21 +219,22 @@ let test_census_jobs_invariant () =
   let c4 = Survival.census ~seed:(Root 7) ~jobs:4 ~layouts:6 img in
   Alcotest.(check bool) "census bit-identical across job counts" true (c1 = c4)
 
-let test_census_legacy_seeds () =
+let test_census_root_seeds () =
   let img = mavr_image () in
-  let c = Survival.census ~seed:Legacy ~jobs:2 ~layouts:4 img in
-  Alcotest.(check bool) "legacy schedule is i+1" true (c.layout_seeds = [| 1; 2; 3; 4 |]);
-  (* The legacy path must reproduce the exact pre-campaign numbers: the
-     sequential reference computation, layout i randomized with seed i+1. *)
+  let c = Survival.census ~seed:(Root 3) ~jobs:2 ~layouts:4 img in
+  Alcotest.(check bool) "schedule is the root's task seeds" true
+    (c.layout_seeds = Engine.task_seeds ~seed:3 ~tasks:4);
+  (* The parallel census must match the sequential reference
+     computation: layout i randomized with its seed and counted alone. *)
   let base = Gadget.scan img in
   let expected =
     Array.init 4 (fun i ->
-        let candidate = Randomize.randomize ~seed:(i + 1) img in
+        let candidate = Randomize.randomize ~seed:c.layout_seeds.(i) img in
         List.fold_left
           (fun n g -> if Survival.gadget_survives ~candidate g then n + 1 else n)
           0 base)
   in
-  Alcotest.(check bool) "legacy survivors match sequential reference" true
+  Alcotest.(check bool) "survivors match sequential reference" true
     (c.survivors_per_layout = expected)
 
 let test_census_roots_sample_disjoint_layouts () =
@@ -473,7 +474,7 @@ let () =
       ( "census",
         [
           Alcotest.test_case "jobs-invariant" `Quick test_census_jobs_invariant;
-          Alcotest.test_case "legacy seed schedule" `Quick test_census_legacy_seeds;
+          Alcotest.test_case "root seed schedule" `Quick test_census_root_seeds;
           Alcotest.test_case "root seeds sample fresh layouts" `Quick
             test_census_roots_sample_disjoint_layouts;
           Alcotest.test_case "chain_at stops at image edge" `Quick test_chain_at_image_edge;

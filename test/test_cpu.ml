@@ -363,8 +363,8 @@ let zflag = 1 lsl Isa.Flag.z
 
 (* Two-register ALU ops: every (Rd, Rr) value pair with d <> r, then
    every value with d = r, under every value of the flags read. *)
-let sem_alu2 mk ~reads d cpu_of =
-  let cpu = cpu_of [ mk 16 17; mk 16 16 ] in
+let sem_alu2 mk ~reads d =
+  let cpu = load [ mk 16 17; mk 16 16 ] in
   for a = 0 to 255 do
     for b = 0 to 255 do
       List.iter
@@ -384,8 +384,8 @@ let sem_alu2 mk ~reads d cpu_of =
   done
 
 (* Register-immediate ops: every immediate over every register value. *)
-let sem_imm mk ~reads d cpu_of =
-  let cpu = cpu_of (List.init 256 (fun k -> mk 16 k)) in
+let sem_imm mk ~reads d =
+  let cpu = load (List.init 256 (fun k -> mk 16 k)) in
   for k = 0 to 255 do
     for a = 0 to 255 do
       List.iter
@@ -397,8 +397,8 @@ let sem_imm mk ~reads d cpu_of =
     done
   done
 
-let sem_unary mk ~reads d cpu_of =
-  let cpu = cpu_of [ mk 16 ] in
+let sem_unary mk ~reads d =
+  let cpu = load [ mk 16 ] in
   for a = 0 to 255 do
     List.iter
       (fun s ->
@@ -410,11 +410,11 @@ let sem_unary mk ~reads d cpu_of =
 
 (* adiw/sbiw: all 65,536 pair values, over a spread of registers and
    immediates. *)
-let sem_word mk d cpu_of =
+let sem_word mk d =
   let cases =
     [ (24, 0); (24, 1); (24, 2); (24, 31); (24, 32); (24, 63); (26, 63); (28, 1); (30, 17) ]
   in
-  let cpu = cpu_of (List.map (fun (r, k) -> mk r k) cases) in
+  let cpu = load (List.map (fun (r, k) -> mk r k) cases) in
   List.iteri
     (fun pc (r, _) ->
       for v = 0 to 0xFFFF do
@@ -427,8 +427,8 @@ let sem_word mk d cpu_of =
 
 (* bld/bst/bset/bclr: every bit number over every register (or SREG)
    value. *)
-let sem_bit mk ~reads d cpu_of =
-  let cpu = cpu_of (List.init 8 (fun b -> mk b)) in
+let sem_bit mk ~reads d =
+  let cpu = load (List.init 8 (fun b -> mk b)) in
   for b = 0 to 7 do
     for a = 0 to 255 do
       List.iter
@@ -440,16 +440,16 @@ let sem_bit mk ~reads d cpu_of =
     done
   done
 
-let sem_sreg_op mk d cpu_of =
-  let cpu = cpu_of (List.init 8 (fun b -> mk b)) in
+let sem_sreg_op mk d =
+  let cpu = load (List.init 8 (fun b -> mk b)) in
   for b = 0 to 7 do
     for s = 0 to 255 do
       sem_step d cpu ~pc:b ~sreg:s
     done
   done
 
-let sem_nullary insn d cpu_of =
-  let cpu = cpu_of [ insn ] in
+let sem_nullary insn d =
+  let cpu = load [ insn ] in
   for s = 0 to 255 do
     sem_step d cpu ~pc:0 ~sreg:s
   done
@@ -460,8 +460,8 @@ let fold_io_effects d cpu =
   fold d (Cpu.sp cpu);
   fold d (String.length (Cpu.uart_take_tx cpu))
 
-let sem_in d cpu_of =
-  let cpu = cpu_of (List.init 64 (fun a -> Isa.In (16, a))) in
+let sem_in d =
+  let cpu = load (List.init 64 (fun a -> Isa.In (16, a))) in
   for a = 0 to 63 do
     for v = 0 to 255 do
       Cpu.io_poke cpu a v;
@@ -470,8 +470,8 @@ let sem_in d cpu_of =
     done
   done
 
-let sem_out d cpu_of =
-  let cpu = cpu_of (List.init 64 (fun a -> Isa.Out (a, 16))) in
+let sem_out d =
+  let cpu = load (List.init 64 (fun a -> Isa.Out (a, 16))) in
   for a = 0 to 63 do
     for v = 0 to 255 do
       Cpu.set_reg cpu 16 v;
@@ -482,8 +482,8 @@ let sem_out d cpu_of =
     done
   done
 
-let sem_sbi_cbi mk d cpu_of =
-  let cpu = cpu_of (List.init 256 (fun i -> mk (i / 8) (i mod 8))) in
+let sem_sbi_cbi mk d =
+  let cpu = load (List.init 256 (fun i -> mk (i / 8) (i mod 8))) in
   for i = 0 to 255 do
     for v = 0 to 255 do
       Cpu.io_poke cpu (i / 8) v;
@@ -498,8 +498,8 @@ let sem_sbi_cbi mk d cpu_of =
 let data_addrs = List.init 0x200 Fun.id @ [ 0x200; 0x201; 0x1000; 0x21FE; 0x21FF; 0x2200; 0xFFFF ]
 let data_vals = [ 0x00; 0x5A; 0xA5; 0xFF ]
 
-let sem_lds d cpu_of =
-  let cpu = cpu_of (List.map (fun a -> Isa.Lds (16, a)) data_addrs) in
+let sem_lds d =
+  let cpu = load (List.map (fun a -> Isa.Lds (16, a)) data_addrs) in
   List.iteri
     (fun i a ->
       List.iter
@@ -510,8 +510,8 @@ let sem_lds d cpu_of =
         data_vals)
     data_addrs
 
-let sem_sts d cpu_of =
-  let cpu = cpu_of (List.map (fun a -> Isa.Sts (a, 16)) data_addrs) in
+let sem_sts d =
+  let cpu = load (List.map (fun a -> Isa.Sts (a, 16)) data_addrs) in
   List.iteri
     (fun i a ->
       List.iter
@@ -529,10 +529,10 @@ let set_pair cpu r v =
   Cpu.set_reg cpu r (v land 0xFF);
   Cpu.set_reg cpu (r + 1) ((v lsr 8) land 0xFF)
 
-let sem_ldd_std ~store d cpu_of =
+let sem_ldd_std ~store d =
   let slots = List.concat_map (fun b -> List.init 64 (fun q -> (b, q))) Isa.[ Y; Z ] in
   let cpu =
-    cpu_of (List.map (fun (b, q) -> if store then Isa.Std (b, q, 16) else Isa.Ldd (16, b, q)) slots)
+    load (List.map (fun (b, q) -> if store then Isa.Std (b, q, 16) else Isa.Ldd (16, b, q)) slots)
   in
   List.iteri
     (fun pc (b, q) ->
@@ -556,9 +556,9 @@ let sem_ldd_std ~store d cpu_of =
 let ptr_modes = Isa.[ X; X_inc; X_dec; Y_inc; Y_dec; Z_inc; Z_dec ]
 let ptr_values = List.init 0x400 Fun.id @ [ 0x21FF; 0x2200; 0xFFFF ]
 
-let sem_ld_st ~store d cpu_of =
+let sem_ld_st ~store d =
   let cpu =
-    cpu_of (List.map (fun p -> if store then Isa.St (p, 16) else Isa.Ld (16, p)) ptr_modes)
+    load (List.map (fun p -> if store then Isa.St (p, 16) else Isa.Ld (16, p)) ptr_modes)
   in
   List.iteri
     (fun pc mode ->
@@ -586,8 +586,8 @@ let sem_ld_st ~store d cpu_of =
 
 let stack_pointers = [ 0x21FF; 0x2000; 0x0200; 0x0100; 0x0060; 0x0021; 0x0010; 0x0000 ]
 
-let sem_push_pop ~push d cpu_of =
-  let cpu = cpu_of [ (if push then Isa.Push 16 else Isa.Pop 16) ] in
+let sem_push_pop ~push d =
+  let cpu = load [ (if push then Isa.Push 16 else Isa.Pop 16) ] in
   List.iter
     (fun sp ->
       for v = 0 to 255 do
@@ -603,9 +603,9 @@ let sem_push_pop ~push d cpu_of =
 (* Program-memory loads: Z over the first 2 KB of a patterned image and
    the 64 KB edge, and RAMPZ over its low values for the extended
    forms. *)
-let sem_lpm insn ~rampz d cpu_of =
+let sem_lpm insn ~rampz d =
   let filler = List.init 512 (fun i -> Isa.Ldi (16 + (i mod 16), (i * 37) land 0xFF)) in
-  let cpu = cpu_of (insn :: filler) in
+  let cpu = load (insn :: filler) in
   let zs = List.init 0x800 Fun.id @ [ 0x8000; 0xFFFE; 0xFFFF ] in
   List.iter
     (fun rz ->
@@ -676,14 +676,9 @@ let semantics_cases =
       ("elpm+", sem_lpm (Elpm (16, true)) ~rampz:true);
     ]
 
-let semantics_digest ~decode_cache run =
+let semantics_digest run =
   let d = { h = Int64.to_int 0xcbf29ce484222325L } in
-  let cpu_of insns =
-    let cpu = load insns in
-    Cpu.set_decode_cache cpu decode_cache;
-    cpu
-  in
-  run d cpu_of;
+  run d;
   d.h
 
 (* Recorded at the stepper as it stood before the instruction semantics
@@ -713,11 +708,11 @@ let pinned_digests =
 
 (* Every opcode is checked before failing, so the message names each
    one whose digest moved, with the digest it now has. *)
-let test_semantics_digests ~decode_cache () =
+let test_semantics_digests () =
   let moved =
     List.filter_map
       (fun (name, run) ->
-        let got = Printf.sprintf "%016x" (semantics_digest ~decode_cache run) in
+        let got = Printf.sprintf "%016x" (semantics_digest run) in
         if got = List.assoc name pinned_digests then None else Some (name ^ " " ^ got))
       semantics_cases
   in
@@ -766,8 +761,6 @@ let () =
         ] );
       ( "semantics",
         [
-          Alcotest.test_case "digests" `Quick (test_semantics_digests ~decode_cache:true);
-          Alcotest.test_case "digests, uncached decode" `Quick
-            (test_semantics_digests ~decode_cache:false);
+          Alcotest.test_case "digests" `Quick test_semantics_digests;
         ] );
     ]

@@ -63,9 +63,7 @@ let test_address_parsing () =
   ok "bare path" true (Dispatch.address_of_string "/tmp/w.sock" = Ok (Dispatch.Unix_socket "/tmp/w.sock"));
   ok "empty rejected" true (Result.is_error (Dispatch.address_of_string ""));
   ok "empty unix path rejected" true (Result.is_error (Dispatch.address_of_string "unix:"));
-  ok "unknown scheme rejected" true (Result.is_error (Dispatch.address_of_string "tcp:host:1"));
-  Alcotest.(check string) "roundtrip" "unix:/tmp/w.sock"
-    (Dispatch.address_to_string (Dispatch.Unix_socket "/tmp/w.sock"))
+  ok "unknown scheme rejected" true (Result.is_error (Dispatch.address_of_string "tcp:host:1"))
 
 (* ---- merge over a faked worker --------------------------------------- *)
 

@@ -75,45 +75,34 @@ let prop_parser_never_raises =
       ignore (Parser.feed p junk);
       true)
 
-let prop_decode_cache_differential =
-  (* The predecode cache must be architecturally invisible: random code
+let prop_decode_cache_oracle =
+  (* The predecode cache must never dispatch a stale decode: random code
      (dense AVR encodings make random words mostly-valid instructions,
-     with illegal/wild halts mixed in) is stepped in lockstep through a
-     cached and an uncached CPU, diffing the full architectural state
-     after every instruction.  Each round reflashes both CPUs with fresh
-     random code mid-run, so a stale cache surviving the flash epoch
-     bump would be caught as a state divergence. *)
-  QCheck.Test.make ~name:"decode cache differential vs raw decode" ~count:40
+     with illegal/wild halts mixed in) is stepped under the decode
+     oracle.  Each round reflashes fresh random code of the same size,
+     then rewrites the first page and runs from reset again, so a cache
+     that survives either kind of flash epoch bump dispatches a decode
+     the flash no longer holds. *)
+  QCheck.Test.make ~name:"decode cache matches live flash" ~count:40
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
       let rng = Rng.create ~seed in
-      let cached = Cpu.create () in
-      Cpu.set_decode_cache cached true;
-      let raw = Cpu.create () in
-      Cpu.set_decode_cache raw false;
-      let state cpu =
-        ( Cpu.pc cpu, Cpu.sp cpu, Cpu.sreg cpu, Cpu.cycles cpu,
-          Cpu.instructions_retired cpu, Cpu.halted cpu,
-          List.init 32 (Cpu.reg cpu) )
+      let cpu = Cpu.create () in
+      let oracle = Helpers.decode_oracle cpu in
+      let random n = String.init n (fun _ -> Char.chr (Rng.int rng 256)) in
+      let run () =
+        Cpu.reset cpu;
+        let rec go k = if k > 0 && Cpu.halted cpu = None then (Cpu.step cpu; go (k - 1)) in
+        go 200
       in
-      let ok = ref true in
       for _round = 1 to 3 do
-        let code = String.init 512 (fun _ -> Char.chr (Rng.int rng 256)) in
-        Cpu.load_program cached code;
-        Cpu.load_program raw code;
-        (try
-           for _ = 1 to 200 do
-             Cpu.step cached;
-             Cpu.step raw;
-             if state cached <> state raw then begin
-               ok := false;
-               raise Exit
-             end;
-             if Cpu.halted cached <> None then raise Exit
-           done
-         with Exit -> ())
+        Cpu.load_program cpu (random 512);
+        run ();
+        Mavr_avr.Memory.flash_write_page (Cpu.mem cpu) ~page_addr:0
+          (random (Cpu.device cpu).Mavr_avr.Device.flash_page_bytes);
+        run ()
       done;
-      !ok && state cached = state raw)
+      snd (oracle ()) = None)
 
 let test_zero_length_param_set_harmless () =
   let b = Helpers.build_mavr () in
@@ -169,5 +158,5 @@ let () =
           Helpers.qtest prop_parser_chunking_invariant;
           Helpers.qtest prop_parser_never_raises;
         ] );
-      ("decode-cache", [ Helpers.qtest prop_decode_cache_differential ]);
+      ("decode-cache", [ Helpers.qtest prop_decode_cache_oracle ]);
     ]

@@ -39,13 +39,6 @@ let test_entropy_bits () =
   close "1030 symbols (Arducopter)" 8829.0 (Security.entropy_bits ~n:1030) 5.0;
   close "small case exact" (log (float_of_int 720) /. log 2.0) (Security.entropy_bits ~n:6) 1e-6
 
-let test_success_probability_uniform () =
-  (* P(j) = 1/N for every attempt index (the paper's telescoping). *)
-  let p1 = Security.success_probability_at ~n:5 ~j:1 in
-  let p60 = Security.success_probability_at ~n:5 ~j:60 in
-  Alcotest.(check (float 1e-12)) "uniform over attempts" p1 p60;
-  Alcotest.(check (float 1e-9)) "equals 1/120" (1.0 /. 120.0) p1
-
 let test_monte_carlo_static () =
   (* n=4: N=24, E = 12.5. *)
   let mean = Security.monte_carlo_static ~n:4 ~trials:20_000 ~seed:7 in
@@ -120,7 +113,6 @@ let () =
           Alcotest.test_case "static expectation" `Quick test_static_expectation;
           Alcotest.test_case "re-randomizing expectation" `Quick test_rerandomizing_expectation;
           Alcotest.test_case "entropy bits" `Quick test_entropy_bits;
-          Alcotest.test_case "uniform success probability" `Quick test_success_probability_uniform;
         ] );
       ( "lifetime",
         [

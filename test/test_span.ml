@@ -67,7 +67,7 @@ let test_trace_event_roundtrip () =
   let l = Span.lane t "work" in
   Span.span l "phase" (fun () -> tick 3.0);
   let c = Span.lane t ~domain:Span.Cycles "sim" in
-  Span.cycle_span c ~begin_cycle:100 ~end_cycle:350 "flight";
+  Span.cycle_instant c ~cycle:100 "flight";
   let doc =
     match Json.of_string (Json.to_string (Span.to_trace_event t)) with
     | Ok d -> d
@@ -90,16 +90,14 @@ let test_trace_event_roundtrip () =
       Alcotest.(check (option int)) "host pid" (Some 1)
         (Option.bind (Json.member "pid" ev) Json.to_int)
   | None -> Alcotest.fail "host span not exported");
-  (* The cycles span keeps integer cycle stamps under pid 2. *)
+  (* The cycles event keeps its integer cycle stamp under pid 2. *)
   match List.find_opt (named "flight") events with
   | Some ev ->
       Alcotest.(check (option int)) "cycle ts" (Some 100)
         (Option.bind (Json.member "ts" ev) Json.to_int);
-      Alcotest.(check (option int)) "cycle dur" (Some 250)
-        (Option.bind (Json.member "dur" ev) Json.to_int);
       Alcotest.(check (option int)) "cycles pid" (Some 2)
         (Option.bind (Json.member "pid" ev) Json.to_int)
-  | None -> Alcotest.fail "cycles span not exported"
+  | None -> Alcotest.fail "cycles event not exported"
 
 let test_strip_timing_zeroes_host_only () =
   let clock, tick = fake_clock () in

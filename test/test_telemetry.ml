@@ -62,10 +62,7 @@ let test_registry_snapshot_and_reset () =
   Metrics.incr c;
   Metrics.add c 4;
   let g = Metrics.gauge r "g" in
-  Metrics.set g 7;
-  Metrics.set_max g 3;
-  (* no-op: 3 < 7 *)
-  Metrics.set_max g 11;
+  Metrics.set g 11;
   let h = Metrics.histogram r "h" in
   List.iter (Metrics.observe h) [ 2; 8; 5 ];
   let live = ref 100 in
