@@ -27,14 +27,25 @@ type block_info = {
   bi_insns : Isa.t array;
 }
 
+(* The whole machine state of Fig. 1 in one record.  Program flash and
+   the data space are separate arrays (Harvard: nothing executed can
+   write flash; only [load_program] and [flash_write_page], the
+   bootloader's interface, can).  The data space holds the register file
+   at 0x00..0x1F — the mapping both paper gadgets exploit — the I/O
+   file and SRAM. *)
 type t = {
-  mem : Memory.t;
   dev : Device.t;
+  flash : Bytes.t;
+  data : Bytes.t;
+  eeprom : Bytes.t;
   mutable pc : int; (* word address *)
   mutable cycles : int;
   mutable retired : int;
   mutable halt : halt option;
-  mutable program_bytes : int; (* extent of the flashed image; PC beyond => wild *)
+  (* Extent of the flashed image, 0 until [load_program]: PC beyond =>
+     wild.  The decode and block tables span (program_bytes + 1) / 2
+     words at all times ([drop_code]). *)
+  mutable program_bytes : int;
   uart_rx : int Queue.t;
   uart_tx : Buffer.t;
   mutable feeds : int;
@@ -51,26 +62,24 @@ type t = {
      static cycle cost ([insn_cycles], the bits above), with 0 meaning
      "not decoded yet"; [icache_insn.(pc)] is only meaningful when the
      entry is non-zero.  Entries are filled on first execution and the
-     whole cache is discarded whenever the flash epoch moves (reflash /
-     bootloader page write), so a freshly randomized lifetime can never
-     dispatch a stale decode. *)
+     whole cache is discarded by every flash write (reflash / bootloader
+     page write), so a freshly randomized lifetime can never dispatch a
+     stale decode. *)
   mutable icache_insn : Isa.t array;
   mutable icache_meta : int array;
-  mutable icache_epoch : int;
   (* Superblock engine: straight-line runs of instructions fused into
      closure arrays ([block]), compiled lazily at a word address the
      batched run loop has entered [hot_entries] times ([block_hits]
      counts the entries of addresses with no block yet) and indexed by
      entry PC.  Like the predecode cache the whole table, counters
-     included, is discarded when the flash epoch moves, so reflashes and
-     SEU page writes can never execute stale fused code.  [block_stop]
+     included, is discarded by every flash write, so reflashes and SEU
+     page writes can never execute stale fused code.  [block_stop]
      is raised by [io_write] when a guest store re-arms the timer or
      sets SREG.I mid-block — the two events that can make the remainder
      of a fused block unsound — and makes the block exit after the
      current instruction. *)
   mutable blocks : block array;
   mutable block_hits : Bytes.t; (* entries of each word with no block, saturating *)
-  mutable blocks_epoch : int;
   mutable block_keys : int; (* next bi_key to assign *)
   mutable use_superblocks : bool;
   mutable block_stop : bool;
@@ -142,13 +151,15 @@ let set_superblocks_default v = superblocks_default := v
 
 let create ?(device = Device.atmega2560) () =
   {
-    mem = Memory.create device;
     dev = device;
+    flash = Bytes.make device.Device.flash_bytes '\xff';
+    data = Bytes.make (Device.data_end device) '\x00';
+    eeprom = Bytes.make device.Device.eeprom_bytes '\xff';
     pc = 0;
     cycles = 0;
     retired = 0;
     halt = None;
-    program_bytes = device.Device.flash_bytes;
+    program_bytes = 0;
     uart_rx = Queue.create ();
     uart_tx = Buffer.create 256;
     feeds = 0;
@@ -162,10 +173,8 @@ let create ?(device = Device.atmega2560) () =
     tx_busy_until = 0;
     icache_insn = [||];
     icache_meta = [||];
-    icache_epoch = -1;
     blocks = [||];
     block_hits = Bytes.empty;
-    blocks_epoch = -1;
     block_keys = 0;
     use_superblocks = !superblocks_default;
     block_stop = false;
@@ -180,12 +189,38 @@ let create ?(device = Device.atmega2560) () =
     tap_halt = None;
   }
 
-let mem t = t.mem
 let device t = t.dev
 
-(* Register file: memory-mapped at data 0x00..0x1F. *)
-let[@inline] reg t r = Memory.reg_get t.mem r
-let[@inline] set_reg t r v = Memory.reg_set t.mem r v
+(* Register file: memory-mapped at data 0x00..0x1F, always inside the
+   data array, so no range test.  The [land 31] keeps a hand-built
+   out-of-range register number memory safe. *)
+let[@inline] reg t r = Char.code (Bytes.unsafe_get t.data (r land 31))
+let[@inline] set_reg t r v = Bytes.unsafe_set t.data (r land 31) (Char.unsafe_chr (v land 0xFF))
+
+(* Raw memory access, no I/O side effects: reads outside an array give
+   0 (EEPROM and flash: the erased 0xFF), writes there are dropped. *)
+let data_get t addr =
+  if addr < 0 || addr >= Bytes.length t.data then 0 else Char.code (Bytes.get t.data addr)
+
+let data_set t addr v =
+  if addr >= 0 && addr < Bytes.length t.data then
+    Bytes.set t.data addr (Char.unsafe_chr (v land 0xFF))
+
+let eeprom_get t addr =
+  if addr < 0 || addr >= Bytes.length t.eeprom then 0xFF else Char.code (Bytes.get t.eeprom addr)
+
+let eeprom_set t addr v =
+  if addr >= 0 && addr < Bytes.length t.eeprom then
+    Bytes.set t.eeprom addr (Char.chr (v land 0xFF))
+
+let flash_byte t addr =
+  if addr < 0 || addr >= Bytes.length t.flash then 0xFF else Char.code (Bytes.get t.flash addr)
+
+let flash_word t word_addr =
+  let b = word_addr * 2 in
+  flash_byte t b lor (flash_byte t (b + 1) lsl 8)
+
+let flash_contents t = Bytes.to_string t.flash
 
 let io_addr t a = t.dev.Device.io_base + a
 let sp t = t.sp_v
@@ -265,10 +300,45 @@ let reset t =
   set_sp t (Device.data_end t.dev - 1);
   set_sreg t 0
 
+(* ---- Flash writes ---------------------------------------------------- *)
+
+(* Drop every decode, compiled block and entry count, and size the
+   tables to the flashed image.  The two flash mutation paths call it, so
+   the tables only ever hold decodes of flash as it is now — even when a
+   tap callback rewrites flash in the middle of a run — and always span
+   (program_bytes + 1) / 2 words, the bound the unchecked indexing in
+   [exec_one] and [block_step] relies on.  Same-size tables (the next
+   layout of one image) are cleared in place. *)
+let drop_code t =
+  let nwords = (t.program_bytes + 1) / 2 in
+  if Array.length t.icache_meta = nwords then begin
+    Array.fill t.icache_meta 0 nwords 0;
+    Array.fill t.blocks 0 nwords dummy_block;
+    Bytes.fill t.block_hits 0 nwords '\000'
+  end
+  else begin
+    t.icache_meta <- Array.make nwords 0;
+    t.icache_insn <- Array.make nwords Isa.Nop;
+    t.blocks <- Array.make nwords dummy_block;
+    t.block_hits <- Bytes.make nwords '\000'
+  end
+
 let load_program t image =
-  Memory.load_flash t.mem image;
+  if String.length image > Bytes.length t.flash then
+    invalid_arg "Cpu.load_program: image larger than flash";
+  Bytes.fill t.flash 0 (Bytes.length t.flash) '\xff';
+  Bytes.blit_string image 0 t.flash 0 (String.length image);
   t.program_bytes <- String.length image;
+  drop_code t;
   reset t
+
+let flash_write_page t ~page_addr data =
+  let page = t.dev.Device.flash_page_bytes in
+  if page_addr mod page <> 0 then invalid_arg "Cpu.flash_write_page: unaligned page";
+  if String.length data <> page then invalid_arg "Cpu.flash_write_page: bad page size";
+  if page_addr + page > Bytes.length t.flash then invalid_arg "Cpu.flash_write_page: beyond flash";
+  Bytes.blit_string data 0 t.flash page_addr page;
+  drop_code t
 
 (* ---- Cycle costs ----------------------------------------------------- *)
 
@@ -290,22 +360,11 @@ let insn_cycles (dev : Device.t) (insn : Isa.t) =
 
 (* ---- Predecode cache ------------------------------------------------ *)
 
-(* Rebuild (or first-build) the cache skeleton for the current flash
-   epoch.  Entries are decoded lazily on first execution: per-lifetime
+(* Entries are decoded lazily on first execution: per-lifetime
    randomized images rarely execute every word, and ROP gadgets enter
    mid-instruction, so the cache must cover *every* word address rather
    than just a linear disassembly — lazy fill gives both for free. *)
-let refresh_icache t =
-  let nwords = (t.program_bytes + 1) / 2 in
-  if Array.length t.icache_meta = nwords then Array.fill t.icache_meta 0 nwords 0
-  else begin
-    t.icache_meta <- Array.make nwords 0;
-    t.icache_insn <- Array.make nwords Isa.Nop
-  end;
-  t.icache_epoch <- Memory.flash_epoch t.mem
-
-let decode_raw t pc =
-  Decode.decode (Memory.flash_word t.mem pc) (Memory.flash_word t.mem (pc + 1))
+let decode_raw t pc = Decode.decode (flash_word t pc) (flash_word t (pc + 1))
 
 (* Decode word address [pc] and store it in the cache (in-range [pc]
    only).  Returns the packed length and cost. *)
@@ -316,19 +375,10 @@ let fill_entry t pc =
   Array.unsafe_set t.icache_meta pc meta;
   meta
 
-(* Re-validate the cache against the flash epoch, so a reflash (the
-   per-lifetime re-randomization path) can never serve stale decodes.
-   Nothing executed by [exec_one] can mutate flash (there is no SPM
-   instruction; reflashes happen host-side between calls), so the public
-   execution entry points sync once instead of paying an epoch compare
-   per instruction. *)
-let sync_icache t =
-  if t.icache_epoch <> Memory.flash_epoch t.mem then refresh_icache t
-
 (* Fetch the (insn, length-in-words) pair at word address [pc].
-   Precondition: the cache is sync'd ([sync_icache]).  [skip_next] can
-   probe one word past the programmed image; out-of-range addresses fall
-   back to a raw decode of the (erased) flash there. *)
+   [skip_next] can probe one word past the programmed image;
+   out-of-range addresses fall back to a raw decode of the (erased)
+   flash there. *)
 let fetch t pc =
   if pc >= 0 && pc < Array.length t.icache_meta then begin
     let meta = Array.unsafe_get t.icache_meta pc in
@@ -348,7 +398,7 @@ let io_read t a =
   else if a = Device.Io.sreg then t.sreg_v
   else if a = Device.Io.spl then t.sp_v land 0xFF
   else if a = Device.Io.sph then (t.sp_v lsr 8) land 0xFF
-  else Memory.data_get t.mem (io_addr t a)
+  else data_get t (io_addr t a)
 
 let io_write t a v =
   if a = Device.Io.udr then begin
@@ -361,12 +411,12 @@ let io_write t a v =
   else if a = Device.Io.wdt_feed then begin
     t.feeds <- t.feeds + 1;
     t.last_feed <- t.cycles;
-    Memory.data_set t.mem (io_addr t a) v
+    data_set t (io_addr t a) v
   end
   else if a = Device.Io.tccr then begin
-    Memory.data_set t.mem (io_addr t a) v;
+    data_set t (io_addr t a) v;
     if v land 1 <> 0 then begin
-      let period = (Memory.data_get t.mem (io_addr t Device.Io.ocr) + 1) * 64 in
+      let period = (data_get t (io_addr t Device.Io.ocr) + 1) * 64 in
       t.timer_next_fire <- t.cycles + period
     end
     else t.timer_next_fire <- max_int;
@@ -387,27 +437,27 @@ let io_write t a v =
   else if a = Device.Io.eecr then begin
     (* EEPROM access, triggered by the EERE/EEPE strobe bits. *)
     let ear =
-      Memory.data_get t.mem (io_addr t Device.Io.eearl)
-      lor (Memory.data_get t.mem (io_addr t Device.Io.eearh) lsl 8)
+      data_get t (io_addr t Device.Io.eearl)
+      lor (data_get t (io_addr t Device.Io.eearh) lsl 8)
     in
     if v land 0x01 <> 0 then
       (* EERE: read eeprom[EEAR] into EEDR (stalls the CPU 4 cycles). *)
-      Memory.data_set t.mem (io_addr t Device.Io.eedr) (Memory.eeprom_get t.mem ear)
+      data_set t (io_addr t Device.Io.eedr) (eeprom_get t ear)
     else if v land 0x02 <> 0 then
       (* EEPE: program eeprom[EEAR] from EEDR. *)
-      Memory.eeprom_set t.mem ear (Memory.data_get t.mem (io_addr t Device.Io.eedr));
-    Memory.data_set t.mem (io_addr t a) 0 (* strobes auto-clear *)
+      eeprom_set t ear (data_get t (io_addr t Device.Io.eedr));
+    data_set t (io_addr t a) 0 (* strobes auto-clear *)
   end
-  else Memory.data_set t.mem (io_addr t a) v
+  else data_set t (io_addr t a) v
 
 let data_read t addr =
   let io0 = t.dev.Device.io_base in
-  if addr >= io0 && addr < io0 + 64 then io_read t (addr - io0) else Memory.data_get t.mem addr
+  if addr >= io0 && addr < io0 + 64 then io_read t (addr - io0) else data_get t addr
 
 let data_write t addr v =
   let io0 = t.dev.Device.io_base in
   if addr >= io0 && addr < io0 + 64 then io_write t (addr - io0) v
-  else Memory.data_set t.mem addr v
+  else data_set t addr v
 
 let push_byte t v =
   let p = sp t in
@@ -514,9 +564,9 @@ let[@inline] flags_sub ~keep_z t d r res =
 
 let[@inline] flags_logic t res = update_flags t ~mask:mask_vzns (zns_bits res ~v:false)
 
-let word_reg t r = reg t r lor (reg t (r + 1) lsl 8)
+let[@inline] word_reg t r = reg t r lor (reg t (r + 1) lsl 8)
 
-let set_word_reg t r v =
+let[@inline] set_word_reg t r v =
   set_reg t r (v land 0xFF);
   set_reg t (r + 1) ((v lsr 8) land 0xFF)
 
@@ -580,7 +630,7 @@ let take_timer_interrupt t =
   shadow_call t t.pc;
   set_flag t Flag.i false;
   t.pc <- Device.Vector.byte_addr Device.Vector.timer_compare / 2;
-  let period = (Memory.data_get t.mem (io_addr t Device.Io.ocr) + 1) * 64 in
+  let period = (data_get t (io_addr t Device.Io.ocr) + 1) * 64 in
   t.timer_next_fire <- t.cycles + period;
   t.interrupts_taken <- t.interrupts_taken + 1;
   t.cycles <- t.cycles + 5;
@@ -752,18 +802,18 @@ let[@inline] op_sbiw ~fl t d k =
 (* [lpm] is [lpm r0, Z]; likewise [elpm]. *)
 let[@inline] op_lpm t d inc =
   let z = word_reg t z_reg in
-  set_reg t d (Memory.flash_byte t.mem z);
+  set_reg t d (flash_byte t z);
   if inc then set_word_reg t z_reg ((z + 1) land 0xFFFF)
 
 let[@inline] op_elpm t d inc =
-  let rampz = Memory.data_get t.mem (io_addr t Device.Io.rampz) in
+  let rampz = data_get t (io_addr t Device.Io.rampz) in
   let z = word_reg t z_reg in
-  set_reg t d (Memory.flash_byte t.mem ((rampz lsl 16) lor z));
+  set_reg t d (flash_byte t ((rampz lsl 16) lor z));
   if inc then begin
     (* 24-bit post-increment carries into RAMPZ. *)
     let full = ((rampz lsl 16) lor z) + 1 in
     set_word_reg t z_reg (full land 0xFFFF);
-    Memory.data_set t.mem (io_addr t Device.Io.rampz) ((full lsr 16) land 0xFF)
+    data_set t (io_addr t Device.Io.rampz) ((full lsr 16) land 0xFF)
   end
 
 let[@inline] op_bld t d b =
@@ -903,9 +953,10 @@ let exec_one t =
     (* Inline fetch, split so the cache-hit path allocates nothing
        (building an (insn, words) pair costs a heap block per instruction
        without flambda).  No bounds check: the wild-PC guard above bounds
-       pc0 by program_bytes, and a sync'd cache spans exactly
-       (program_bytes + 1) / 2 entries.  The cached entry carries the
-       cost too, so the stepper never matches an instruction twice. *)
+       pc0 by program_bytes, and the cache spans exactly
+       (program_bytes + 1) / 2 entries ([drop_code]).  The cached entry
+       carries the cost too, so the stepper never matches an instruction
+       twice. *)
     let meta = Array.unsafe_get t.icache_meta pc0 in
     let meta = if meta <> 0 then meta else fill_entry t pc0 in
     let insn = Array.unsafe_get t.icache_insn pc0 in
@@ -918,37 +969,11 @@ let exec_one t =
 let step t =
   match t.halt with
   | Some _ -> ()
-  | None ->
-      sync_icache t;
-      exec_one t
+  | None -> exec_one t
 
 (* ---- Superblock threaded-code engine -------------------------------- *)
 
-let refresh_blocks t =
-  let nwords = (t.program_bytes + 1) / 2 in
-  if Array.length t.blocks = nwords then begin
-    Array.fill t.blocks 0 nwords dummy_block;
-    Bytes.fill t.block_hits 0 nwords '\000'
-  end
-  else begin
-    t.blocks <- Array.make nwords dummy_block;
-    t.block_hits <- Bytes.make nwords '\000'
-  end;
-  t.blocks_epoch <- Memory.flash_epoch t.mem
-
-(* Same invalidation argument as [sync_icache]: guest execution cannot
-   mutate flash, so the epoch compare happens once per batched entry
-   point, and a reflash or SEU page write between slices drops every
-   compiled block. *)
-let sync_blocks t =
-  if t.use_superblocks && t.blocks_epoch <> Memory.flash_epoch t.mem then refresh_blocks t
-
-(* Syncs when flipped: the batched loops sync only at entry, and a tap
-   callback may flip the switch mid-run, after a reflash made while it
-   was off. *)
-let set_superblocks t enabled =
-  t.use_superblocks <- enabled;
-  sync_blocks t
+let set_superblocks t enabled = t.use_superblocks <- enabled
 
 (* ---- Trace compiler ------------------------------------------------- *)
 
@@ -1451,10 +1476,6 @@ let block_step t stop =
     end
   end
 
-let sync_caches t =
-  sync_icache t;
-  sync_blocks t
-
 (* ---- Batched execution ---------------------------------------------- *)
 
 (* Budget clamp: the former [t.cycles + max_cycles] overflowed to a
@@ -1472,7 +1493,6 @@ let stop_cycle t max_cycles =
    so [set_superblocks] from inside a tap callback takes effect at the
    next block boundary. *)
 let run t ~max_cycles =
-  sync_caches t;
   let stop = stop_cycle t max_cycles in
   let rec go () =
     match t.halt with
@@ -1494,7 +1514,6 @@ let run_until_halt t ~max_cycles =
    Fig. 6 stack-progression dumps stop on exact PC values a block
    boundary would never land on). *)
 let run_until t ~max_cycles pred =
-  sync_icache t;
   let stop = stop_cycle t max_cycles in
   let rec go () =
     match t.halt with
@@ -1532,7 +1551,7 @@ let io_peek t a =
   if a = Device.Io.sreg then t.sreg_v
   else if a = Device.Io.spl then t.sp_v land 0xFF
   else if a = Device.Io.sph then (t.sp_v lsr 8) land 0xFF
-  else Memory.data_get t.mem (io_addr t a)
+  else data_get t (io_addr t a)
 
 let io_poke t a v =
   if a = Device.Io.sreg then begin
@@ -1541,18 +1560,22 @@ let io_poke t a v =
   end
   else if a = Device.Io.spl then set_sp t (t.sp_v land 0xFF00 lor (v land 0xFF))
   else if a = Device.Io.sph then set_sp t ((v land 0xFF) lsl 8 lor (t.sp_v land 0xFF))
-  else Memory.data_set t.mem (io_addr t a) v
+  else data_set t (io_addr t a) v
 
 let program_size t = t.program_bytes
-let eeprom_peek t a = Memory.eeprom_get t.mem a
+let eeprom_peek t a = eeprom_get t a
 
 let is_sp_or_sreg t a =
   let r = a - t.dev.Device.io_base in
   r = Device.Io.sreg || r = Device.Io.spl || r = Device.Io.sph
 
 let data_peek t a =
-  if is_sp_or_sreg t a then io_peek t (a - t.dev.Device.io_base) else Memory.data_get t.mem a
+  if is_sp_or_sreg t a then io_peek t (a - t.dev.Device.io_base) else data_get t a
 
 let data_poke t a v =
-  if is_sp_or_sreg t a then io_poke t (a - t.dev.Device.io_base) v else Memory.data_set t.mem a v
-let stack_slice t ~pos ~len = Memory.data_slice t.mem ~pos ~len
+  if is_sp_or_sreg t a then io_poke t (a - t.dev.Device.io_base) v else data_set t a v
+let stack_slice t ~pos ~len =
+  let size = Bytes.length t.data in
+  let pos = max 0 (min pos size) in
+  let len = max 0 (min len (size - pos)) in
+  Bytes.sub_string t.data pos len

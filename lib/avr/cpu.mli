@@ -1,9 +1,13 @@
 (** AVR execution engine with cycle accounting.
 
     Executes real machine code from flash with the Harvard restrictions of
-    the APM platform: the PC can only address flash, data writes can never
-    reach flash, and the register file / stack pointer are memory-mapped in
-    the data space.  Includes the on-chip peripherals the MAVR system
+    the APM platform (Fig. 1 of the paper): the PC can only address flash,
+    data writes can never reach flash (only {!load_program} and the
+    bootloader's {!flash_write_page} can), and the register file / stack
+    pointer are memory-mapped in the data space.  The CPU owns all of that
+    state: flash, the data space (register file at 0x00–0x1F — the
+    mapping both paper gadgets exploit — the 64 I/O registers, and SRAM)
+    and EEPROM.  Includes the on-chip peripherals the MAVR system
     interacts with: a UART (the MAVLink transport), the watchdog-feed port
     observed by the master processor, and memory-mapped sensor registers.
 
@@ -33,15 +37,29 @@ val pp_halt : Format.formatter -> halt -> unit
 
 type t
 
-(** [create ?device ()] makes a CPU with empty flash; default device is the
-    ATmega2560. *)
+(** [create ?device ()] makes a CPU with erased flash and no program
+    ({!program_size} 0: running it halts at once on a wild PC); default
+    device is the ATmega2560. *)
 val create : ?device:Device.t -> unit -> t
 
-val mem : t -> Memory.t
 val device : t -> Device.t
 
-(** [load_program t image] flashes [image] and resets. *)
+(** [load_program t image] flashes [image] at address 0 (erasing the rest
+    of flash) and resets.
+    @raise Invalid_argument if the image exceeds flash. *)
 val load_program : t -> string -> unit
+
+(** [flash_write_page t ~page_addr data] emulates bootloader/SPM page
+    programming.  [page_addr] must be page-aligned and [data] exactly one
+    page.  Like {!load_program} it drops every decode and compiled block
+    at once, so the next instruction executed — even within the current
+    {!run}, when called from a tap — is the new code.
+    @raise Invalid_argument on an unaligned page, a wrong page size, or a
+    page beyond flash. *)
+val flash_write_page : t -> page_addr:int -> string -> unit
+
+(** [flash_byte t addr] reads program flash (0xFF outside it). *)
+val flash_byte : t -> int -> int
 
 (** [reset t] : PC ← 0, SP ← top of SRAM, SREG ← 0, halt cleared, cycle
     counter zeroed.  Peripheral state is also re-initialized: the UART
@@ -165,8 +183,8 @@ val run_until :
     Flash is decoded at most once per word address per lifetime: decoded
     instructions are memoized in an array indexed by word PC (covering
     every word offset, since ROP gadgets enter mid-instruction) and
-    invalidated whenever the flash epoch moves — [load_program] or a
-    bootloader page write — so a freshly randomized image never executes
+    dropped by every flash write — {!load_program} or
+    {!flash_write_page} — so a freshly randomized image never executes
     a stale decode.  Each entry also carries the instruction's static
     cycle cost, so a cached step matches on the instruction once.  It is
     always on: every stepped instruction goes through it. *)
@@ -197,9 +215,9 @@ val run_until :
     interrupt or stop at an instruction boundary, and the block's exit
     is checked again.  Any in-block write that could change that (timer
     re-arm, SREG.I set) exits the block after the writing instruction.
-    Compiled blocks and entry counts are dropped whenever the flash
-    epoch moves, exactly like the predecode cache, so reflash and SEU
-    page writes never execute stale fused code.  Enabled by default;
+    Compiled blocks and entry counts are dropped by every flash write,
+    exactly like the predecode cache, so reflash and SEU page writes
+    never execute stale fused code.  Enabled by default;
     the switch may be flipped at any time, including from a tap callback
     mid-run, and takes effect at the next block boundary. *)
 
@@ -254,7 +272,8 @@ val enable_shadow_stack : t -> overhead_cycles:int -> unit
 
     Used only by the tests: they set machine state directly, fault the
     CPU, check the tap lifecycle, switch superblocks off as the reference
-    engine, pace the UART, and observe state the firmware leaves behind. *)
+    engine, pace the UART, and observe state the firmware or a fault
+    leaves behind. *)
 
 val set_pc : t -> int -> unit
 
@@ -284,6 +303,10 @@ val uart_rx_pending : t -> int
 
 (** Host-side I/O register read, without peripheral side effects. *)
 val io_peek : t -> int -> int
+
+(** Copy of the whole flash, for checking what a fault or a reflash left
+    there. *)
+val flash_contents : t -> string
 
 (** Host-side EEPROM access (the persistent configuration memory; survives
     reflashing, unlike program flash). *)

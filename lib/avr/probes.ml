@@ -150,8 +150,8 @@ let attach ?(prefix = "avr") ?(recorder_capacity = 64) ~registry cpu =
      a per-instruction classification walk, then an eager per-prefix
      delta replay — put a dependent multi-line memory chain plus a run of
      counter adds on every block boundary.  [bi_key] is dense, unique per
-     compiled block and never reused across flash epochs, so execution
-     counts attributed to dead epochs stay valid history. *)
+     compiled block and never reused after a flash write, so execution
+     counts attributed to dropped blocks stay valid history. *)
   let stride = Cpu.max_block_insns + 1 in
   (* Single-stepped instructions (interrupt windows, superblocks off)
      are classified eagerly — that path is already per-instruction. *)
@@ -276,7 +276,7 @@ type block_stat = {
 }
 
 (* Aggregated by entry byte address rather than [bi_key]: keys are
-   unique per compiled block, so a reflash epoch recompiling the same
+   unique per compiled block, so a reflash recompiling the same
    code would otherwise split one hot location across rows. *)
 let block_stats t =
   let stride = Cpu.max_block_insns + 1 in

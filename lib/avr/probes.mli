@@ -71,7 +71,7 @@ type block_stat = {
 }
 
 (** Every block executed since attach, aggregated by entry address
-    (reflash epochs recompile; counts accumulate), sorted by address.
+    (reflashes recompile; counts accumulate), sorted by address.
     Blocks never executed are absent. *)
 val block_stats : t -> block_stat list
 

@@ -1,7 +1,6 @@
 module Splitmix = Mavr_prng.Splitmix
 module Metrics = Mavr_telemetry.Metrics
 module Cpu = Mavr_avr.Cpu
-module Memory = Mavr_avr.Memory
 module Device = Mavr_avr.Device
 
 type params = { sram_flip_ppm : int; flash_flip_ppm : int }
@@ -30,12 +29,12 @@ let flip_sram t cpu =
   t.sram_flips <- t.sram_flips + 1
 
 (* A flash upset rewrites the whole victim page with one bit changed:
-   [flash_write_page] is the only mutation path, and going through it
-   keeps the wear ledger and the decode-cache epoch honest. *)
+   [Cpu.flash_write_page] is the only flash mutation path short of a
+   reflash, and going through it drops every decode and compiled block,
+   so the CPU executes the flipped bit from the next instruction on. *)
 let flip_flash t cpu =
   let size = Cpu.program_size cpu in
   if size > 0 then begin
-    let mem = Cpu.mem cpu in
     let dev = Cpu.device cpu in
     let page = dev.Device.flash_page_bytes in
     let victim = Splitmix.int t.rng size in
@@ -43,11 +42,11 @@ let flip_flash t cpu =
     let page_addr = victim / page * page in
     let buf = Bytes.create page in
     for i = 0 to page - 1 do
-      Bytes.set buf i (Char.chr (Memory.flash_byte mem (page_addr + i)))
+      Bytes.set buf i (Char.chr (Cpu.flash_byte cpu (page_addr + i)))
     done;
     let off = victim - page_addr in
     Bytes.set buf off (Char.chr (Char.code (Bytes.get buf off) lxor (1 lsl bit)));
-    Memory.flash_write_page mem ~page_addr (Bytes.to_string buf);
+    Cpu.flash_write_page cpu ~page_addr (Bytes.to_string buf);
     t.flash_flips <- t.flash_flips + 1
   end
 

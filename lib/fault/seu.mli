@@ -7,9 +7,8 @@
     non-adversarial silicon faults.  SRAM flips go through
     [Cpu.data_poke] (register file and I/O space excluded — upsets hit
     the big arrays, not latched I/O); flash flips rewrite the affected
-    page through [Memory.flash_write_page], which bumps the flash epoch
-    and therefore invalidates the predecode cache exactly as a real
-    reflash would. *)
+    page through [Cpu.flash_write_page], which drops the predecode cache
+    and compiled superblocks exactly as a real reflash would. *)
 
 type params = {
   sram_flip_ppm : int;  (** per tick: chance of one SRAM bit flip *)

@@ -50,13 +50,6 @@ let counter t name =
       (c, Counter c))
     (function Counter c -> Some c | _ -> None)
 
-let gauge t name =
-  register t name
-    (fun () ->
-      let g = { g = 0 } in
-      (g, Gauge g))
-    (function Gauge g -> Some g | _ -> None)
-
 let histogram t name =
   register t name
     (fun () ->
@@ -77,7 +70,6 @@ let sampled_counter t name f =
 let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
 let value c = c.c
-let set g v = g.g <- v
 
 let observe h v =
   h.n <- h.n + 1;

@@ -5,12 +5,14 @@
     station alarms all land here under dotted names
     ([avr.insn.call], [mavlink.crc_errors], ...).
 
-    Two kinds of cells exist: {e owned} metrics ({!counter}, {!gauge},
+    Two kinds of cells exist: {e owned} metrics ({!counter},
     {!histogram}) that instrumented code pushes into, and {e sampled}
     gauges ({!sampled}) that pull a live value from their owner at
     snapshot time — the latter cost the instrumented hot path nothing,
     which is how the MAVLink parser's existing counters are exported
-    without touching its byte loop.
+    without touching its byte loop.  An owned gauge exists only as the
+    result of a {!merge} (or of {!of_json}): a sampled gauge is
+    materialized there.
 
     Registration is idempotent per (name, kind): re-registering a name
     returns the same cell; re-registering under a different kind raises
@@ -28,8 +30,6 @@ val counter : registry -> string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-
-type gauge
 
 type histogram
 
@@ -117,12 +117,8 @@ val pp_summary : Format.formatter -> registry -> unit
 
 (** {2 Test hooks}
 
-    Used only by the tests: [gauge] builds owned gauges for the merge
-    checks, [of_jsonl] parses {!to_jsonl} back, [pp_value] prints a value
-    in a failure message. *)
-
-val gauge : registry -> string -> gauge
-val set : gauge -> int -> unit
+    Used only by the tests: [of_jsonl] parses {!to_jsonl} back,
+    [pp_value] prints a value in a failure message. *)
 
 (** Parses {!to_jsonl} output back; the round-trip equals {!snapshot}. *)
 val of_jsonl : string -> ((string * value_snapshot) list, string) result

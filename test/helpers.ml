@@ -59,17 +59,13 @@ let qtest = QCheck_alcotest.to_alcotest
    moment.  The returned function reads [(steps, first mismatch)], the
    mismatch as (pc, dispatched, live). *)
 let decode_oracle cpu =
-  let mem = Cpu.mem cpu in
+  let word pc = Cpu.flash_byte cpu (2 * pc) lor (Cpu.flash_byte cpu ((2 * pc) + 1) lsl 8) in
   let steps = ref 0 and mismatch = ref None in
   Cpu.set_superblocks cpu false;
   Cpu.set_block_tap cpu
     ~on_block:(fun _ _ -> ())
     ~on_step:(fun pc insn ->
       incr steps;
-      let live =
-        fst
-          (Mavr_avr.Decode.decode (Mavr_avr.Memory.flash_word mem pc)
-             (Mavr_avr.Memory.flash_word mem (pc + 1)))
-      in
+      let live = fst (Mavr_avr.Decode.decode (word pc) (word (pc + 1))) in
       if insn <> live && !mismatch = None then mismatch := Some (pc, insn, live));
   fun () -> (!steps, !mismatch)

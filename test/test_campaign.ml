@@ -129,8 +129,8 @@ let random_registry rng =
   for i = 0 to 2 do
     let c = Metrics.counter r (Printf.sprintf "c%d" i) in
     Metrics.add c (Rng.int rng 1000);
-    let g = Metrics.gauge r (Printf.sprintf "g%d" i) in
-    Metrics.set g (Rng.int rng 1000);
+    let g = Rng.int rng 1000 in
+    Metrics.sampled r (Printf.sprintf "g%d" i) (fun () -> g);
     let h = Metrics.histogram r (Printf.sprintf "h%d" i) in
     for _ = 1 to Rng.int rng 5 do
       Metrics.observe h (Rng.int rng 1000)
@@ -159,8 +159,8 @@ let test_merge_semantics () =
   let a = Metrics.create () and b = Metrics.create () in
   Metrics.add (Metrics.counter a "n") 3;
   Metrics.add (Metrics.counter b "n") 4;
-  Metrics.set (Metrics.gauge a "w") 10;
-  Metrics.set (Metrics.gauge b "w") 7;
+  Metrics.sampled a "w" (fun () -> 10);
+  Metrics.sampled b "w" (fun () -> 7);
   Metrics.observe (Metrics.histogram a "h") 5;
   Metrics.observe (Metrics.histogram b "h") 9;
   let acc = Metrics.create () in
@@ -197,14 +197,14 @@ let test_merge_sampled_materialized () =
 let test_merge_mismatch_refused () =
   let a = Metrics.create () and b = Metrics.create () in
   ignore (Metrics.counter a "x");
-  ignore (Metrics.gauge b "x");
+  Metrics.sampled b "x" (fun () -> 0);
   (match Metrics.merge ~into:a b with
   | () -> Alcotest.fail "kind mismatch accepted"
   | exception Invalid_argument _ -> ());
   let dst = Metrics.create () in
   Metrics.sampled dst "s" (fun () -> 1);
   let src = Metrics.create () in
-  Metrics.set (Metrics.gauge src "s") 5;
+  Metrics.sampled src "s" (fun () -> 5);
   match Metrics.merge ~into:dst src with
   | () -> Alcotest.fail "merge into sampled accepted"
   | exception Invalid_argument _ -> ()

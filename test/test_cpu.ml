@@ -2,7 +2,6 @@ module Cpu = Mavr_avr.Cpu
 module Isa = Mavr_avr.Isa
 module Opcode = Mavr_avr.Opcode
 module Device = Mavr_avr.Device
-module Memory = Mavr_avr.Memory
 
 (* Assemble a raw instruction list (no labels) and load it. *)
 let load insns =

@@ -5,7 +5,6 @@
    a stale decode behind. *)
 
 module Cpu = Mavr_avr.Cpu
-module Memory = Mavr_avr.Memory
 module Opcode = Mavr_avr.Opcode
 module Isa = Mavr_avr.Isa
 module Device = Mavr_avr.Device
@@ -45,7 +44,7 @@ let test_firmware_profiles_identical () =
 let test_identical_across_reflash_lifetimes () =
   (* Drive one CPU through randomized reflash lifetimes: every generation
      is a different layout of the same image, so the same size, at the
-     flash epoch cadence the MAVR master produces. *)
+     reflash cadence the MAVR master produces. *)
   let b = Helpers.build_mavr () in
   let cpu = Cpu.create () in
   let oracle = Helpers.decode_oracle cpu in
@@ -70,8 +69,7 @@ let test_cache_invalidated_on_load_program () =
   Alcotest.(check int) "reflash executes new code" 0x22 (Cpu.reg cpu 16)
 
 let test_cache_invalidated_on_flash_page_write () =
-  (* A bootloader-style page write must also bump the flash epoch and
-     drop cached decodes. *)
+  (* A bootloader-style page write must also drop cached decodes. *)
   let prog insns = String.concat "" (List.map Opcode.encode_bytes insns) in
   let cpu = Cpu.create () in
   let page = (Cpu.device cpu).Device.flash_page_bytes in
@@ -79,7 +77,7 @@ let test_cache_invalidated_on_flash_page_write () =
   Cpu.load_program cpu (pad (prog Isa.[ Ldi (16, 0x11); Break ]));
   ignore (Cpu.run cpu ~max_cycles:100);
   Alcotest.(check int) "first program ran" 0x11 (Cpu.reg cpu 16);
-  Memory.flash_write_page (Cpu.mem cpu) ~page_addr:0
+  Cpu.flash_write_page cpu ~page_addr:0
     (pad (prog Isa.[ Ldi (16, 0x33); Break ]));
   Cpu.reset cpu;
   ignore (Cpu.run cpu ~max_cycles:100);

@@ -10,7 +10,6 @@ module Reflash = Mavr_fault.Reflash
 module Profile = Mavr_fault.Profile
 module Injector = Mavr_fault.Injector
 module Cpu = Mavr_avr.Cpu
-module Memory = Mavr_avr.Memory
 module Sc = Mavr_sim.Scenario
 module Montecarlo = Mavr_sim.Montecarlo
 
@@ -131,7 +130,7 @@ let test_channel_jitter_preserves_order () =
 let test_seu_certain_upsets () =
   let cpu = Cpu.create () in
   Cpu.load_program cpu (Helpers.build_mavr ()).image.code;
-  let before_flash = Memory.flash_contents (Cpu.mem cpu) in
+  let before_flash = Cpu.flash_contents cpu in
   let dev = Cpu.device cpu in
   let sram_before =
     Array.init dev.Mavr_avr.Device.sram_bytes (fun i ->
@@ -152,7 +151,7 @@ let test_seu_certain_upsets () =
       Alcotest.(check bool) "single bit" true (diff land (diff - 1) = 0)
   | l -> Alcotest.failf "expected one SRAM byte changed, got %d" (List.length l));
   (* Exactly one flash bit changed, inside the programmed image. *)
-  let after_flash = Memory.flash_contents (Cpu.mem cpu) in
+  let after_flash = Cpu.flash_contents cpu in
   let flash_diffs = ref [] in
   String.iteri
     (fun i c ->
@@ -168,26 +167,59 @@ let test_seu_certain_upsets () =
 let test_seu_off_is_noop () =
   let cpu = Cpu.create () in
   Cpu.load_program cpu (Helpers.build_mavr ()).image.code;
-  let before = Memory.flash_contents (Cpu.mem cpu) in
-  let epoch = Memory.flash_epoch (Cpu.mem cpu) in
+  let before = Cpu.flash_contents cpu in
+  (* Every flash write drops the compiled blocks, and a block's key is
+     never reused, so blocks compiled before the ticks and entered again
+     after them show that no write happened — not even one that left the
+     bytes as they were. *)
+  let seen = Hashtbl.create 64 and reused = ref 0 and collecting = ref true in
+  Cpu.set_block_tap cpu
+    ~on_block:(fun info _ ->
+      if !collecting then Hashtbl.replace seen info.Cpu.bi_key ()
+      else if Hashtbl.mem seen info.Cpu.bi_key then incr reused)
+    ~on_step:(fun _ _ -> ());
+  ignore (Cpu.run cpu ~max_cycles:200_000);
   let s = Seu.create ~rng:(rng 12) Seu.off in
   for _ = 1 to 100 do
     Seu.tick s cpu
   done;
+  collecting := false;
+  ignore (Cpu.run cpu ~max_cycles:200_000);
   Alcotest.(check bool) "no upsets" true (Seu.stats s = { Seu.sram_flips = 0; flash_flips = 0 });
-  Alcotest.(check string) "flash untouched" before (Memory.flash_contents (Cpu.mem cpu));
-  Alcotest.(check int) "epoch untouched" epoch (Memory.flash_epoch (Cpu.mem cpu))
+  Alcotest.(check string) "flash untouched" before (Cpu.flash_contents cpu);
+  Alcotest.(check bool) "compiled blocks kept" true (!reused > 0)
 
-let test_seu_flash_flip_bumps_epoch () =
+let test_seu_flash_flip_drops_stale_decodes () =
   (* A flash upset must go through the page-write path so the predecode
      cache notices — the bug this guards against is an SEU model poking
-     the flash array behind the decode cache's back. *)
+     the flash array behind the decode cache's back.  The victim word is
+     decoded into the cache before the flip and stepped again after it,
+     under the decode oracle. *)
+  let code = (Helpers.build_mavr ()).image.code in
+  let flip cpu =
+    Seu.tick (Seu.create ~rng:(rng 13) { Seu.sram_flip_ppm = 0; flash_flip_ppm = 1_000_000 }) cpu
+  in
+  (* The same seed flips the same bit: find it on a throwaway CPU. *)
+  let probe = Cpu.create () in
+  Cpu.load_program probe code;
+  flip probe;
+  let flipped = Cpu.flash_contents probe in
+  let rec victim i = if flipped.[i] <> code.[i] then i else victim (i + 1) in
+  let victim = victim 0 in
   let cpu = Cpu.create () in
-  Cpu.load_program cpu (Helpers.build_mavr ()).image.code;
-  let epoch = Memory.flash_epoch (Cpu.mem cpu) in
-  let s = Seu.create ~rng:(rng 13) { Seu.sram_flip_ppm = 0; flash_flip_ppm = 1_000_000 } in
-  Seu.tick s cpu;
-  Alcotest.(check bool) "flash epoch advanced" true (Memory.flash_epoch (Cpu.mem cpu) > epoch)
+  let oracle = Helpers.decode_oracle cpu in
+  Cpu.load_program cpu code;
+  let step_victim () =
+    Cpu.reset cpu;
+    Cpu.set_pc cpu (victim / 2);
+    Cpu.step cpu
+  in
+  step_victim ();
+  flip cpu;
+  Alcotest.(check string) "the same bit flipped" flipped (Cpu.flash_contents cpu);
+  step_victim ();
+  Alcotest.(check int) "victim stepped twice" 2 (fst (oracle ()));
+  Alcotest.(check bool) "flipped word decoded afresh" true (snd (oracle ()) = None)
 
 (* ---- reflash stream ---- *)
 
@@ -238,7 +270,7 @@ let test_reflash_recovery_lands_clean_image () =
          intended to program, not the provisioned image. *)
       let want = (Mavr_core.Master.current_image m).Mavr_obj.Image.code in
       Alcotest.(check string) "flash is byte-exact despite the faulty link" want
-        (String.sub (Memory.flash_contents (Cpu.mem (Sc.app s))) 0 (String.length want));
+        (String.sub (Cpu.flash_contents (Sc.app s)) 0 (String.length want));
       Alcotest.(check bool) "retries recorded" true (Mavr_core.Master.last_flash_retries m >= 1);
       Alcotest.(check bool) "fallback recorded" true (Mavr_core.Master.fallback_streams m >= 1));
   match Injector.reflash faults with
@@ -271,7 +303,7 @@ let test_reflash_mild_retry_succeeds () =
   | Some m ->
       let want = (Mavr_core.Master.current_image m).Mavr_obj.Image.code in
       Alcotest.(check string) "flash is byte-exact" want
-        (String.sub (Memory.flash_contents (Cpu.mem (Sc.app s))) 0 (String.length want))
+        (String.sub (Cpu.flash_contents (Sc.app s)) 0 (String.length want))
 
 (* ---- injector ---- *)
 
@@ -306,7 +338,7 @@ let test_injector_streams_independent () =
     for _ = 1 to 300 do
       Injector.seu_tick inj cpu
     done;
-    (Injector.seu_stats inj, Memory.flash_contents (Cpu.mem cpu))
+    (Injector.seu_stats inj, Cpu.flash_contents cpu)
   in
   let stats_a, flash_a = run quiet in
   let stats_b, flash_b = run noisy_level in
@@ -412,7 +444,8 @@ let () =
         [
           Alcotest.test_case "certain upsets" `Quick test_seu_certain_upsets;
           Alcotest.test_case "off is noop" `Quick test_seu_off_is_noop;
-          Alcotest.test_case "flash flip bumps epoch" `Quick test_seu_flash_flip_bumps_epoch;
+          Alcotest.test_case "flash flip drops stale decodes" `Quick
+            test_seu_flash_flip_drops_stale_decodes;
         ] );
       ( "reflash",
         [

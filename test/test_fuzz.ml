@@ -81,8 +81,8 @@ let prop_decode_cache_oracle =
      with illegal/wild halts mixed in) is stepped under the decode
      oracle.  Each round reflashes fresh random code of the same size,
      then rewrites the first page and runs from reset again, so a cache
-     that survives either kind of flash epoch bump dispatches a decode
-     the flash no longer holds. *)
+     that survives either kind of flash write dispatches a decode the
+     flash no longer holds. *)
   QCheck.Test.make ~name:"decode cache matches live flash" ~count:40
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
@@ -98,7 +98,7 @@ let prop_decode_cache_oracle =
       for _round = 1 to 3 do
         Cpu.load_program cpu (random 512);
         run ();
-        Mavr_avr.Memory.flash_write_page (Cpu.mem cpu) ~page_addr:0
+        Cpu.flash_write_page cpu ~page_addr:0
           (random (Cpu.device cpu).Mavr_avr.Device.flash_page_bytes);
         run ()
       done;

@@ -1,7 +1,7 @@
 (* Superblock engine equivalence and the cycle-accounting bugfix sweep:
    differential fuzz against single-step ground truth over randomized
    firmware of all three profiles (with mid-run SEU flash flips and
-   corrupted reflash lifetimes bumping the flash epoch), on both the
+   corrupted reflash lifetimes rewriting flash), on both the
    flight controller's ATmega2560 and the master's ATmega1284P, with the
    shadow-stack monitor off and on; the saturating run budget,
    masked-vs-dispatch interrupt latency, and mid-run block-tap
@@ -77,7 +77,7 @@ let frame seq =
 (* Drive both engines through identical slices, comparing full state and
    UART output at every boundary.  [fault] additionally applies
    identically seeded SEU upsets (SRAM pokes and flash bit flips — the
-   latter bump the flash epoch mid-run, the stale-fused-code hazard) and
+   latter rewrite flash mid-run, the stale-fused-code hazard) and
    one corrupted-reflash lifetime halfway through. *)
 let diff_run ?device ?shadow name (image : Image.t) ~seed ~slices ~slice_cycles ~fault =
   let fused, stepped = boot_pair ?device ?shadow image in
@@ -669,10 +669,9 @@ let test_superblocks_toggle_mid_run () =
   Alcotest.(check bool) "mid-run toggle equivalent" true
     (arch_state toggled = arch_state plain)
 
-(* The batched loops sync the blocks at entry only.  Superblocks
-   switched on from a tap, mid-run, after a reflash made while they were
-   off, must not run with the previous image's (smaller) tables: that
-   read past their end. *)
+(* Superblocks switched on from a tap, mid-run, after a reflash made
+   while they were off, must not run with the previous image's (smaller)
+   tables, or they read past their end. *)
 let test_switch_on_after_reflash () =
   let body = List.init 200 (fun _ -> Isa.Inc 17) @ Isa.[ Rjmp (-201) ] in
   let two_images ~superblocks =
@@ -696,6 +695,45 @@ let test_switch_on_after_reflash () =
   ignore (Cpu.run cpu ~max_cycles:20_000);
   Alcotest.(check bool) "superblocks flipped on mid-run" true
     (arch_state cpu = arch_state reference)
+
+(* Flash rewritten from a tap, in the middle of a run: the code that
+   runs next must be the new code, under either engine.  A hot loop
+   [inc r16; rjmp] is rewritten to [inc r17; rjmp] after the first block
+   (superblocks on) or before a stepped [rjmp] (off, so the instruction
+   already fetched is the same in both); before the run returns, r17
+   must count and r16 must stop. *)
+let test_page_write_mid_run () =
+  let page = Device.atmega2560.Device.flash_page_bytes in
+  let page_of r =
+    let code = String.concat "" (List.map Opcode.encode_bytes Isa.[ Ldi (16, 0); Inc r; Rjmp (-2) ]) in
+    code ^ String.make (page - String.length code) '\xff'
+  in
+  List.iter
+    (fun superblocks ->
+      let cpu = Cpu.create () in
+      Cpu.set_superblocks cpu superblocks;
+      Cpu.load_program cpu (page_of 16);
+      let at_rewrite = ref None and steps = ref 0 in
+      let rewrite () =
+        if !at_rewrite = None then begin
+          at_rewrite := Some (Cpu.reg cpu 16);
+          Cpu.flash_write_page cpu ~page_addr:0 (page_of 17)
+        end
+      in
+      Cpu.set_block_tap cpu
+        ~on_block:(fun _ _ -> rewrite ())
+        ~on_step:(fun _ insn ->
+          incr steps;
+          match insn with
+          | Isa.Rjmp _ when (not superblocks) && !steps >= 100 -> rewrite ()
+          | _ -> ());
+      ignore (Cpu.run cpu ~max_cycles:20_000);
+      let name = if superblocks then "superblocks" else "stepper" in
+      Alcotest.(check bool) (name ^ ": rewritten mid-run") true (!at_rewrite <> None);
+      Alcotest.(check (option int)) (name ^ ": old loop stopped") !at_rewrite
+        (Some (Cpu.reg cpu 16));
+      Alcotest.(check bool) (name ^ ": new loop ran") true (Cpu.reg cpu 17 > 0))
+    [ true; false ]
 
 let () =
   Alcotest.run "superblock"
@@ -735,5 +773,6 @@ let () =
             test_block_tap_counts_partition_retired;
           Alcotest.test_case "engine toggle mid-run" `Quick test_superblocks_toggle_mid_run;
           Alcotest.test_case "switch on after a reflash" `Quick test_switch_on_after_reflash;
+          Alcotest.test_case "page write mid-run" `Quick test_page_write_mid_run;
         ] );
     ]

@@ -61,8 +61,10 @@ let test_registry_snapshot_and_reset () =
   let c = Metrics.counter r "c" in
   Metrics.incr c;
   Metrics.add c 4;
-  let g = Metrics.gauge r "g" in
-  Metrics.set g 11;
+  (* An owned gauge comes only out of a merge. *)
+  let src = Metrics.create () in
+  Metrics.sampled src "g" (fun () -> 11);
+  Metrics.merge ~into:r src;
   let h = Metrics.histogram r "h" in
   List.iter (Metrics.observe h) [ 2; 8; 5 ];
   let live = ref 100 in
@@ -100,8 +102,8 @@ let test_registry_idempotent_and_kind_clash () =
   Metrics.incr c1;
   Metrics.incr c2;
   Alcotest.(check int) "same cell" 2 (Metrics.value c1);
-  (match Metrics.gauge r "x" with
-  | _ -> Alcotest.fail "kind clash accepted"
+  (match Metrics.sampled r "x" (fun () -> 0) with
+  | () -> Alcotest.fail "kind clash accepted"
   | exception Invalid_argument _ -> ());
   match Metrics.histogram r "x" with
   | _ -> Alcotest.fail "kind clash accepted"
@@ -110,7 +112,7 @@ let test_registry_idempotent_and_kind_clash () =
 let test_jsonl_roundtrip () =
   let r = Metrics.create () in
   Metrics.add (Metrics.counter r "frames") 17;
-  Metrics.set (Metrics.gauge r "depth") (-3);
+  Metrics.sampled r "depth" (fun () -> -3);
   List.iter (Metrics.observe (Metrics.histogram r "lat")) [ 1; 2; 3; 4 ];
   Metrics.sampled r "live" (fun () -> 99);
   match Metrics.of_jsonl (Metrics.to_jsonl r) with
