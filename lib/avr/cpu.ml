@@ -16,15 +16,17 @@ let pp_halt fmt = function
   | Rop_detected { expected; got } ->
       Format.fprintf fmt "shadow-stack violation: ret to 0x%x, expected 0x%x" got expected
 
-(* A compiled superblock handed to the block tap: enough for the
-   telemetry layer to account for every instruction the block retires
-   without per-instruction callbacks.  [bi_key] is unique per compiled
-   block (never reused within a CPU lifetime), so observers can memoize
-   per-block work against it. *)
+(* A compiled superblock's identity and execution counts: enough for
+   the telemetry layer to account for every instruction the block
+   retires without per-instruction work.  [bi_key] is unique per
+   compiled block (never reused within a CPU lifetime) and indexes
+   [compiled]; [bi_execs.(n)] counts the executions that retired the
+   first [n] instructions, while accounting is on. *)
 type block_info = {
   bi_key : int;
   bi_pc : int; (* entry word address *)
   bi_insns : Isa.t array;
+  bi_execs : int array;
 }
 
 (* The whole machine state of Fig. 1 in one record.  Program flash and
@@ -58,8 +60,9 @@ type t = {
   mutable tx_cycles_per_byte : int;
   mutable tx_busy_until : int;
   (* Predecode cache: one entry per word PC.  [icache_meta.(pc)] packs
-     the instruction length in words (1 or 2, the low two bits) with its
-     static cycle cost ([insn_cycles], the bits above), with 0 meaning
+     the instruction length in words (1 or 2, the low two bits), its
+     static cycle cost ([insn_cycles], the next four) and its mnemonic
+     index (the bits above, for probe accounting), with 0 meaning
      "not decoded yet"; [icache_insn.(pc)] is only meaningful when the
      entry is non-zero.  Entries are filled on first execution and the
      whole cache is discarded by every flash write (reflash / bootloader
@@ -97,11 +100,25 @@ type t = {
      instruction stream — so the value is bit-identical whether the
      telemetry taps fire per instruction or per superblock. *)
   mutable sp_min : int;
-  (* Telemetry taps.  The block tap is the only one on the hot path, so
-     it is guarded by a plain bool ([tap_on]) with no-op closures behind
-     it: when tracing is off each block and each single-stepped
-     instruction pays one load + one predictable branch, nothing else.
-     The interrupt and halt taps sit on cold paths and stay options. *)
+  (* Probe accounting ([start_accounting]), kept by the engine itself so
+     an instrumented block costs two increments and two stores, with no
+     call: per-block execution counts ([bi_execs]), stepped instructions
+     per mnemonic ([stepped]), and every block, step and interrupt
+     appended to [ring] as a (code, cycle) pair.  [ring] holds a power of
+     two of events; [noted] counts the events ever appended and [taken]
+     those handed over by [take_events]. *)
+  mutable acct : bool;
+  mutable stepped : int array;
+  mutable ring : int array;
+  mutable ring_mask : int;
+  mutable noted : int;
+  mutable taken : int;
+  mutable compiled : block_info array; (* every block compiled, by [bi_key] *)
+  (* Test taps.  The block tap is guarded by a plain bool ([tap_on]) with
+     no-op closures behind it, so with no tap each block and each
+     single-stepped instruction pays one load and one predictable
+     branch.  The interrupt and halt taps sit on cold paths and stay
+     options. *)
   mutable tap_on : bool;
   mutable tap_step : int -> Isa.t -> unit; (* word PC of the insn, decoded insn *)
   mutable tap_block : block_info -> int -> unit; (* block, instructions executed *)
@@ -135,7 +152,7 @@ and block = {
   b_lead_calls : int;
 }
 
-let dummy_block_info = { bi_key = -1; bi_pc = -1; bi_insns = [||] }
+let dummy_block_info = { bi_key = -1; bi_pc = -1; bi_insns = [||]; bi_execs = [||] }
 
 let dummy_block =
   { b_info = dummy_block_info; b_entry = (fun _ -> ()); b_lead = 0; b_lead_calls = 0 }
@@ -182,6 +199,13 @@ let create ?(device = Device.atmega2560) () =
     sreg_v = 0;
     sp_v = 0;
     sp_min = max_int;
+    acct = false;
+    stepped = [||];
+    ring = [||];
+    ring_mask = 0;
+    noted = 0;
+    taken = 0;
+    compiled = [||];
     tap_on = false;
     tap_step = no_step_tap;
     tap_block = no_block_tap;
@@ -225,7 +249,7 @@ let flash_contents t = Bytes.to_string t.flash
 let io_addr t a = t.dev.Device.io_base + a
 let sp t = t.sp_v
 
-let set_sp t v =
+let[@inline] set_sp t v =
   let v = v land 0xFFFF in
   t.sp_v <- v;
   if v < t.sp_min then t.sp_min <- v
@@ -249,7 +273,57 @@ let set_halt t h =
 
 let force_halt t h = set_halt t h
 
-(* ---- Telemetry taps ------------------------------------------------- *)
+(* ---- Probe accounting ----------------------------------------------- *)
+
+(* Ring event codes: the low two bits say what ran, the rest is its
+   payload — a block's key, a step's word pc and mnemonic index, an
+   interrupt's dispatch latency. *)
+let ev_block = 0
+let ev_step = 1
+let ev_irq = 2
+
+let[@inline] note t code =
+  let i = (t.noted lsl 1) land t.ring_mask in
+  Array.unsafe_set t.ring i code;
+  Array.unsafe_set t.ring (i + 1) t.cycles;
+  t.noted <- t.noted + 1
+
+let start_accounting t ~window =
+  let rec pow2 n = if n >= window then n else pow2 (2 * n) in
+  let cap = pow2 1 in
+  t.ring <- Array.make (2 * cap) 0;
+  t.ring_mask <- (2 * cap) - 1;
+  t.noted <- 0;
+  t.taken <- 0;
+  t.stepped <- Array.make (Array.length Isa.mnemonics) 0;
+  for k = 0 to t.block_keys - 1 do
+    let e = t.compiled.(k).bi_execs in
+    Array.fill e 0 (Array.length e) 0
+  done;
+  t.acct <- true
+
+type event = Block of block_info | Step of { pc : int; mnemonic : int } | Irq of { latency : int }
+
+let take_events t ~last f =
+  let pending = t.noted - t.taken in
+  let n = min pending (min last ((t.ring_mask + 1) / 2)) in
+  t.taken <- t.noted;
+  for k = t.noted - n to t.noted - 1 do
+    let i = (k lsl 1) land t.ring_mask in
+    let code = t.ring.(i) in
+    let p = code asr 2 in
+    f ~cycle:t.ring.(i + 1)
+      (if code land 3 = ev_block then Block t.compiled.(p)
+       else if code land 3 = ev_step then Step { pc = p lsr 7; mnemonic = p land 127 }
+       else Irq { latency = p })
+  done;
+  pending - n
+
+let events_noted t = t.noted
+let blocks_compiled t = Array.sub t.compiled 0 t.block_keys
+let stepped_counts t = Array.copy t.stepped
+
+(* ---- Test taps ------------------------------------------------------ *)
 
 (* The block tap observes whole superblocks, with its [on_step]
    callback covering the instructions the engine executes one at a time
@@ -367,10 +441,10 @@ let insn_cycles (dev : Device.t) (insn : Isa.t) =
 let decode_raw t pc = Decode.decode (flash_word t pc) (flash_word t (pc + 1))
 
 (* Decode word address [pc] and store it in the cache (in-range [pc]
-   only).  Returns the packed length and cost. *)
+   only).  Returns the packed length, cost and mnemonic index. *)
 let fill_entry t pc =
   let insn, words = decode_raw t pc in
-  let meta = words lor (insn_cycles t.dev insn lsl 2) in
+  let meta = words lor (insn_cycles t.dev insn lsl 2) lor (Isa.mnemonic_index insn lsl 6) in
   Array.unsafe_set t.icache_insn pc insn;
   Array.unsafe_set t.icache_meta pc meta;
   meta
@@ -450,22 +524,36 @@ let io_write t a v =
   end
   else data_set t (io_addr t a) v
 
-let data_read t addr =
+let data_read_slow t addr =
   let io0 = t.dev.Device.io_base in
   if addr >= io0 && addr < io0 + 64 then io_read t (addr - io0) else data_get t addr
 
-let data_write t addr v =
+let data_write_slow t addr v =
   let io0 = t.dev.Device.io_base in
   if addr >= io0 && addr < io0 + 64 then io_write t (addr - io0) v
   else data_set t addr v
 
-let push_byte t v =
-  let p = sp t in
+(* SRAM, above the 64 I/O registers, is what nearly every load, store,
+   push and pop touches: it takes one range test and unchecked
+   indexing, inline.  The register file, the I/O file and out-of-range
+   addresses go the general way. *)
+let[@inline] data_read t addr =
+  if addr >= t.dev.Device.io_base + 64 && addr < Bytes.length t.data then
+    Char.code (Bytes.unsafe_get t.data addr)
+  else data_read_slow t addr
+
+let[@inline] data_write t addr v =
+  if addr >= t.dev.Device.io_base + 64 && addr < Bytes.length t.data then
+    Bytes.unsafe_set t.data addr (Char.unsafe_chr (v land 0xFF))
+  else data_write_slow t addr v
+
+let[@inline] push_byte t v =
+  let p = t.sp_v in
   data_write t p v;
   set_sp t (p - 1)
 
-let pop_byte t =
-  let p = sp t + 1 in
+let[@inline] pop_byte t =
+  let p = t.sp_v + 1 in
   set_sp t p;
   data_read t p
 
@@ -634,6 +722,7 @@ let take_timer_interrupt t =
   t.timer_next_fire <- t.cycles + period;
   t.interrupts_taken <- t.interrupts_taken + 1;
   t.cycles <- t.cycles + 5;
+  if t.acct then note t ((latency lsl 2) lor ev_irq);
   match t.tap_irq with None -> () | Some f -> f ~latency ~masked
 
 (* ---- Instruction semantics ------------------------------------------ *)
@@ -955,15 +1044,20 @@ let exec_one t =
        without flambda).  No bounds check: the wild-PC guard above bounds
        pc0 by program_bytes, and the cache spans exactly
        (program_bytes + 1) / 2 entries ([drop_code]).  The cached entry
-       carries the cost too, so the stepper never matches an instruction
-       twice. *)
+       carries the cost and mnemonic too, so the stepper never matches
+       an instruction twice. *)
     let meta = Array.unsafe_get t.icache_meta pc0 in
     let meta = if meta <> 0 then meta else fill_entry t pc0 in
     let insn = Array.unsafe_get t.icache_insn pc0 in
     t.pc <- pc0 + (meta land 3);
+    if t.acct then begin
+      let m = meta lsr 6 in
+      Array.unsafe_set t.stepped m (Array.unsafe_get t.stepped m + 1);
+      note t ((((pc0 lsl 7) lor m) lsl 2) lor ev_step)
+    end;
     if t.tap_on then t.tap_step pc0 insn;
     t.retired <- t.retired + 1;
-    exec_insn t pc0 insn (meta lsr 2)
+    exec_insn t pc0 insn ((meta lsr 2) land 15)
   end
 
 let step t =
@@ -1015,16 +1109,24 @@ type fuse =
   | FStore of (int -> (t -> unit) -> (t -> unit) -> t -> unit) (* builder flush stop k *)
 
 let[@inline] flush t fl = t.cycles <- t.cycles + fl
+
+(* A builder's closure must come back as a function of [t] alone: a
+   curried [fun k t -> ...] applied to [k] is a partial application,
+   which runs through a [caml_curryN_M] stub on every execution.  The
+   compiler merges [fun k -> fun t -> ...] (even through a [let]) into
+   one curried function, so the returned closure goes through
+   [Sys.opaque_identity]. *)
+let[@inline] clo (f : t -> unit) = Sys.opaque_identity f
 let[@inline] resume t stop k = if t.block_stop then stop t else k t
 let[@inline] next t a = if t.sreg_v land a.mask = a.want then a.kc t else a.kx t
 let alu f = Some (FAlu f)
 
 let compile_body (insn : Isa.t) : fuse option =
   match insn with
-  | Nop | Wdr -> Some (FPure (fun k t -> k t))
-  | Movw (d, r) -> Some (FPure (fun k t -> op_movw t d r; k t))
-  | Ldi (d, v) -> Some (FPure (fun k t -> op_ldi t d v; k t))
-  | Mov (d, r) -> Some (FPure (fun k t -> op_mov t d r; k t))
+  | Nop | Wdr -> Some (FPure (fun k -> k))
+  | Movw (d, r) -> Some (FPure (fun k -> clo (fun t -> op_movw t d r; k t)))
+  | Ldi (d, v) -> Some (FPure (fun k -> clo (fun t -> op_ldi t d v; k t)))
+  | Mov (d, r) -> Some (FPure (fun k -> clo (fun t -> op_mov t d r; k t)))
   | Add (d, r) -> alu (fun fl a -> if fl then (fun t -> op_add ~fl:true t d (reg t r); next t a)
       else fun t -> op_add ~fl:false t d (reg t r); a.kc t)
   | Adc (d, r) -> alu (fun fl a -> if fl then (fun t -> op_adc ~fl:true t d (reg t r); next t a)
@@ -1066,38 +1168,44 @@ let compile_body (insn : Isa.t) : fuse option =
       else fun t -> op_ror ~fl:false t d; a.kc t)
   | Asr d -> alu (fun fl a -> if fl then (fun t -> op_asr ~fl:true t d; next t a)
       else fun t -> op_asr ~fl:false t d; a.kc t)
-  | Swap d -> Some (FPure (fun k t -> op_swap t d; k t))
+  | Swap d -> Some (FPure (fun k -> clo (fun t -> op_swap t d; k t)))
   | Adiw (d, v) -> alu (fun fl a -> if fl then (fun t -> op_adiw ~fl:true t d v; next t a)
       else fun t -> op_adiw ~fl:false t d v; a.kc t)
   | Sbiw (d, v) -> alu (fun fl a -> if fl then (fun t -> op_sbiw ~fl:true t d v; next t a)
       else fun t -> op_sbiw ~fl:false t d v; a.kc t)
-  | Lpm0 -> Some (FPure (fun k t -> op_lpm t 0 false; k t))
-  | Lpm (d, inc) -> Some (FPure (fun k t -> op_lpm t d inc; k t))
-  | Elpm0 -> Some (FPure (fun k t -> op_elpm t 0 false; k t))
-  | Elpm (d, inc) -> Some (FPure (fun k t -> op_elpm t d inc; k t))
-  | Bld (d, b) -> Some (FPure (fun k t -> op_bld t d b; k t))
-  | Bst (d, b) -> Some (FPure (fun k t -> op_bst t d b; k t))
-  | Bset b when b <> Flag.i -> Some (FPure (fun k t -> op_bset t b; k t))
+  | Lpm0 -> Some (FPure (fun k -> clo (fun t -> op_lpm t 0 false; k t)))
+  | Lpm (d, inc) -> Some (FPure (fun k -> clo (fun t -> op_lpm t d inc; k t)))
+  | Elpm0 -> Some (FPure (fun k -> clo (fun t -> op_elpm t 0 false; k t)))
+  | Elpm (d, inc) -> Some (FPure (fun k -> clo (fun t -> op_elpm t d inc; k t)))
+  | Bld (d, b) -> Some (FPure (fun k -> clo (fun t -> op_bld t d b; k t)))
+  | Bst (d, b) -> Some (FPure (fun k -> clo (fun t -> op_bst t d b; k t)))
+  | Bset b when b <> Flag.i -> Some (FPure (fun k -> clo (fun t -> op_bset t b; k t)))
   (* cli (bclr I) stays fusible: clearing I can only *prevent* a
      dispatch, and the block was entered under a no-fire-within-this-
      block guarantee anyway. *)
-  | Bclr b -> Some (FPure (fun k t -> op_bclr t b; k t))
-  | In (d, a) -> Some (FLoad (fun fl k t -> flush t fl; op_in t d a; k t))
-  | Lds (d, a) -> Some (FLoad (fun fl k t -> flush t fl; op_lds t d a; k t))
+  | Bclr b -> Some (FPure (fun k -> clo (fun t -> op_bclr t b; k t)))
+  | In (d, a) -> Some (FLoad (fun fl k -> clo (fun t -> flush t fl; op_in t d a; k t)))
+  | Lds (d, a) -> Some (FLoad (fun fl k -> clo (fun t -> flush t fl; op_lds t d a; k t)))
   | Ldd (d, b, q) ->
       let base = base_reg b in
-      Some (FLoad (fun fl k t -> flush t fl; op_ldd t d base q; k t))
-  | Ld (d, p) -> Some (FLoad (fun fl k t -> flush t fl; op_ld t d p; k t))
-  | Pop r -> Some (FLoad (fun fl k t -> flush t fl; op_pop t r; k t))
-  | Out (a, r) -> Some (FStore (fun fl stop k t -> flush t fl; op_out t a r; resume t stop k))
-  | Sts (a, r) -> Some (FStore (fun fl stop k t -> flush t fl; op_sts t a r; resume t stop k))
+      Some (FLoad (fun fl k -> clo (fun t -> flush t fl; op_ldd t d base q; k t)))
+  | Ld (d, p) -> Some (FLoad (fun fl k -> clo (fun t -> flush t fl; op_ld t d p; k t)))
+  | Pop r -> Some (FLoad (fun fl k -> clo (fun t -> flush t fl; op_pop t r; k t)))
+  | Out (a, r) ->
+      Some (FStore (fun fl stop k -> clo (fun t -> flush t fl; op_out t a r; resume t stop k)))
+  | Sts (a, r) ->
+      Some (FStore (fun fl stop k -> clo (fun t -> flush t fl; op_sts t a r; resume t stop k)))
   | Std (b, q, r) ->
       let base = base_reg b in
-      Some (FStore (fun fl stop k t -> flush t fl; op_std t base q r; resume t stop k))
-  | St (p, r) -> Some (FStore (fun fl stop k t -> flush t fl; op_st t p r; resume t stop k))
-  | Push r -> Some (FStore (fun fl stop k t -> flush t fl; op_push t r; resume t stop k))
-  | Sbi (a, b) -> Some (FStore (fun fl stop k t -> flush t fl; op_sbi t a b; resume t stop k))
-  | Cbi (a, b) -> Some (FStore (fun fl stop k t -> flush t fl; op_cbi t a b; resume t stop k))
+      Some (FStore (fun fl stop k -> clo (fun t -> flush t fl; op_std t base q r; resume t stop k)))
+  | St (p, r) ->
+      Some (FStore (fun fl stop k -> clo (fun t -> flush t fl; op_st t p r; resume t stop k)))
+  | Push r ->
+      Some (FStore (fun fl stop k -> clo (fun t -> flush t fl; op_push t r; resume t stop k)))
+  | Sbi (a, b) ->
+      Some (FStore (fun fl stop k -> clo (fun t -> flush t fl; op_sbi t a b; resume t stop k)))
+  | Cbi (a, b) ->
+      Some (FStore (fun fl stop k -> clo (fun t -> flush t fl; op_cbi t a b; resume t stop k)))
   | Bset _ (* sei: ends the block so a pending compare can dispatch *)
   | Cpse _ | Sbic _ | Sbis _ | Sbrc _ | Sbrs _ | Ret | Reti | Icall | Ijmp | Call _
   | Jmp _ | Rcall _ | Rjmp _ | Brbs _ | Brbc _ | Sleep | Break | Data _ ->
@@ -1304,12 +1412,13 @@ let compile_block t entry_pc =
   done;
   (* Every way out of the trace lands here: flush the captured cycle
      debt, fix up the PC, credit the retired count once, and record the
-     executed prefix length for the block tap. *)
-  let mk_exit cyc pc cnt t =
-    t.cycles <- t.cycles + cyc;
-    t.pc <- pc;
-    t.retired <- t.retired + cnt;
-    t.block_insns <- cnt
+     executed prefix length for [exec_block]. *)
+  let mk_exit cyc pc cnt =
+    clo (fun t ->
+        t.cycles <- t.cycles + cyc;
+        t.pc <- pc;
+        t.retired <- t.retired + cnt;
+        t.block_insns <- cnt)
   in
   let entry =
     let fl = pend.(nslots) in
@@ -1398,6 +1507,15 @@ let compile_block t entry_pc =
     let body = Array.map (fun s -> s.s_insn) arr in
     match fin with Some (fi, _, _) -> Array.append body [| fi |] | None -> body
   in
+  let info =
+    { bi_key = key; bi_pc = entry_pc; bi_insns = insns; bi_execs = Array.make (n_total + 1) 0 }
+  in
+  if key >= Array.length t.compiled then begin
+    let grown = Array.make (max 64 (2 * key)) dummy_block_info in
+    Array.blit t.compiled 0 grown 0 key;
+    t.compiled <- grown
+  end;
+  t.compiled.(key) <- info;
   (* The entry margin covers every instruction but the last: a timer
      compare or the run budget can only stop a stepping engine at an
      instruction boundary, and the last one a trace crosses is its exit,
@@ -1409,7 +1527,7 @@ let compile_block t entry_pc =
     | None -> (!span - !last_cost, !calls - !last_call)
   in
   {
-    b_info = { bi_key = key; bi_pc = entry_pc; bi_insns = insns };
+    b_info = info;
     b_entry = entry;
     b_lead = lead;
     b_lead_calls = lead_calls;
@@ -1417,11 +1535,16 @@ let compile_block t entry_pc =
 
 (* Execute one compiled trace.  All per-instruction work lives inside
    the continuation-threaded closures; the wrapper only clears the
-   [block_stop] latch and fires the block tap with the executed prefix
-   length every exit path recorded in [t.block_insns]. *)
+   [block_stop] latch and accounts for the executed prefix length every
+   exit path recorded in [t.block_insns]. *)
 let exec_block t b =
   t.block_stop <- false;
   b.b_entry t;
+  if t.acct then begin
+    let info = b.b_info and n = t.block_insns in
+    Array.unsafe_set info.bi_execs n (Array.unsafe_get info.bi_execs n + 1);
+    note t ((info.bi_key lsl 2) lor ev_block)
+  end;
   if t.tap_on then t.tap_block b.b_info t.block_insns
 
 (* Compile policy.  Every lifetime starts with no blocks, and most

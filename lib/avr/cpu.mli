@@ -97,43 +97,57 @@ val instructions_retired : t -> int
 val program_size : t -> int
 val halted : t -> halt option
 
-(** {2 Telemetry taps}
+(** {2 Probe accounting}
 
-    Low-level instrumentation hooks {!Mavr_avr.Probes} builds on: the
-    block tap (instruction-level, fired per superblock and per
-    single-stepped instruction), the interrupt tap and the halt tap.
-    They fire from inside the engine, so they compose with the batched
-    {!run} loops, the superblocks and the predecode cache.  With no tap
-    installed each block and each stepped instruction pays a single flag
-    test; the interrupt and halt taps are entirely off those paths. *)
+    What {!Mavr_avr.Probes} builds on.  Once {!start_accounting} turns it
+    on, the engine itself counts every compiled block's executions per
+    retired-prefix length and every single-stepped instruction per
+    mnemonic, and appends each block, stepped instruction and interrupt
+    to a ring of recent events, stamped with the cycle counter.  All of
+    it is inline in the engine's block, step and interrupt paths, behind
+    one flag: an accounted block costs two increments and two stores, with
+    no call and no closure; with accounting off, one flag test.  The
+    interrupt and halt taps below are off those paths. *)
 
-(** Compile-time cap on instructions per fused superblock — the bound on
-    [count] in block-tap callbacks and on the batched-run overshoot past
-    [max_cycles].  Useful for sizing per-(block, prefix-length) memo
-    tables keyed on [bi_key]. *)
-val max_block_insns : int
+(** A compiled superblock: a small dense key, unique per compiled block
+    within a CPU's life (reflashes recompile under new keys), its entry
+    word address, its per-instruction decodes, and [bi_execs.(n)], the
+    executions since {!start_accounting} that retired exactly the first
+    [n] instructions (index 0 unused). *)
+type block_info = private {
+  bi_key : int;
+  bi_pc : int;
+  bi_insns : Isa.t array;
+  bi_execs : int array;
+}
 
-(** Identity of a compiled superblock, exposed to the block tap: entry
-    word address, the per-instruction decodes, and a small dense key
-    ([bi_key]) that is unique per compiled block within a CPU lifetime —
-    suitable for memoizing per-block aggregates. *)
-type block_info = private { bi_key : int; bi_pc : int; bi_insns : Isa.t array }
+(** [start_accounting t ~window] turns accounting on and counts from
+    zero: every block's execution counts, the stepped counts and the
+    event ring, which keeps at least the last [window] events. *)
+val start_accounting : t -> window:int -> unit
 
-(** [set_block_tap t ~on_block ~on_step] installs boundary-grained
-    instrumentation: when the superblock engine executes a block,
-    [on_block info count] fires once {e after} it, with [count] the
-    number of instructions actually retired from [info] (< the block
-    length when a mid-block exit fired); whenever the engine
-    single-steps instead (interrupt windows, superblocks disabled),
-    [on_step pc insn] fires before each instruction, with [pc] the
-    instruction's {e word} address and [insn] its decode; SP, SREG and
-    the cycle counter still hold their pre-execution values.
-    Installing, re-installing or clearing the tap from inside a callback
-    is safe: the engine re-reads the tap state at every block boundary,
-    so the change takes effect at the next boundary and no stale fused
-    code runs. *)
-val set_block_tap :
-  t -> on_block:(block_info -> int -> unit) -> on_step:(int -> Isa.t -> unit) -> unit
+(** An accounted event: a block ran (stamped after it), an instruction
+    was stepped (stamped before it; word [pc], {!Isa.mnemonics} index),
+    or the timer interrupt was taken (stamped at vector entry, with its
+    dispatch latency as for {!set_irq_tap}). *)
+type event = Block of block_info | Step of { pc : int; mnemonic : int } | Irq of { latency : int }
+
+(** [take_events t ~last f] hands over the events appended since the
+    previous call, oldest first: [f ~cycle e] for the newest [last] of
+    them (at most the ring's window), and returns how many older ones it
+    passed over. *)
+val take_events : t -> last:int -> (cycle:int -> event -> unit) -> int
+
+(** Events appended since {!start_accounting}: it moves whenever a count
+    does. *)
+val events_noted : t -> int
+
+(** Every block compiled on this CPU, by key. *)
+val blocks_compiled : t -> block_info array
+
+(** Single-stepped instructions since {!start_accounting}, by
+    {!Isa.mnemonics} index. *)
+val stepped_counts : t -> int array
 
 (** [set_irq_tap t (Some f)] — [f ~latency ~masked] fires when an
     interrupt is taken: [latency] is the hardware dispatch latency
@@ -194,7 +208,7 @@ val run_until :
     The batched loops compile traces of instructions along the
     predicted path into continuation-threaded closures — one closure per
     body instruction, with PC updates, retirement counting, interrupt
-    polling and tap dispatch hoisted to block boundaries.  A body
+    polling and probe accounting hoisted to block boundaries.  A body
     closure runs the same inlined semantics the stepper runs, and a
     trace's final control-transfer, skip or halting instruction runs
     the stepper's own dispatch, so no instruction is written twice.
@@ -271,9 +285,11 @@ val enable_shadow_stack : t -> overhead_cycles:int -> unit
 (** {2 Test hooks}
 
     Used only by the tests: they set machine state directly, fault the
-    CPU, check the tap lifecycle, switch superblocks off as the reference
-    engine, pace the UART, and observe state the firmware or a fault
-    leaves behind. *)
+    CPU, watch every block and stepped instruction through the block tap
+    (the decode oracle, flash writes mid-run, the probes' per-event
+    reference), switch superblocks off as the reference engine, pace
+    the UART, and observe state the firmware or a fault leaves
+    behind. *)
 
 val set_pc : t -> int -> unit
 
@@ -284,6 +300,17 @@ val set_reg : t -> int -> int -> unit
 (** Force a halt state (used by fault-injection tests).  Fires the halt
     tap like any organic fault. *)
 val force_halt : t -> halt -> unit
+
+(** [set_block_tap t ~on_block ~on_step] installs a boundary-grained
+    tap: when the superblock engine executes a block, [on_block info
+    count] fires once {e after} it, with [count] the number of
+    instructions actually retired from [info]; whenever the engine
+    single-steps instead, [on_step pc insn] fires before each
+    instruction, with [pc] its {e word} address.  Installing or clearing
+    the tap from inside a callback takes effect at the next block
+    boundary, and a callback may write flash. *)
+val set_block_tap :
+  t -> on_block:(block_info -> int -> unit) -> on_step:(int -> Isa.t -> unit) -> unit
 
 val clear_block_tap : t -> unit
 

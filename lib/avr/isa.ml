@@ -154,6 +154,30 @@ let branch_mnemonic ~set b =
   | true, _ -> Printf.sprintf "brbs %d," b
   | false, _ -> Printf.sprintf "brbc %d," b
 
+(* Mnemonic heads, one per instruction kind (no operands, no branch
+   condition): static strings, so an event naming an instruction
+   allocates nothing. *)
+let mnemonics =
+  [| "nop"; "movw"; "ldi"; "mov"; "add"; "adc"; "sub"; "sbc"; "and"; "or"; "eor"; "cp"; "cpc";
+     "cpse"; "mul"; "subi"; "sbci"; "andi"; "ori"; "cpi"; "com"; "neg"; "inc"; "dec"; "lsr";
+     "ror"; "asr"; "swap"; "push"; "pop"; "ret"; "reti"; "icall"; "ijmp"; "call"; "jmp";
+     "rcall"; "rjmp"; "brbs"; "brbc"; "in"; "out"; "lds"; "sts"; "ldd"; "std"; "ld"; "st";
+     "adiw"; "sbiw"; "lpm"; "sbi"; "cbi"; "sbic"; "sbis"; "bld"; "bst"; "sbrc"; "sbrs"; "elpm";
+     "bset"; "bclr"; "wdr"; "sleep"; "break"; "(data)" |]
+
+let mnemonic_index = function
+  | Nop -> 0 | Movw _ -> 1 | Ldi _ -> 2 | Mov _ -> 3 | Add _ -> 4 | Adc _ -> 5 | Sub _ -> 6
+  | Sbc _ -> 7 | And _ -> 8 | Or _ -> 9 | Eor _ -> 10 | Cp _ -> 11 | Cpc _ -> 12 | Cpse _ -> 13
+  | Mul _ -> 14 | Subi _ -> 15 | Sbci _ -> 16 | Andi _ -> 17 | Ori _ -> 18 | Cpi _ -> 19
+  | Com _ -> 20 | Neg _ -> 21 | Inc _ -> 22 | Dec _ -> 23 | Lsr _ -> 24 | Ror _ -> 25
+  | Asr _ -> 26 | Swap _ -> 27 | Push _ -> 28 | Pop _ -> 29 | Ret -> 30 | Reti -> 31
+  | Icall -> 32 | Ijmp -> 33 | Call _ -> 34 | Jmp _ -> 35 | Rcall _ -> 36 | Rjmp _ -> 37
+  | Brbs _ -> 38 | Brbc _ -> 39 | In _ -> 40 | Out _ -> 41 | Lds _ -> 42 | Sts _ -> 43
+  | Ldd _ -> 44 | Std _ -> 45 | Ld _ -> 46 | St _ -> 47 | Adiw _ -> 48 | Sbiw _ -> 49
+  | Lpm0 | Lpm _ -> 50 | Sbi _ -> 51 | Cbi _ -> 52 | Sbic _ -> 53 | Sbis _ -> 54 | Bld _ -> 55
+  | Bst _ -> 56 | Sbrc _ -> 57 | Sbrs _ -> 58 | Elpm0 | Elpm _ -> 59 | Bset _ -> 60
+  | Bclr _ -> 61 | Wdr -> 62 | Sleep -> 63 | Break -> 64 | Data _ -> 65
+
 let pp fmt = function
   | Nop -> Format.fprintf fmt "nop"
   | Movw (d, r) -> Format.fprintf fmt "movw r%d, r%d" d r

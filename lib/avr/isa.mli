@@ -130,6 +130,14 @@ end
 
 val transfer : t -> Transfer.t
 
+(** Every instruction kind's mnemonic head, without operands or branch
+    condition (["lpm"] for both [lpm] forms, ["brbs"] for every
+    branch-if-set, ["(data)"] for an undecodable word). *)
+val mnemonics : string array
+
+(** [mnemonic_index i] is the index of [i]'s head in {!mnemonics}. *)
+val mnemonic_index : t -> int
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -1,8 +1,8 @@
 (** Standard CPU telemetry bundle.
 
-    Installs the full instrumentation set on a {!Cpu.t} via the tap
-    hooks, so it composes with the batched run loops and the predecode
-    cache:
+    Turns on the engine's own accounting ({!Cpu.start_accounting}) and
+    registers the full instrumentation set over it, so it composes with
+    the batched run loops, the superblocks and the predecode cache:
 
     - instruction-mix counters ([<prefix>.insn.total], [.insn.alu],
       [.insn.call], ... — see {!class_names});
@@ -14,28 +14,37 @@
     - halt-reason counters ([.halt.wild_pc], [.halt.illegal], ...);
     - sampled [.cycles] / [.insn.retired] gauges;
     - a cycle-stamped {e flight recorder}: a bounded ring of recent
-      execution events (plus interrupt and halt events), dumped
+      execution events (plus interrupt and halt events), captured
       automatically the instant the CPU halts or faults — the
       post-mortem artifact for a failed ROP probe (§V-D).
 
-    The bundle attaches at {e block} granularity ({!Cpu.set_block_tap}):
-    under the superblock engine the mix counters are batched per block
-    from a memoized class breakdown, and the flight recorder logs one
-    event per block (leading mnemonic, entry byte address); whenever the
-    engine single-steps — interrupt windows, superblocks disabled — the
-    same counters advance per instruction and the recorder logs per
-    instruction, so every counter total is identical in both modes.
+    Under the superblock engine the mix counters come from the engine's
+    per-block, per-retired-prefix execution counts and each block's
+    instructions, and the flight recorder logs one event per block
+    (leading mnemonic, entry byte address); whenever the engine
+    single-steps — interrupt windows, superblocks disabled — it counts
+    and logs per instruction, so every counter total is identical in
+    both modes.  The engine buffers the events and the recorder takes
+    them over before any read or other write, so the window is the
+    same as if each had been recorded as it happened.
 
     The overhead contract: with no probes attached the CPU hot path pays
-    one flag test per instruction; attaching costs one tap dispatch per
-    {e block} (measured in [bench/main.exe] and EXPERIMENTS.md). *)
+    one flag test per block and per stepped instruction; attaching adds
+    two increments and two stores there, with no call and no closure.  The
+    mix counters are folded and the recorder's events named only when
+    read; the interrupt and halt hooks are closures, off the block and
+    step paths. *)
 
 type t
 
 (** [attach ?prefix ?recorder_capacity ~registry cpu] registers the
-    metric set under [<prefix>.] (default ["avr"]) and installs the
-    taps.  [recorder_capacity] bounds the flight-recorder ring (default
-    64 events).  Replaces any taps already installed on [cpu]. *)
+    metric set under [<prefix>.] (default ["avr"]), starts the engine's
+    accounting from zero (blocks that ran before the attach do not
+    count) and installs the interrupt and halt taps.
+    [recorder_capacity] bounds the flight-recorder ring (default 64
+    events).  Replaces any interrupt and halt taps already installed on
+    [cpu]; a bundle attached earlier to the same CPU shares its engine
+    counts and must not be read after this. *)
 val attach : ?prefix:string -> ?recorder_capacity:int -> registry:Mavr_telemetry.Metrics.registry -> Cpu.t -> t
 
 val registry : t -> Mavr_telemetry.Metrics.registry
@@ -44,9 +53,10 @@ val recorder : t -> Mavr_telemetry.Recorder.t
 (** The retained flight-recorder window, oldest first. *)
 val flight_record : t -> Mavr_telemetry.Recorder.event list
 
-(** The dump captured at the most recent halt/fault: halt reason, CPU
-    state, and the last N cycle-stamped events.  [None] until the first
-    fault. *)
+(** The dump of the most recent halt/fault: halt reason, CPU state, and
+    the last N cycle-stamped events, all as they were at the halt
+    (rendered on demand from a snapshot taken then).  [None] until the
+    first fault. *)
 val last_fault_dump : t -> string option
 
 (** Lowest stack pointer observed (deepest stack; the engine's exact
@@ -60,8 +70,8 @@ val dump_to_json : t -> Mavr_telemetry.Json.t
 (** {2 Hotness export}
 
     The raw material for {!Mavr_analysis.Hotspot}: per-block execution
-    totals folded out of the per-(block, retired-prefix) counters the
-    block tap maintains. *)
+    totals folded out of the engine's per-(block, retired-prefix)
+    counts. *)
 
 type block_stat = {
   bs_addr : int;  (** block entry, {e byte} address *)

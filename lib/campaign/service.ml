@@ -71,11 +71,12 @@ let serve ~socket ?max_requests handler =
                         let ic = Unix.in_channel_of_descr client in
                         let oc = Unix.out_channel_of_descr client in
                         (try handle_channel handler ic oc with Sys_error _ -> ());
-                        (* ic and oc share the descriptor: closing oc
-                           flushes and closes it; closing ic then hits
-                           EBADF, which noerr swallows. *)
-                        close_out_noerr oc;
-                        close_in_noerr ic;
+                        (* ic and oc share [client]: flush what is left,
+                           then close the descriptor once.  Closing both
+                           channels would close it twice, and shut a
+                           descriptor another domain opened in between. *)
+                        (try flush oc with Sys_error _ -> ());
+                        (try Unix.close client with Unix.Unix_error _ -> ());
                         loop (served + 1))
               in
               loop 0)

@@ -2,13 +2,13 @@ type kind = Point | Span_begin | Span_end
 
 type event = { cycle : int; kind : kind; name : string; value : int }
 
-(* Struct-of-arrays ring: the writer sits on the superblock engine's
-   per-block tap path, so recording must not allocate — four stores and
+(* Struct-of-arrays ring: appending does not allocate — four stores and
    three counter updates, with the [event] records the readers see built
    on demand.  [buf.(head)] is the slot the next event lands in, so once
    full the writer overwrites the oldest entry in O(1) — the flight
    recorder must cost the same whether it has run for a thousand cycles
-   or a billion. *)
+   or a billion.  [sync] is the producer hook ({!set_sync}); it is
+   [no_sync] while it runs, so it may record. *)
 type t = {
   cycles : int array;
   kinds : int array; (* kind_code below *)
@@ -17,10 +17,13 @@ type t = {
   mutable head : int;
   mutable len : int;
   mutable total : int;
+  mutable sync : unit -> unit;
 }
 
 let kind_code = function Point -> 0 | Span_begin -> 1 | Span_end -> 2
 let kind_of_code = function 1 -> Span_begin | 2 -> Span_end | _ -> Point
+
+let no_sync () = ()
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Telemetry.Recorder.create: capacity must be positive";
@@ -32,13 +35,32 @@ let create ~capacity =
     head = 0;
     len = 0;
     total = 0;
+    sync = no_sync;
   }
 
-let capacity t = Array.length t.cycles
-let length t = t.len
-let total_recorded t = t.total
+let set_sync t f = t.sync <- f
 
-let[@inline] push t ~cycle ~kindc ~value name =
+let sync t =
+  let f = t.sync in
+  if f != no_sync then begin
+    t.sync <- no_sync;
+    Fun.protect ~finally:(fun () -> t.sync <- f) f
+  end
+
+let capacity t = Array.length t.cycles
+
+let length t =
+  sync t;
+  t.len
+
+let total_recorded t =
+  sync t;
+  t.total
+
+let drop t n = t.total <- t.total + n
+
+let push t ~cycle ~kindc ~value name =
+  sync t;
   let cap = Array.length t.cycles in
   let h = t.head in
   Array.unsafe_set t.cycles h cycle;
@@ -49,14 +71,12 @@ let[@inline] push t ~cycle ~kindc ~value name =
   if t.len < cap then t.len <- t.len + 1;
   t.total <- t.total + 1
 
-(* The hot-path entry: all arguments required, so no optional-argument
-   boxing on the per-block tap. *)
-let point t ~cycle ~value name = push t ~cycle ~kindc:0 ~value name
 let record t ~cycle ?(kind = Point) ?(value = 0) name = push t ~cycle ~kindc:(kind_code kind) ~value name
 let span_begin t ~cycle ?(value = 0) name = push t ~cycle ~kindc:1 ~value name
 let span_end t ~cycle ?(value = 0) name = push t ~cycle ~kindc:2 ~value name
 
 let clear t =
+  sync t;
   t.head <- 0;
   t.len <- 0;
   t.total <- 0
@@ -67,7 +87,20 @@ let event t i =
   let j = (t.head - t.len + i + cap) mod cap in
   { cycle = t.cycles.(j); kind = kind_of_code t.kinds.(j); name = t.names.(j); value = t.values.(j) }
 
-let events t = List.init t.len (event t)
+let events t =
+  sync t;
+  List.init t.len (event t)
+
+let copy t =
+  sync t;
+  {
+    t with
+    cycles = Array.copy t.cycles;
+    kinds = Array.copy t.kinds;
+    names = Array.copy t.names;
+    values = Array.copy t.values;
+    sync = no_sync;
+  }
 
 let kind_name = function Point -> "point" | Span_begin -> "begin" | Span_end -> "end"
 
@@ -78,6 +111,7 @@ let pp_event fmt e =
   | Span_end -> Format.fprintf fmt "[%10d] << %-21s %d" e.cycle e.name e.value
 
 let pp_dump fmt t =
+  sync t;
   let dropped = t.total - t.len in
   if dropped > 0 then
     Format.fprintf fmt "  (%d earlier events overwritten; ring capacity %d)@." dropped
@@ -94,6 +128,7 @@ let event_to_json e =
     ]
 
 let to_json t =
+  sync t;
   Json.Obj
     [
       ("capacity", Json.Int (capacity t));

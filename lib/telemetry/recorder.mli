@@ -5,7 +5,12 @@
     and spans (begin/end pairs, e.g. the master's flash-session phases);
     once the ring is full each new event overwrites the oldest in O(1).
     On a CPU halt or fault the retained window — the last N events before
-    death — is the dump (see {!Mavr_avr.Probes}). *)
+    death — is the dump (see {!Mavr_avr.Probes}).
+
+    A producer that keeps its own buffer (the CPU's probe accounting)
+    hands its events over through a {e sync hook}, which runs before
+    every other write and every read, so the window is the same as if
+    each event had been recorded as it happened. *)
 
 type kind = Point | Span_begin | Span_end
 
@@ -28,11 +33,6 @@ val capacity : t -> int
 val length : t -> int
 
 val record : t -> cycle:int -> ?kind:kind -> ?value:int -> string -> unit
-
-(** [record] specialized to [Point] with every argument required: the
-    per-block tap's entry, kept allocation-free (no optional-argument
-    boxing, no event record built until read time). *)
-val point : t -> cycle:int -> value:int -> string -> unit
 val span_begin : t -> cycle:int -> ?value:int -> string -> unit
 val span_end : t -> cycle:int -> ?value:int -> string -> unit
 val clear : t -> unit
@@ -47,6 +47,22 @@ val pp_event : Format.formatter -> event -> unit
 val pp_dump : Format.formatter -> t -> unit
 
 val to_json : t -> Json.t
+
+(** {2 Buffered producers} *)
+
+(** [set_sync t f] installs the sync hook: [f ()] runs before every
+    other write to [t] and every read of it.  While it runs the hook is
+    off, so [f] records its pending events with {!record}. *)
+val set_sync : t -> (unit -> unit) -> unit
+
+(** [drop t n] counts [n] events as recorded and already overwritten:
+    for a sync hook that records only the newest {!capacity} events of a
+    longer backlog. *)
+val drop : t -> int -> unit
+
+(** A frozen copy of the window and its total, without the sync hook
+    (after running it). *)
+val copy : t -> t
 
 (** {2 Test hooks}
 

@@ -35,13 +35,16 @@ let connect path =
   in
   go ()
 
+(* The two channels share [fd], which is closed once: closing both
+   would close it twice, and could shut the server domain's descriptor
+   if it reused the number in between. *)
 let with_conn path f =
   let fd = connect path in
   let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
   Fun.protect
     ~finally:(fun () ->
-      close_out_noerr oc;
-      close_in_noerr ic)
+      (try flush oc with Sys_error _ -> ());
+      try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () -> f ic oc)
 
 let send_line oc line =
@@ -129,6 +132,29 @@ let test_multi_request_session () =
   | Ok n -> Alcotest.(check int) "three requests served" 3 n
   | Error e -> Alcotest.fail ("serve failed: " ^ e)
 
+(* ---- descriptors ----------------------------------------------------- *)
+
+(* Serving leaves the process's open descriptors as it found them: each
+   client's descriptor is closed exactly once, and the listening socket
+   when [serve] returns. *)
+let test_descriptors_released () =
+  let fd_count () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then begin
+    let socket = tmp_sock "fds" in
+    let n = 16 in
+    let before = fd_count () in
+    let d = Domain.spawn (fun () -> Service.serve ~socket ~max_requests:n echo_handler) in
+    for k = 1 to n do
+      with_conn socket (fun ic oc ->
+          send_line oc (Printf.sprintf {|{"n":%d}|} k);
+          Alcotest.(check (option string)) "served" (Some "result") (kind (snd (read_terminal ic))))
+    done;
+    (match Domain.join d with
+    | Ok m -> Alcotest.(check int) "all requests served" n m
+    | Error e -> Alcotest.fail ("serve failed: " ^ e));
+    Alcotest.(check int) "open descriptors after serving" before (fd_count ())
+  end
+
 (* ---- spec errors do not end the session ------------------------------ *)
 
 (* A request the spec decoder refuses (a misspelled member, a repeated
@@ -192,8 +218,7 @@ let test_dead_client_mid_stream () =
   send_line oc {|{"flood":true}|};
   let ic = Unix.in_channel_of_descr fd in
   ignore (input_line ic);
-  close_out_noerr oc;
-  close_in_noerr ic;
+  Unix.close fd;
   (* client 2: the server must still be alive and serve normally *)
   let terminal =
     with_conn socket (fun ic oc ->
@@ -256,5 +281,6 @@ let () =
           Alcotest.test_case "bad spec member, then served" `Quick test_bad_spec_then_served;
           Alcotest.test_case "dead client mid-heartbeat" `Quick test_dead_client_mid_stream;
           Alcotest.test_case "degenerate request lines" `Quick test_degenerate_requests;
+          Alcotest.test_case "descriptors released" `Quick test_descriptors_released;
         ] );
     ]

@@ -158,7 +158,7 @@ let test_stripped_export_jobs_invariant () =
 let test_of_recorder () =
   let r = Recorder.create ~capacity:16 in
   Recorder.span_begin r ~cycle:100 "flash";
-  Recorder.point r ~cycle:150 ~value:3 "inject";
+  Recorder.record r ~cycle:150 ~value:3 "inject";
   Recorder.span_end r ~cycle:400 "flash";
   Recorder.span_end r ~cycle:500 "orphan";
   let t = Span.create () in
