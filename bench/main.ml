@@ -138,7 +138,7 @@ let table2 () =
      must fit the master's 16 KB SRAM. *)
   List.iter
     (fun ((p : F.Profile.t), _, mavr) ->
-      let _, st = Mavr_core.Stream_patch.randomize_image ~seed:1 mavr.F.Build.image ~page_bytes:256 in
+      let st = Mavr_core.Stream_patch.ledger (Mavr_core.Randomize.plan mavr.F.Build.image) in
       Printf.printf "  streaming randomizer working set, %-11s: %5d B of the ATmega1284P's %d B SRAM\n"
         p.name st.Mavr_core.Stream_patch.peak_working_set
         Mavr_avr.Device.atmega1284p.sram_bytes)

@@ -950,7 +950,7 @@ let cmd_campaign =
       $ checkpoint_every $ resume $ results $ abort_after $ json_flag)
 
 let cmd_serve =
-  let run socket stdio max_requests once jobs =
+  let run socket stdio jobs =
     let module J = Mavr_telemetry.Json in
     (* One request = one campaign spec object ([Campaign_spec.of_json]:
        absent members default like the `campaign` flags; a malformed,
@@ -1010,8 +1010,7 @@ let cmd_serve =
           Format.eprintf "error: serve needs --socket PATH or --stdio@.";
           2
       | Some path -> (
-          let max_requests = if once then Some 1 else max_requests in
-          match Mavr_campaign.Service.serve ~socket:path ?max_requests handler with
+          match Mavr_campaign.Service.serve ~socket:path handler with
           | Ok _served -> 0
           | Error m ->
               Format.eprintf "error: serve: %s@." m;
@@ -1020,22 +1019,16 @@ let cmd_serve =
   let socket =
     Arg.(value & opt (some string) None
          & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Listen on a Unix domain socket at $(docv). Each connection sends one \
-                   campaign spec line (JSON: profile, trials, ms, layouts, seed, faults, \
-                   early_stop) and receives streamed progress heartbeat lines followed by one \
-                   terminal line tagged $(b,kind:result) or $(b,kind:error).")
+             ~doc:"Listen on a Unix domain socket at $(docv) until killed. Each connection \
+                   sends one campaign spec line (JSON: profile, trials, ms, layouts, seed, \
+                   faults, early_stop) and receives streamed progress heartbeat lines followed \
+                   by one terminal line tagged $(b,kind:result) or $(b,kind:error).")
   in
   let stdio =
     Arg.(value & flag & info [ "stdio" ]
            ~doc:"Serve exactly one request over stdin/stdout instead of a socket (same \
                  line protocol; for CI and piping).")
   in
-  let max_requests =
-    Arg.(value & opt (some int) None
-         & info [ "max-requests" ] ~docv:"N"
-             ~doc:"Exit after serving $(docv) connections (default: serve forever).")
-  in
-  let once = Arg.(value & flag & info [ "once" ] ~doc:"Shorthand for $(b,--max-requests) 1.") in
   let jobs =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS"
            ~doc:"Worker domains for served campaigns (default: the runtime's recommended \
@@ -1047,11 +1040,10 @@ let cmd_serve =
              stdin/stdout with $(b,--stdio)), stream live progress heartbeats, and return the \
              same JSON document $(b,campaign --json) would print. Sequential: one campaign at \
              a time owns the worker pool.")
-    Term.(const run $ socket $ stdio $ max_requests $ once $ jobs)
+    Term.(const run $ socket $ stdio $ jobs)
 
 let cmd_dispatch =
-  let run (spec : Spec.t) jobs workers spawn nshards heartbeat_timeout max_attempts
-      connect_timeout progress kill_after json =
+  let run (spec : Spec.t) jobs workers spawn progress kill_after json =
     let module J = Mavr_telemetry.Json in
     let module D = Mavr_campaign.Dispatch in
     match
@@ -1096,7 +1088,7 @@ let cmd_dispatch =
       let ck_spec = Spec.checkpoint_spec spec in
       let shards =
         D.plan ~tasks:ck_spec.Mavr_campaign.Checkpoint.tasks ~block:spec.trials
-          ~shards:(match nshards with Some n -> n | None -> spawn + List.length given)
+          ~shards:(spawn + List.length given)
       in
       (* The request a worker receives is the serve request for this
          spec plus the shard range, so spec hashes agree end to end. *)
@@ -1145,9 +1137,8 @@ let cmd_dispatch =
                 try Sys.remove sock with Sys_error _ -> ())
               spawned)
           (fun () ->
-            D.run ~heartbeat_timeout_s:heartbeat_timeout ~max_attempts
-              ~connect_timeout_s:connect_timeout ?progress:progress_t ~on_event ~spec:ck_spec
-              ~request ~block:spec.trials ~workers:workers_addrs ~shards ())
+            D.run ?progress:progress_t ~on_event ~spec:ck_spec ~request ~block:spec.trials
+              ~workers:workers_addrs ~shards ())
       in
       (* Merge: prime a fresh checkpoint with every shard's entries and
          run the campaign over it — zero trials execute, the early-stop
@@ -1205,29 +1196,6 @@ let cmd_dispatch =
              ~doc:"Spawn $(docv) local $(b,mavr serve) worker processes on temporary sockets \
                    (killed when dispatch exits). Combines with $(b,--worker).")
   in
-  let nshards =
-    Arg.(value & opt (some int) None
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Split the grid into at most $(docv) contiguous cell-aligned shards \
-                   (default: one per worker).")
-  in
-  let heartbeat_timeout =
-    Arg.(value & opt float 30.0
-         & info [ "heartbeat-timeout" ] ~docv:"S"
-             ~doc:"Declare a worker dead after $(docv) seconds without any line from it; its \
-                   uncompleted index range is re-dispatched to a surviving worker.")
-  in
-  let max_attempts =
-    Arg.(value & opt int 3
-         & info [ "max-attempts" ] ~docv:"N"
-             ~doc:"Give up on a shard after $(docv) assignments (with exponential backoff \
-                   between re-dispatches) and exit 3.")
-  in
-  let connect_timeout =
-    Arg.(value & opt float 5.0
-         & info [ "connect-timeout" ] ~docv:"S"
-             ~doc:"How long to retry connecting to a worker socket that is not accepting yet.")
-  in
   let progress =
     Arg.(value & opt (some string) None
          & info [ "progress" ] ~docv:"FILE"
@@ -1251,8 +1219,7 @@ let cmd_dispatch =
              prints — byte-identical. Exits like campaign (0/1), 2 on usage, 3 when a shard \
              stays unresolved.")
     Term.(
-      const run $ spec_term $ jobs $ workers $ spawn $ nshards $ heartbeat_timeout $ max_attempts
-      $ connect_timeout $ progress $ kill_after $ json_flag)
+      const run $ spec_term $ jobs $ workers $ spawn $ progress $ kill_after $ json_flag)
 
 let cmd_profile =
   let run profile ms attack top json =

@@ -28,6 +28,13 @@ let funptr_target (img : Image.t) loc =
     Some (2 * (Char.code img.code.[loc] lor (Char.code img.code.[loc + 1] lsl 8)))
   else None
 
+let icall_targets img =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun loc ->
+         match funptr_target img loc with Some t when in_exec img t -> Some t | _ -> None)
+       img.Image.funptr_locs)
+
 let successors ~code addr insn size =
   match insn with
   | Isa.Ret | Isa.Reti | Isa.Ijmp | Isa.Break | Isa.Data _ -> []

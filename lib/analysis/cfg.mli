@@ -72,6 +72,11 @@ val in_exec : Mavr_obj.Image.t -> int -> bool
     address ([None] when the slot is truncated). *)
 val funptr_target : Mavr_obj.Image.t -> int -> int option
 
+(** Every stored function pointer that targets an executable region,
+    sorted and deduplicated: the conservative target set of an
+    [icall]/[ijmp]. *)
+val icall_targets : Mavr_obj.Image.t -> int list
+
 type stats = {
   entries : int;  (** descent seeds in executable regions *)
   reachable_insns : int;

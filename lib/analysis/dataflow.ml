@@ -117,17 +117,16 @@ let sccs ~nodes ~succs =
 (* ---- call graph ------------------------------------------------------ *)
 
 module Callgraph = struct
-  type site = { site_addr : int; site_ret : int; targets : int list }
+  (* A transfer site: its continuation (the next instruction) and its
+     callee/jump byte addresses; indirect sites fan out to every stored
+     function pointer. *)
+  type site = { site_ret : int; targets : int list }
 
-  type node = {
-    entry : int;
-    label : string;
-    mutable calls : site list;
-    mutable tails : site list;
-  }
+  (* One partition: [call]/[rcall]/[icall] sites inside it, and
+     cross-partition [jmp]/[rjmp]/[ijmp]s. *)
+  type node = { mutable calls : site list; mutable tails : site list }
 
   type t = {
-    nodes : (int, node) Hashtbl.t;
     owner_of : int -> int;
     icall_targets : int list;
     ret_delivery : (int, int list) Hashtbl.t;
@@ -135,10 +134,6 @@ module Callgraph = struct
 
   let owner t addr = t.owner_of addr
   let icall_targets t = t.icall_targets
-
-  let nodes t =
-    Hashtbl.fold (fun _ n acc -> n :: acc) t.nodes []
-    |> List.sort (fun a b -> compare a.entry b.entry)
 
   let ret_targets t key =
     match Hashtbl.find_opt t.ret_delivery key with Some l -> l | None -> []
@@ -152,29 +147,16 @@ module Callgraph = struct
          trampolines); each slot is its own node. *)
       | None -> addr land lnot 3
     in
-    let label_of key =
-      match Image.function_containing img key with
-      | Some s -> s.Image.name
-      | None -> Printf.sprintf "low:0x%x" key
-    in
     let nodes = Hashtbl.create 256 in
     let get key =
       match Hashtbl.find_opt nodes key with
       | Some n -> n
       | None ->
-          let n = { entry = key; label = label_of key; calls = []; tails = [] } in
+          let n = { calls = []; tails = [] } in
           Hashtbl.replace nodes key n;
           n
     in
-    let icall_targets =
-      List.sort_uniq compare
-        (List.filter_map
-           (fun loc ->
-             match Cfg.funptr_target img loc with
-             | Some t when Cfg.in_exec img t -> Some t
-             | _ -> None)
-           img.Image.funptr_locs)
-    in
+    let icall_targets = Cfg.icall_targets img in
     Cfg.iter_reachable cfg (fun addr insn size ->
         let key = owner_of addr in
         let n = get key in
@@ -186,10 +168,10 @@ module Callgraph = struct
               | Isa.Rcall off -> addr + size + (2 * off)
               | _ -> assert false
             in
-            n.calls <- { site_addr = addr; site_ret = addr + size; targets = [ t ] } :: n.calls
+            n.calls <- { site_ret = addr + size; targets = [ t ] } :: n.calls
         | Isa.Transfer.Indirect_call ->
             n.calls <-
-              { site_addr = addr; site_ret = addr + size; targets = icall_targets } :: n.calls
+              { site_ret = addr + size; targets = icall_targets } :: n.calls
         | Isa.Transfer.Jump ->
             let t =
               match insn with
@@ -198,11 +180,11 @@ module Callgraph = struct
               | _ -> assert false
             in
             if owner_of t <> key then
-              n.tails <- { site_addr = addr; site_ret = addr + size; targets = [ t ] } :: n.tails
+              n.tails <- { site_ret = addr + size; targets = [ t ] } :: n.tails
         | Isa.Transfer.Indirect_jump ->
             let ts = List.filter (fun t -> owner_of t <> key) icall_targets in
             if ts <> [] then
-              n.tails <- { site_addr = addr; site_ret = addr + size; targets = ts } :: n.tails
+              n.tails <- { site_ret = addr + size; targets = ts } :: n.tails
         | Isa.Transfer.Straight | Isa.Transfer.Branch | Isa.Transfer.Skip | Isa.Transfer.Return | Isa.Transfer.Stop -> ());
     (* Where the [ret]s executing inside a node's region deliver: the
        continuation of every call site targeting it, closed over tail
@@ -245,5 +227,5 @@ module Callgraph = struct
     List.iter
       (fun k -> Hashtbl.replace delivery k (List.sort compare (Hashtbl.find delivery k)))
       keys;
-    { nodes; owner_of; icall_targets; ret_delivery = delivery }
+    { owner_of; icall_targets; ret_delivery = delivery }
 end

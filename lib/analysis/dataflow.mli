@@ -65,32 +65,15 @@ val sccs : nodes:int list -> succs:(int -> int list) -> int list list
     icall trampolines — are their own nodes), with call sites, tail
     jumps and the return-delivery relation. *)
 module Callgraph : sig
-  type site = {
-    site_addr : int;  (** the transfer instruction *)
-    site_ret : int;  (** its continuation (next instruction) *)
-    targets : int list;  (** callee/jump byte addresses; indirect sites
-                             fan out to every stored function pointer *)
-  }
-
-  type node = {
-    entry : int;  (** partition key: function entry or low-slot address *)
-    label : string;
-    mutable calls : site list;  (** [call]/[rcall]/[icall] sites inside *)
-    mutable tails : site list;  (** cross-function [jmp]/[rjmp]/[ijmp] *)
-  }
-
   type t
 
   val build : Cfg.t -> t
 
-  (** Ascending by [entry]. *)
-  val nodes : t -> node list
-
   (** [owner t addr] is the partition key of the code at [addr]. *)
   val owner : t -> int -> int
 
-  (** Funptr-table targets inside executable regions, sorted — the
-      conservative target set of every [icall]/[ijmp]. *)
+  (** {!Cfg.icall_targets}: the conservative target set of every
+      [icall]/[ijmp]. *)
   val icall_targets : t -> int list
 
   (** [ret_targets t key] — return addresses the [ret]s executing in

@@ -41,6 +41,5 @@ type mismatch = { at : int; what : string }
 val validate :
   original:Mavr_obj.Image.t -> randomized:Mavr_obj.Image.t -> (stats, mismatch list) result
 
-val stats_to_json : stats -> Mavr_telemetry.Json.t
 val to_json : (stats, mismatch list) result -> Mavr_telemetry.Json.t
 val pp_mismatch : Format.formatter -> mismatch -> unit

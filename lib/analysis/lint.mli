@@ -41,8 +41,6 @@ type finding = {
   context : string;  (** short disassembly listing around [addr] *)
 }
 
-val kind_name : kind -> string
-
 (** [run ?cfg image] checks every invariant; [cfg] avoids re-recovering
     a CFG the caller already has.  An empty list means the image is
     lint-clean. *)

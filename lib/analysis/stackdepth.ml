@@ -358,15 +358,7 @@ let analyze ?(dev = Device.atmega2560) cfg =
     in
     Hashtbl.replace sp_classes addr c'
   in
-  let icall_targets =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun loc ->
-           match Cfg.funptr_target img loc with
-           | Some t when Cfg.in_exec img t -> Some t
-           | _ -> None)
-         img.Image.funptr_locs)
-  in
+  let icall_targets = Cfg.icall_targets img in
   let reachable = Array.of_list (Cfg.reachable_addrs cfg) in
   let nodes_in lo hi =
     (* reachable addresses within [lo, hi) — binary search the sorted array *)

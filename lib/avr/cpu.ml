@@ -381,7 +381,7 @@ let reset t =
    the tables only ever hold decodes of flash as it is now — even when a
    tap callback rewrites flash in the middle of a run — and always span
    (program_bytes + 1) / 2 words, the bound the unchecked indexing in
-   [exec_one] and [block_step] relies on.  Same-size tables (the next
+   [step_at] and [run] relies on.  Same-size tables (the next
    layout of one image) are cleared in place. *)
 let drop_code t =
   let nwords = (t.program_bytes + 1) / 2 in
@@ -1028,37 +1028,37 @@ let exec_insn t pc0 (insn : Isa.t) cost =
   | Break -> set_halt t Break_hit);
   t.cycles <- t.cycles + cost
 
+(* Step the instruction at word [pc0] = [t.pc] through the predecode
+   cache.  Precondition: not halted, no timer interrupt due, and [pc0]
+   inside flash — the callers check, so the batched [run] loop pays for
+   each check once per iteration.  The fetch is split so the cache-hit
+   path allocates nothing (building an (insn, words) pair costs a heap
+   block per instruction without flambda).  No bounds check: the cache
+   spans exactly (program_bytes + 1) / 2 entries ([drop_code]).  The
+   cached entry carries the cost and mnemonic too, so the stepper never
+   matches an instruction twice. *)
+let[@inline] step_at t pc0 =
+  let meta = Array.unsafe_get t.icache_meta pc0 in
+  let meta = if meta <> 0 then meta else fill_entry t pc0 in
+  let insn = Array.unsafe_get t.icache_insn pc0 in
+  t.pc <- pc0 + (meta land 3);
+  if t.acct then begin
+    let m = meta lsr 6 in
+    Array.unsafe_set t.stepped m (Array.unsafe_get t.stepped m + 1);
+    note t ((((pc0 lsl 7) lor m) lsl 2) lor ev_step)
+  end;
+  if t.tap_on then t.tap_step pc0 insn;
+  t.retired <- t.retired + 1;
+  exec_insn t pc0 insn ((meta lsr 2) land 15)
+
 (* Execute exactly one instruction (or take a pending interrupt).
-   Precondition: not halted — the halt check lives in the callers so the
-   batched [run] loops pay for it once per iteration condition rather
-   than re-matching inside.  The timer comparison is ordered before the
+   Precondition: not halted.  The timer comparison is ordered before the
    SREG read so that with the timer disarmed ([max_int], the common
    case) the memory-mapped I flag is never touched on the hot path. *)
 let exec_one t =
   if t.cycles >= t.timer_next_fire && get_flag t Flag.i then take_timer_interrupt t
   else if t.pc < 0 || t.pc * 2 >= t.program_bytes then set_halt t (Wild_pc (t.pc * 2))
-  else begin
-    let pc0 = t.pc in
-    (* Inline fetch, split so the cache-hit path allocates nothing
-       (building an (insn, words) pair costs a heap block per instruction
-       without flambda).  No bounds check: the wild-PC guard above bounds
-       pc0 by program_bytes, and the cache spans exactly
-       (program_bytes + 1) / 2 entries ([drop_code]).  The cached entry
-       carries the cost and mnemonic too, so the stepper never matches
-       an instruction twice. *)
-    let meta = Array.unsafe_get t.icache_meta pc0 in
-    let meta = if meta <> 0 then meta else fill_entry t pc0 in
-    let insn = Array.unsafe_get t.icache_insn pc0 in
-    t.pc <- pc0 + (meta land 3);
-    if t.acct then begin
-      let m = meta lsr 6 in
-      Array.unsafe_set t.stepped m (Array.unsafe_get t.stepped m + 1);
-      note t ((((pc0 lsl 7) lor m) lsl 2) lor ev_step)
-    end;
-    if t.tap_on then t.tap_step pc0 insn;
-    t.retired <- t.retired + 1;
-    exec_insn t pc0 insn ((meta lsr 2) land 15)
-  end
+  else step_at t t.pc
 
 let step t =
   match t.halt with
@@ -1412,7 +1412,7 @@ let compile_block t entry_pc =
   done;
   (* Every way out of the trace lands here: flush the captured cycle
      debt, fix up the PC, credit the retired count once, and record the
-     executed prefix length for [exec_block]. *)
+     executed prefix length for [run]. *)
   let mk_exit cyc pc cnt =
     clo (fun t ->
         t.cycles <- t.cycles + cyc;
@@ -1519,7 +1519,7 @@ let compile_block t entry_pc =
   (* The entry margin covers every instruction but the last: a timer
      compare or the run budget can only stop a stepping engine at an
      instruction boundary, and the last one a trace crosses is its exit,
-     where [block_step] checks again.  A terminator is never a slot; a
+     where [run] checks again.  A terminator is never a slot; a
      linked or cut trace's last instruction is its last slot. *)
   let lead, lead_calls =
     match fin with
@@ -1533,72 +1533,6 @@ let compile_block t entry_pc =
     b_lead_calls = lead_calls;
   }
 
-(* Execute one compiled trace.  All per-instruction work lives inside
-   the continuation-threaded closures; the wrapper only clears the
-   [block_stop] latch and accounts for the executed prefix length every
-   exit path recorded in [t.block_insns]. *)
-let exec_block t b =
-  t.block_stop <- false;
-  b.b_entry t;
-  if t.acct then begin
-    let info = b.b_info and n = t.block_insns in
-    Array.unsafe_set info.bi_execs n (Array.unsafe_get info.bi_execs n + 1);
-    note t ((info.bi_key lsl 2) lor ev_block)
-  end;
-  if t.tap_on then t.tap_block b.b_info t.block_insns
-
-(* Compile policy.  Every lifetime starts with no blocks, and most
-   code of a large image runs only a few times per lifetime, so a trace
-   is compiled only at a word address the engine has entered
-   [hot_entries] times, and only when that entry is at least
-   [compile_window] cycles clear of the next compare match and the run
-   budget — closer in, the new block could not be entered anyway. *)
-let hot_entries = 16
-let compile_window = 2 * max_block_insns
-
-(* Whether an instruction boundary up to [lead] cycles ahead could be
-   where stepping takes an interrupt or ends the run. *)
-let near_stop t stop lead =
-  (t.cycles + lead >= t.timer_next_fire && get_flag t Flag.i) || t.cycles + lead >= stop
-
-(* The correctness carve-out: with a compare match armed and interrupts
-   enabled, a block with an internal instruction boundary at or past
-   the fire cycle is not entered — the engine single-steps through
-   [exec_one] (which takes the interrupt at the exact cycle stepping
-   would) until the window passes.  The same carve-out applies to the
-   run budget [stop], so a batched run ends at exactly the instruction
-   boundary pure stepping would end at — the property that makes
-   campaign documents byte-identical with superblocks on or off.
-   [exec_one] fires the block tap's [on_step] for each instruction it
-   steps. *)
-let enter_block t b stop =
-  if near_stop t stop (b.b_lead + (b.b_lead_calls * t.shadow_overhead)) then exec_one t
-  else exec_block t b
-
-(* One batched-loop iteration through the superblock engine: run the
-   block at [t.pc], or step one instruction and count the entry. *)
-let block_step t stop =
-  if t.cycles >= t.timer_next_fire && get_flag t Flag.i then take_timer_interrupt t
-  else if t.pc < 0 || t.pc * 2 >= t.program_bytes then set_halt t (Wild_pc (t.pc * 2))
-  else begin
-    let pc = t.pc in
-    let b = Array.unsafe_get t.blocks pc in
-    if b != dummy_block then enter_block t b stop
-    else begin
-      let hits = Char.code (Bytes.unsafe_get t.block_hits pc) + 1 in
-      if hits < hot_entries then begin
-        Bytes.unsafe_set t.block_hits pc (Char.unsafe_chr hits);
-        exec_one t
-      end
-      else if near_stop t stop compile_window then exec_one t
-      else begin
-        let b = compile_block t pc in
-        Array.unsafe_set t.blocks pc b;
-        enter_block t b stop
-      end
-    end
-  end
-
 (* ---- Batched execution ---------------------------------------------- *)
 
 (* Budget clamp: the former [t.cycles + max_cycles] overflowed to a
@@ -1608,13 +1542,28 @@ let block_step t stop =
    instruction plus one interrupt dispatch past the budget, identical
    under both engines (a superblock is only entered when every
    instruction boundary inside it comes before the budget; see
-   [enter_block]). *)
+   [run]). *)
 let stop_cycle t max_cycles =
   if max_cycles >= max_int - t.cycles then max_int else t.cycles + max_cycles
 
-(* The engine switch is re-read every iteration, not latched at entry,
-   so [set_superblocks] from inside a tap callback takes effect at the
-   next block boundary. *)
+(* Compile policy.  Every lifetime starts with no blocks, and most code
+   of a large image runs only a few times per lifetime, so a trace is
+   compiled only at a word address entered [hot_entries] times, and only
+   [compile_window] cycles clear of [horizon] (below): closer in, the
+   new block could not be entered anyway. *)
+let hot_entries = 16
+let compile_window = 2 * max_block_insns
+
+(* One loop for both engines.  Each iteration takes a due interrupt,
+   halts on a wild PC, or runs the code at [t.pc]: its compiled trace,
+   or else one stepped instruction.  The correctness carve-out: a trace
+   is entered only when every instruction boundary inside it comes
+   before [horizon], the next compare match (interrupts enabled) or the
+   run budget; otherwise the engine steps, and so takes the interrupt or
+   ends the run at exactly the boundary pure stepping would.  That makes
+   campaign documents byte-identical with superblocks on or off.  The
+   engine switch is re-read every iteration, so [set_superblocks] from a
+   tap callback takes effect at the next block boundary. *)
 let run t ~max_cycles =
   let stop = stop_cycle t max_cycles in
   let rec go () =
@@ -1623,7 +1572,46 @@ let run t ~max_cycles =
     | None ->
         if t.cycles >= stop then `Budget_exhausted
         else begin
-          if t.use_superblocks then block_step t stop else exec_one t;
+          let pc = t.pc in
+          if t.cycles >= t.timer_next_fire && get_flag t Flag.i then take_timer_interrupt t
+          else if pc < 0 || pc * 2 >= t.program_bytes then set_halt t (Wild_pc (pc * 2))
+          else begin
+            (* The SREG read stays off the path of a disarmed timer. *)
+            let horizon =
+              if t.timer_next_fire < stop && get_flag t Flag.i then t.timer_next_fire else stop
+            in
+            let b =
+              if not t.use_superblocks then dummy_block
+              else
+                let b = Array.unsafe_get t.blocks pc in
+                if b != dummy_block then b
+                else
+                  let hits = Char.code (Bytes.unsafe_get t.block_hits pc) + 1 in
+                  if hits < hot_entries then begin
+                    Bytes.unsafe_set t.block_hits pc (Char.unsafe_chr hits);
+                    b
+                  end
+                  else if t.cycles + compile_window >= horizon then b
+                  else begin
+                    let b = compile_block t pc in
+                    Array.unsafe_set t.blocks pc b;
+                    b
+                  end
+            in
+            if b == dummy_block
+               || t.cycles + b.b_lead + (b.b_lead_calls * t.shadow_overhead) >= horizon
+            then step_at t pc
+            else begin
+              t.block_stop <- false;
+              b.b_entry t;
+              if t.acct then begin
+                let info = b.b_info and n = t.block_insns in
+                Array.unsafe_set info.bi_execs n (Array.unsafe_get info.bi_execs n + 1);
+                note t ((info.bi_key lsl 2) lor ev_block)
+              end;
+              if t.tap_on then t.tap_block b.b_info t.block_insns
+            end
+          end;
           go ()
         end
   in

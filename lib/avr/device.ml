@@ -62,7 +62,6 @@ module Io = struct
 end
 
 module Vector = struct
-  let reset = 0
   let timer_compare = 1
   let count = 57
   let byte_addr n = 4 * n
@@ -76,7 +75,6 @@ module External_flash = struct
   type t = { size : int; mutable data : string }
 
   let create ~bytes = { size = bytes; data = "" }
-  let size t = t.size
 
   let program t data =
     if String.length data > t.size then

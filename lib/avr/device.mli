@@ -79,7 +79,6 @@ end
 
 (** Interrupt vector numbers (each vector slot is one [jmp], 4 bytes). *)
 module Vector : sig
-  val reset : int
   val timer_compare : int
   val count : int  (** vector-table entries on the ATmega2560 *)
 
@@ -95,8 +94,6 @@ module External_flash : sig
   (** [create ~bytes] makes an empty external flash of the given size;
       the paper sizes it to match the application processor's flash. *)
   val create : bytes:int -> t
-
-  val size : t -> int
 
   (** [program t data] replaces the chip contents.
       @raise Invalid_argument if [data] exceeds the chip size. *)

@@ -62,13 +62,11 @@ type halt_snapshot = {
 
 type t = {
   cpu : Cpu.t;
-  registry : Metrics.registry;
   recorder : Recorder.t;
   mutable last_halt : halt_snapshot option;
   mutable faults : int;
 }
 
-let registry t = t.registry
 let recorder t = t.recorder
 let flight_record t = Recorder.events t.recorder
 let faults_seen t = t.faults
@@ -90,7 +88,6 @@ let attach ?(prefix = "avr") ?(recorder_capacity = 64) ~registry cpu =
   let p =
     {
       cpu;
-      registry;
       recorder = Recorder.create ~capacity:recorder_capacity;
       last_halt = None;
       faults = 0;

@@ -47,7 +47,6 @@ type t
     counts and must not be read after this. *)
 val attach : ?prefix:string -> ?recorder_capacity:int -> registry:Mavr_telemetry.Metrics.registry -> Cpu.t -> t
 
-val registry : t -> Mavr_telemetry.Metrics.registry
 val recorder : t -> Mavr_telemetry.Recorder.t
 
 (** The retained flight-recorder window, oldest first. *)

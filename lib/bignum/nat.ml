@@ -186,4 +186,3 @@ let of_string s =
   done;
   normalize r
 
-let pp fmt a = Format.pp_print_string fmt (to_string a)

@@ -52,8 +52,6 @@ val to_string : t -> string
     @raise Invalid_argument on malformed input. *)
 val of_string : string -> t
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Test hooks}
 
     Used only by the tests, to state exact bounds on the security figures. *)

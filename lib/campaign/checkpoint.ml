@@ -325,11 +325,9 @@ let add t index entry ~is_record =
 let record t ~index result = add t index (Result result) ~is_record:true
 let skip t ~index ~reason = add t index (Skip reason) ~is_record:false
 
-let snapshot t =
+let close t =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) (fun () -> snapshot_locked t)
-
-let close t = snapshot t
 
 let entries t =
   Mutex.lock t.lock;

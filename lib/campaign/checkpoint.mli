@@ -90,9 +90,6 @@ val record : t -> index:int -> Json.t -> unit
     stopping); recorded so the frontier stays gap-free. *)
 val skip : t -> index:int -> reason:string -> unit
 
-(** Force a snapshot now (also called by {!close}). *)
-val snapshot : t -> unit
-
 (** Final snapshot; the finished file holds the complete frontier. *)
 val close : t -> unit
 

@@ -63,10 +63,12 @@ let write_all fd s =
   done
 
 (* Connect with retry: a freshly spawned worker needs a moment to bind
-   its socket, so ECONNREFUSED/ENOENT inside the window are "not yet",
+   its socket, so ECONNREFUSED/ENOENT inside a 5 s window are "not yet",
    not "never". *)
-let connect_address ~timeout_s (Unix_socket path) =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+let connect_timeout_s = 5.0
+
+let connect_address (Unix_socket path) =
+  let deadline = Unix.gettimeofday () +. connect_timeout_s in
   let rec go () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
@@ -133,8 +135,8 @@ type wstate = {
   mutable w_last : float;  (* last activity (connect or any received line) *)
 }
 
-let run ?(heartbeat_timeout_s = 30.0) ?(max_attempts = 3) ?(connect_timeout_s = 5.0) ?progress
-    ?on_event ~spec ~request ~block ~workers ~shards () =
+let run ?(heartbeat_timeout_s = 30.0) ?(max_attempts = 3) ?progress ?on_event ~spec ~request
+    ~block ~workers ~shards () =
   if block < 1 then invalid_arg "Campaign.Dispatch.run: block must be >= 1";
   List.iter
     (fun sh ->
@@ -322,7 +324,7 @@ let run ?(heartbeat_timeout_s = 30.0) ?(max_attempts = 3) ?(connect_timeout_s = 
           | [] -> ()
           | (sh, attempts, _) :: rest -> (
               queue := rest @ later;
-              match connect_address ~timeout_s:connect_timeout_s w.w_addr with
+              match connect_address w.w_addr with
               | Error e ->
                   (* the shard was popped but never assigned; the worker is
                      unreachable — fail it and requeue the shard directly *)

@@ -86,11 +86,15 @@ val error_to_string : error -> string
     exactly once, like a single-host run.  A ["dispatch"] detail
     provider reporting shard/worker counts is registered on it.
 
-    [on_event] sees every {!type-event} from the dispatcher thread. *)
+    [on_event] sees every {!type-event} from the dispatcher thread.
+
+    [heartbeat_timeout_s] (default 30 s) and [max_attempts] (default 3)
+    are the failure model's bounds; the CLI keeps the defaults, and the
+    tests shorten them to reach worker death and give-up quickly.  A
+    worker socket that does not accept yet is retried for 5 s. *)
 val run :
   ?heartbeat_timeout_s:float ->
   ?max_attempts:int ->
-  ?connect_timeout_s:float ->
   ?progress:Progress.t ->
   ?on_event:(event -> unit) ->
   spec:Checkpoint.spec ->

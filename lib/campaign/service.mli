@@ -31,7 +31,8 @@ type handler = Json.t -> progress:(string -> unit) -> (Json.t, string) result
     Transient accept failures ([EINTR] from a signal landing mid-accept,
     [ECONNABORTED] from a client aborting while queued) are retried;
     only real socket errors are fatal.  Returns the number of requests
-    served, or the socket-level error. *)
+    served, or the socket-level error.  The CLI serves forever; the
+    tests bound the server with [max_requests] so it returns. *)
 val serve : socket:string -> ?max_requests:int -> handler -> (int, string) result
 
 (** [serve_stdio handler] runs one request over stdin/stdout — the same

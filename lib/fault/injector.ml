@@ -1,7 +1,6 @@
 module Splitmix = Mavr_prng.Splitmix
 
 type t = {
-  level : Profile.level;
   downlink : Channel.t option;
   uplink : Channel.t option;
   seu : Seu.t option;
@@ -17,7 +16,6 @@ let create ~seed (level : Profile.level) =
   let r_seu = Splitmix.split root in
   let r_reflash = Splitmix.split root in
   {
-    level;
     downlink =
       (if Channel.is_clean level.downlink then None
        else Some (Channel.create ~rng:r_down level.downlink));
@@ -30,7 +28,6 @@ let create ~seed (level : Profile.level) =
        else Some (Reflash.create ~rng:r_reflash level.reflash));
   }
 
-let level t = t.level
 let downlink t = t.downlink
 let uplink t = t.uplink
 let reflash t = t.reflash

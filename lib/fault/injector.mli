@@ -10,7 +10,6 @@
 type t
 
 val create : seed:int -> Profile.level -> t
-val level : t -> Profile.level
 
 (** [None] when the corresponding params are clean/off — call sites can
     skip the fault path entirely on the baseline level. *)

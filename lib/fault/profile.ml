@@ -83,6 +83,7 @@ let lossy =
       |];
   }
 
+(* Memory upsets only (SRAM + flash bit flips). *)
 let seu =
   let lvl name s = { level_off with name; seu = s } in
   {

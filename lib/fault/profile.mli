@@ -24,9 +24,6 @@ type t = { name : string; levels : level array }
 (** Single clean level: fault machinery entirely out of the loop. *)
 val none : t
 
-(** Memory upsets only (SRAM + flash bit flips). *)
-val seu : t
-
 (** Everything at once, including reflash-stream corruption. *)
 val stress : t
 

@@ -42,6 +42,3 @@ type toolchain = { relax : bool; call_prologues : bool; vulnerable : bool }
 let stock = { relax = true; call_prologues = true; vulnerable = true }
 let mavr = { relax = false; call_prologues = false; vulnerable = true }
 let patched = { relax = false; call_prologues = false; vulnerable = false }
-
-let pp fmt t =
-  Format.fprintf fmt "%s (%d functions, %d bytes target)" t.name t.n_functions t.target_size

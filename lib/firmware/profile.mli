@@ -50,8 +50,6 @@ val patched : toolchain
 (** like [mavr] but with the length check restored (for differential
     tests). *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Test hooks}
 
     Used only by the tests, to build the other two paper applications

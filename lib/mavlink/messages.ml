@@ -34,14 +34,6 @@ let put_u64 buf v =
 
 let put_i16 buf v = put_u16 buf (v land 0xFFFF)
 
-let put_f32 buf v = put_u32 buf (Int32.to_int (Int32.bits_of_float v) land 0xFFFFFFFF)
-
-let put_chars buf n s =
-  String.iter (Buffer.add_char buf) (if String.length s > n then String.sub s 0 n else s);
-  for _ = String.length s to n - 1 do
-    Buffer.add_char buf '\x00'
-  done
-
 let get_u8 s pos = Char.code s.[pos]
 let get_u16 s pos = get_u8 s pos lor (get_u8 s (pos + 1) lsl 8)
 let get_u32 s pos = get_u16 s pos lor (get_u16 s (pos + 2) lsl 16)
@@ -50,14 +42,6 @@ let get_u64 s pos = get_u32 s pos lor (get_u32 s (pos + 4) lsl 32)
 let get_i16 s pos =
   let v = get_u16 s pos in
   if v >= 0x8000 then v - 0x10000 else v
-
-let get_f32 s pos = Int32.float_of_bits (Int32.of_int (get_u32 s pos))
-
-let get_chars s pos n =
-  let raw = String.sub s pos n in
-  match String.index_opt raw '\x00' with Some i -> String.sub raw 0 i | None -> raw
-
-let checked name len s k = if String.length s <> len then Error (name ^ ": bad payload length") else Ok (k ())
 
 module Heartbeat = struct
   type t = { typ : int; autopilot : int; base_mode : int; custom_mode : int; system_status : int }
@@ -71,46 +55,6 @@ module Heartbeat = struct
     put_u8 buf t.system_status;
     put_u8 buf 3 (* mavlink_version *);
     Buffer.contents buf
-
-  let decode s =
-    checked "HEARTBEAT" 9 s (fun () ->
-        {
-          custom_mode = get_u32 s 0;
-          typ = get_u8 s 4;
-          autopilot = get_u8 s 5;
-          base_mode = get_u8 s 6;
-          system_status = get_u8 s 7;
-        })
-end
-
-module Attitude = struct
-  type t = {
-    time_boot_ms : int;
-    roll : float;
-    pitch : float;
-    yaw : float;
-    rollspeed : float;
-    pitchspeed : float;
-    yawspeed : float;
-  }
-
-  let encode t =
-    let buf = Buffer.create 28 in
-    put_u32 buf t.time_boot_ms;
-    List.iter (put_f32 buf) [ t.roll; t.pitch; t.yaw; t.rollspeed; t.pitchspeed; t.yawspeed ];
-    Buffer.contents buf
-
-  let decode s =
-    checked "ATTITUDE" 28 s (fun () ->
-        {
-          time_boot_ms = get_u32 s 0;
-          roll = get_f32 s 4;
-          pitch = get_f32 s 8;
-          yaw = get_f32 s 12;
-          rollspeed = get_f32 s 16;
-          pitchspeed = get_f32 s 20;
-          yawspeed = get_f32 s 24;
-        })
 end
 
 module Raw_imu = struct
@@ -129,7 +73,9 @@ module Raw_imu = struct
     Buffer.contents buf
 
   let decode s =
-    checked "RAW_IMU" 26 s (fun () ->
+    if String.length s <> raw_imu.payload_len then Error "RAW_IMU: bad payload length"
+    else
+      Ok
         {
           time_usec = get_u64 s 0;
           xacc = get_i16 s 8;
@@ -141,181 +87,5 @@ module Raw_imu = struct
           xmag = get_i16 s 20;
           ymag = get_i16 s 22;
           zmag = get_i16 s 24;
-        })
-end
-
-module Statustext = struct
-  type t = { severity : int; text : string }
-
-  let encode t =
-    let buf = Buffer.create 51 in
-    put_u8 buf t.severity;
-    put_chars buf 50 t.text;
-    Buffer.contents buf
-
-  let decode s =
-    checked "STATUSTEXT" 51 s (fun () -> { severity = get_u8 s 0; text = get_chars s 1 50 })
-end
-
-module Command_long = struct
-  type t = {
-    target_system : int;
-    target_component : int;
-    command : int;
-    confirmation : int;
-    params : float array;
-  }
-
-  let encode t =
-    if Array.length t.params <> 7 then invalid_arg "COMMAND_LONG: need exactly 7 params";
-    let buf = Buffer.create 33 in
-    Array.iter (put_f32 buf) t.params;
-    put_u16 buf t.command;
-    put_u8 buf t.target_system;
-    put_u8 buf t.target_component;
-    put_u8 buf t.confirmation;
-    Buffer.contents buf
-
-  let decode s =
-    checked "COMMAND_LONG" 33 s (fun () ->
-        {
-          params = Array.init 7 (fun k -> get_f32 s (4 * k));
-          command = get_u16 s 28;
-          target_system = get_u8 s 30;
-          target_component = get_u8 s 31;
-          confirmation = get_u8 s 32;
-        })
-end
-
-module Gps_raw_int = struct
-  type t = {
-    time_usec : int;
-    fix_type : int;
-    lat : int;
-    lon : int;
-    alt : int;
-    eph : int;
-    epv : int;
-    vel : int;
-    cog : int;
-    satellites_visible : int;
-  }
-
-  let put_i32 buf v = put_u32 buf (v land 0xFFFFFFFF)
-
-  let get_i32 s pos =
-    let v = get_u32 s pos in
-    if v >= 0x80000000 then v - (1 lsl 32) else v
-
-  let encode t =
-    let buf = Buffer.create 30 in
-    put_u64 buf t.time_usec;
-    put_i32 buf t.lat;
-    put_i32 buf t.lon;
-    put_i32 buf t.alt;
-    put_u16 buf t.eph;
-    put_u16 buf t.epv;
-    put_u16 buf t.vel;
-    put_u16 buf t.cog;
-    put_u8 buf t.fix_type;
-    put_u8 buf t.satellites_visible;
-    Buffer.contents buf
-
-  let decode s =
-    checked "GPS_RAW_INT" 30 s (fun () ->
-        {
-          time_usec = get_u64 s 0;
-          lat = get_i32 s 8;
-          lon = get_i32 s 12;
-          alt = get_i32 s 16;
-          eph = get_u16 s 20;
-          epv = get_u16 s 22;
-          vel = get_u16 s 24;
-          cog = get_u16 s 26;
-          fix_type = get_u8 s 28;
-          satellites_visible = get_u8 s 29;
-        })
-end
-
-module Sys_status = struct
-  type t = {
-    onboard_control_sensors_present : int;
-    onboard_control_sensors_enabled : int;
-    onboard_control_sensors_health : int;
-    load : int;
-    voltage_battery : int;
-    current_battery : int;
-    battery_remaining : int;
-    drop_rate_comm : int;
-    errors_comm : int;
-    errors_count : int * int * int * int;
-  }
-
-  let put_i8 buf v = put_u8 buf (v land 0xFF)
-
-  let get_i8 s pos =
-    let v = get_u8 s pos in
-    if v >= 0x80 then v - 0x100 else v
-
-  let encode t =
-    let buf = Buffer.create 31 in
-    put_u32 buf t.onboard_control_sensors_present;
-    put_u32 buf t.onboard_control_sensors_enabled;
-    put_u32 buf t.onboard_control_sensors_health;
-    put_u16 buf t.load;
-    put_u16 buf t.voltage_battery;
-    put_i16 buf t.current_battery;
-    put_u16 buf t.drop_rate_comm;
-    put_u16 buf t.errors_comm;
-    let a, b, c, d = t.errors_count in
-    put_u16 buf a;
-    put_u16 buf b;
-    put_u16 buf c;
-    put_u16 buf d;
-    put_i8 buf t.battery_remaining;
-    Buffer.contents buf
-
-  let decode s =
-    checked "SYS_STATUS" 31 s (fun () ->
-        {
-          onboard_control_sensors_present = get_u32 s 0;
-          onboard_control_sensors_enabled = get_u32 s 4;
-          onboard_control_sensors_health = get_u32 s 8;
-          load = get_u16 s 12;
-          voltage_battery = get_u16 s 14;
-          current_battery = get_i16 s 16;
-          drop_rate_comm = get_u16 s 18;
-          errors_comm = get_u16 s 20;
-          errors_count = (get_u16 s 22, get_u16 s 24, get_u16 s 26, get_u16 s 28);
-          battery_remaining = get_i8 s 30;
-        })
-end
-
-module Param_set = struct
-  type t = {
-    target_system : int;
-    target_component : int;
-    param_id : string;
-    param_value : float;
-    param_type : int;
-  }
-
-  let encode t =
-    let buf = Buffer.create 23 in
-    put_f32 buf t.param_value;
-    put_u8 buf t.target_system;
-    put_u8 buf t.target_component;
-    put_chars buf 16 t.param_id;
-    put_u8 buf t.param_type;
-    Buffer.contents buf
-
-  let decode s =
-    checked "PARAM_SET" 23 s (fun () ->
-        {
-          param_value = get_f32 s 0;
-          target_system = get_u8 s 4;
-          target_component = get_u8 s 5;
-          param_id = get_chars s 6 16;
-          param_type = get_u8 s 22;
-        })
+        }
 end

@@ -130,15 +130,8 @@ let layout p (shuffle : Shuffle.t) =
   in
   { img with code = Bytes.unsafe_to_string code; symbols; symbol_array = Array.of_list symbols }
 
-let apply img shuffle ~page_bytes =
-  let p = plan img ~page_bytes in
-  (layout p shuffle, p.ledger)
-
-let randomize_image ~seed img ~page_bytes =
-  apply img (Shuffle.draw ~rng:(Mavr_prng.Splitmix.create ~seed) img) ~page_bytes
-
 let check_randomizable img =
   let page_bytes = Mavr_avr.Device.atmega2560.flash_page_bytes in
-  match apply img (Shuffle.identity img) ~page_bytes with
+  match layout (plan img ~page_bytes) (Shuffle.identity img) with
   | _ -> Ok ()
   | exception Unpatchable m -> Error m

@@ -63,17 +63,6 @@ val ledger : plan -> stats
     @raise Invalid_argument when [shuffle] has the wrong function count. *)
 val layout : plan -> Shuffle.t -> Mavr_obj.Image.t
 
-(** [apply image shuffle ~page_bytes] is {!plan} then {!layout}, with the
-    ledger. *)
-val apply :
-  Mavr_obj.Image.t -> Shuffle.t -> page_bytes:int -> Mavr_obj.Image.t * stats
-
-(** [randomize_image ~seed image ~page_bytes] is {!apply} with the
-    permutation drawn from [seed] — the same image as
-    {!Randomize.randomize} with that seed. *)
-val randomize_image :
-  seed:int -> Mavr_obj.Image.t -> page_bytes:int -> Mavr_obj.Image.t * stats
-
 (** [check_randomizable image] — whether [image] can be randomized at
     all (§V-B3, §VI-B1): its plan builds at the ATmega2560's page size,
     and its identity layout keeps every pointer within [icall]'s reach.

@@ -47,7 +47,3 @@ let gyro_x_raw s =
   let raw = int_of_float (Float.round (s.roll_rate *. 1000.0)) in
   let clamped = max (-32768) (min 32767 raw) in
   clamped land 0xFFFF
-
-let pp fmt s =
-  Format.fprintf fmt "t=%.1fs roll=%.3f pitch=%.3f yaw=%.3f alt=%.1fm" s.time_s s.roll s.pitch
-    s.yaw s.altitude_m

@@ -27,5 +27,3 @@ val step : state -> dt:float -> state
 (** [gyro_x_raw state] is the roll-rate as the 16-bit raw unit the
     ATmega-attached IMU reports (1000 LSB per rad/s, two's complement). *)
 val gyro_x_raw : state -> int
-
-val pp : Format.formatter -> state -> unit

@@ -617,9 +617,6 @@ let level_detections lr defense =
 let takeovers t defense =
   Array.fold_left (fun n lr -> n + level_takeovers lr defense) 0 t.levels
 
-let detections t defense =
-  Array.fold_left (fun n lr -> n + level_detections lr defense) 0 t.levels
-
 let mean_detect_ms c = if c.detect_n = 0 then 0.0 else c.detect_ms_sum /. float_of_int c.detect_n
 
 let false_alarm_rate c =

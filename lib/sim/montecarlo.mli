@@ -193,7 +193,6 @@ val level_takeovers : level_result -> defense -> int
 
 val level_detections : level_result -> defense -> int
 val takeovers : t -> defense -> int
-val detections : t -> defense -> int
 
 (** [alarmed / flights] on a control row. *)
 val false_alarm_rate : control -> float

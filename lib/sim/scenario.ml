@@ -80,8 +80,6 @@ let probes t = match t.tel with Some tel -> Some tel.probes | None -> None
 let app t = t.app
 let gcs t = t.gcs
 let master t = t.master
-let faults t = t.faults
-let sensors t = t.sensors
 let now_ms t = t.now_ms
 
 let uplink_channel faults = Option.bind faults Mavr_fault.Injector.uplink

@@ -41,13 +41,7 @@ val gcs : t -> Groundstation.t
 (** The master processor (when the defense is enabled). *)
 val master : t -> Mavr_core.Master.t option
 
-(** The fault-injection rig passed at {!create}, if any. *)
-val faults : t -> Mavr_fault.Injector.t option
-
 val now_ms : t -> float
-
-(** The noisy sensor suite feeding the memory-mapped sensor registers. *)
-val sensors : t -> Sensors.t
 
 (** [run t ~ms] advances the closed loop by [ms] milliseconds. *)
 val run : t -> ms:float -> unit

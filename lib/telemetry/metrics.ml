@@ -15,9 +15,9 @@ type metric =
   | Sampled of (unit -> int)
   | Sampled_counter of (unit -> int)
 
-type registry = { tbl : (string, metric) Hashtbl.t; mutable emit_seq : int }
+type registry = { tbl : (string, metric) Hashtbl.t }
 
-let create () = { tbl = Hashtbl.create 64; emit_seq = 0 }
+let create () = { tbl = Hashtbl.create 64 }
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -186,28 +186,6 @@ let value_to_json = function
 
 let to_json t = Json.Obj (List.map (fun (name, v) -> (name, value_to_json v)) (snapshot t))
 
-(* Each emitted line carries a registry-monotonic [seq] (never reset, so
-   a consumer tailing successive snapshots can detect dropped or
-   reordered lines) and the emulated-cycle stamp of the emission. *)
-let to_jsonl ?(cycle = 0) t =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun (name, v) ->
-      let fields =
-        match value_to_json v with Json.Obj kvs -> kvs | _ -> assert false
-      in
-      t.emit_seq <- t.emit_seq + 1;
-      Buffer.add_string b
-        (Json.to_string
-           (Json.Obj
-              (("name", Json.String name)
-              :: ("seq", Json.Int t.emit_seq)
-              :: ("cycle", Json.Int cycle)
-              :: fields)));
-      Buffer.add_char b '\n')
-    (snapshot t);
-  Buffer.contents b
-
 let value_of_json j =
   let ( let* ) = Option.bind in
   let* ty = Option.bind (Json.member "type" j) Json.to_str in
@@ -261,20 +239,6 @@ let of_json j =
       in
       go kvs
   | _ -> Error "Metrics.of_json: not an object"
-
-let of_jsonl s =
-  let lines = String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "") in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-        match Json.of_string line with
-        | Error e -> Error e
-        | Ok j -> (
-            match (Option.bind (Json.member "name" j) Json.to_str, value_of_json j) with
-            | Some name, Some v -> go ((name, v) :: acc) rest
-            | _ -> Error (Printf.sprintf "malformed metric line %S" line)))
-  in
-  go [] lines
 
 let pp_value fmt = function
   | Counter_value v -> Format.fprintf fmt "%d" v

@@ -104,23 +104,11 @@ val to_json : registry -> Json.t
     the empty sentinel, keeping later pointwise merges exact. *)
 val of_json : Json.t -> (registry, string) result
 
-(** One compact JSON object per line
-    ([{"name":...,"seq":...,"cycle":...,"type":...,...}]).  [seq] is
-    monotonic per registry across calls and never resets, so a stream
-    consumer can detect dropped or reordered lines; [cycle] (default 0)
-    stamps every line of this emission with the emulated-CPU cycle the
-    snapshot was taken at. *)
-val to_jsonl : ?cycle:int -> registry -> string
-
 (** Human-readable aligned table of the snapshot. *)
 val pp_summary : Format.formatter -> registry -> unit
 
 (** {2 Test hooks}
 
-    Used only by the tests: [of_jsonl] parses {!to_jsonl} back,
-    [pp_value] prints a value in a failure message. *)
-
-(** Parses {!to_jsonl} output back; the round-trip equals {!snapshot}. *)
-val of_jsonl : string -> ((string * value_snapshot) list, string) result
+    Used only by the tests, to print a value in a failure message. *)
 
 val pp_value : Format.formatter -> value_snapshot -> unit

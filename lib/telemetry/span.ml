@@ -230,13 +230,6 @@ let lane_count t =
   Mutex.unlock t.mutex;
   n
 
-let merge ~into src =
-  List.iter
-    (fun sl ->
-      let dl = lane into ~sort:sl.l_sort ~domain:sl.l_domain sl.l_name in
-      List.iter (fun e -> push dl e) (lane_events sl))
-    (sorted_lanes src)
-
 (* ---- lane (de)serialization ------------------------------------------ *)
 
 (* Checkpoint persistence for a completed lane.  Host wall-clock timing
@@ -411,37 +404,3 @@ let to_trace_event ?(strip_timing = false) t =
       ("traceEvents", Json.List (procs @ threads @ events));
       ("displayTimeUnit", Json.String "ms");
     ]
-
-let to_jsonl ?(strip_timing = false) t =
-  let b = Buffer.create 1024 in
-  let seq = ref 0 in
-  List.iter
-    (fun l ->
-      let strip = strip_timing in
-      List.iter
-        (fun e ->
-          incr seq;
-          let fields =
-            [
-              ("seq", Json.Int !seq);
-              ("lane", Json.String l.l_name);
-              ("domain", Json.String (match l.l_domain with Host -> "host" | Cycles -> "cycles"));
-              ("ph", Json.String (if e.e_instant then "i" else "X"));
-              ("name", Json.String e.e_name);
-              ("depth", Json.Int e.e_depth);
-              ("ts", ts_json ~strip l e.e_ts);
-            ]
-            @ (if e.e_instant then []
-               else
-                 [ ("dur", ts_json ~strip l e.e_dur) ]
-                 @
-                 match l.l_domain with
-                 | Cycles -> []
-                 | Host -> [ ("cpu", (if strip then Json.Int 0 else Json.Float e.e_cpu)) ])
-            @ if e.e_args = [] then [] else [ ("args", Json.Obj e.e_args) ]
-          in
-          Buffer.add_string b (Json.to_string (Json.Obj fields));
-          Buffer.add_char b '\n')
-        (lane_events l))
-    (sorted_lanes t);
-  Buffer.contents b

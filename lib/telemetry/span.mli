@@ -4,7 +4,7 @@
     (aggregates merged at join) and {!Recorder} (bounded cycle-stamped
     ring): spans capture {e where wall/cpu time went}, as a tree of
     named intervals per lane, exported as Chrome [trace_event] JSON
-    (loadable in Perfetto / [chrome://tracing]) or as streaming JSONL.
+    (loadable in Perfetto / [chrome://tracing]).
 
     Determinism contract (the same isolation discipline as
     [Campaign.Clock]): every lane lives in one of two time domains.
@@ -71,7 +71,7 @@ val instant : lane -> ?args:(string * Json.t) list -> string -> unit
     rather than being dropped. *)
 val of_recorder : lane -> Recorder.event list -> unit
 
-(** {2 Inspection & merge} *)
+(** {2 Inspection} *)
 
 type view = {
   v_lane : string;
@@ -81,11 +81,6 @@ type view = {
   v_depth : int;  (** nesting depth at emission *)
   v_args : (string * Json.t) list;
 }
-
-(** [merge ~into src] appends every [src] lane's completed events into
-    the same-named lane of [into] (created if absent).  Open spans are
-    not transferred.  [Invalid_argument] on a domain mismatch. *)
-val merge : into:tracer -> tracer -> unit
 
 (** {2 Lane persistence}
 
@@ -110,11 +105,6 @@ val lane_of_json : tracer -> Json.t -> (lane, string) result
     cpu field is zeroed, making the bytes jobs-invariant; Cycles
     stamps are deterministic and always kept. *)
 val to_trace_event : ?strip_timing:bool -> tracer -> Json.t
-
-(** One JSON object per line, in the same deterministic order as
-    {!views}, each carrying a monotonic ["seq"].  Same
-    [~strip_timing] semantics. *)
-val to_jsonl : ?strip_timing:bool -> tracer -> string
 
 (** {2 Test hooks}
 

@@ -181,7 +181,7 @@ let test_streaming_pinned_layouts () =
             expected
             (Image.fingerprint (Randomize.randomize ~seed img)))
         (List.assoc profile.name pinned_fingerprints);
-      let _, stats = Stream_patch.randomize_image ~seed:1 img ~page_bytes:256 in
+      let stats = Stream_patch.ledger (Randomize.plan img) in
       Alcotest.(check int) "pages emitted" ((Image.size img + 255) / 256) stats.pages_emitted;
       Alcotest.(check bool) "read at least the whole image" true (stats.bytes_read >= Image.size img))
     Mavr_firmware.Profile.all
@@ -190,7 +190,7 @@ let test_streaming_symbols_match () =
   (* Each symbol's new address holds its own block: byte for byte, except
      the absolute call/jmp instructions the relocation rewrote. *)
   let img = image () in
-  let streamed, _ = Stream_patch.randomize_image ~seed:9 img ~page_bytes:256 in
+  let streamed = Randomize.randomize ~seed:9 img in
   List.iter
     (fun (s : Image.symbol) ->
       let s' = List.find (fun (x : Image.symbol) -> x.name = s.name) streamed.Image.symbols in
@@ -215,7 +215,7 @@ let test_streaming_fits_master_sram () =
   List.iter
     (fun profile ->
       let b = Mavr_firmware.Build.build profile Mavr_firmware.Profile.mavr in
-      let _, stats = Stream_patch.randomize_image ~seed:1 b.image ~page_bytes:256 in
+      let stats = Stream_patch.ledger (Randomize.plan b.image) in
       if stats.peak_working_set >= sram then
         Alcotest.failf "%s: working set %d B exceeds %d B SRAM" profile.Mavr_firmware.Profile.name
           stats.peak_working_set sram)
@@ -223,7 +223,7 @@ let test_streaming_fits_master_sram () =
 
 let test_streaming_refuses_relaxed () =
   let stock = Helpers.build_stock () in
-  match Stream_patch.randomize_image ~seed:1 stock.image ~page_bytes:256 with
+  match Randomize.randomize ~seed:1 stock.image with
   | _ -> Alcotest.fail "relaxed image must be refused"
   | exception Stream_patch.Unpatchable _ -> ()
 

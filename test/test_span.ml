@@ -146,9 +146,6 @@ let traced_engine_run ~jobs =
 let test_stripped_export_jobs_invariant () =
   let t1 = traced_engine_run ~jobs:1 in
   let t4 = traced_engine_run ~jobs:4 in
-  Alcotest.(check string) "stripped jsonl identical"
-    (Span.to_jsonl ~strip_timing:true t1)
-    (Span.to_jsonl ~strip_timing:true t4);
   Alcotest.(check string) "stripped trace_event identical"
     (Json.to_string (Span.to_trace_event ~strip_timing:true t1))
     (Json.to_string (Span.to_trace_event ~strip_timing:true t4))
@@ -170,20 +167,6 @@ let test_of_recorder () =
   Alcotest.(check bool) "point kept" true (List.mem ("inject", true) names);
   Alcotest.(check bool) "span matched" true (List.mem ("flash", false) names);
   Alcotest.(check bool) "orphan end degraded" true (List.mem ("orphan.end", true) names)
-
-(* ---- merge ---- *)
-
-let test_merge () =
-  let a = Span.create () in
-  let b = Span.create () in
-  Span.instant (Span.lane a "shared") "from-a";
-  Span.instant (Span.lane b "shared") "from-b";
-  Span.instant (Span.lane b "only-b") "solo";
-  Span.merge ~into:a b;
-  Alcotest.(check int) "events merged" 3 (Span.event_count a);
-  Alcotest.(check int) "lanes merged" 2 (Span.lane_count a);
-  let shared = List.filter (fun v -> v.Span.v_lane = "shared") (Span.views a) in
-  Alcotest.(check int) "shared lane holds both" 2 (List.length shared)
 
 (* ---- misuse guards ---- *)
 
@@ -289,7 +272,6 @@ let () =
           Alcotest.test_case "stripped export jobs-invariant" `Quick
             test_stripped_export_jobs_invariant;
           Alcotest.test_case "recorder interop" `Quick test_of_recorder;
-          Alcotest.test_case "merge" `Quick test_merge;
           Alcotest.test_case "domain guards" `Quick test_domain_guards;
         ] );
       ( "progress",

@@ -109,47 +109,38 @@ let test_registry_idempotent_and_kind_clash () =
   | _ -> Alcotest.fail "kind clash accepted"
   | exception Invalid_argument _ -> ()
 
-let test_jsonl_roundtrip () =
+let test_metrics_json_roundtrip () =
+  (* The checkpoint-resume path: sampled cells come back owned, and the
+     document round-trips byte-identically, empty histogram included. *)
   let r = Metrics.create () in
   Metrics.add (Metrics.counter r "frames") 17;
   Metrics.sampled r "depth" (fun () -> -3);
   List.iter (Metrics.observe (Metrics.histogram r "lat")) [ 1; 2; 3; 4 ];
-  Metrics.sampled r "live" (fun () -> 99);
-  match Metrics.of_jsonl (Metrics.to_jsonl r) with
-  | Ok parsed -> Alcotest.(check bool) "jsonl round-trip" true (parsed = Metrics.snapshot r)
-  | Error e -> Alcotest.failf "of_jsonl: %s" e
+  ignore (Metrics.histogram r "empty");
+  Metrics.sampled_counter r "live" (fun () -> 99);
+  let doc = Metrics.to_json r in
+  match Metrics.of_json doc with
+  | Ok r' ->
+      Alcotest.(check string) "json round-trip" (Json.to_string doc)
+        (Json.to_string (Metrics.to_json r'));
+      Alcotest.(check bool) "same snapshot" true (Metrics.snapshot r' = Metrics.snapshot r)
+  | Error e -> Alcotest.failf "of_json: %s" e
 
-let test_jsonl_rejects_corrupt_line () =
-  match Metrics.of_jsonl "{\"name\":\"a\",\"type\":\"counter\",\"value\":1}\nnot json\n" with
-  | Ok _ -> Alcotest.fail "accepted corrupt line"
-  | Error _ -> ()
-
-let test_jsonl_seq_and_cycle_stamps () =
-  (* Every exported line carries a monotonic per-registry [seq] (never
-     reset across exports — consumers detect dropped lines) and the
-     emission cycle stamp; neither breaks the round-trip. *)
-  let r = Metrics.create () in
-  Metrics.incr (Metrics.counter r "a");
-  Metrics.incr (Metrics.counter r "b");
-  let seqs_of s =
-    String.split_on_char '\n' s
-    |> List.filter (fun l -> l <> "")
-    |> List.map (fun l ->
-           match Json.of_string l with
-           | Ok j ->
-               ( Option.bind (Json.member "seq" j) Json.to_int,
-                 Option.bind (Json.member "cycle" j) Json.to_int )
-           | Error e -> Alcotest.failf "line does not parse: %s" e)
-  in
-  Alcotest.(check (list (pair (option int) (option int))))
-    "first export stamps" [ (Some 1, Some 500); (Some 2, Some 500) ]
-    (seqs_of (Metrics.to_jsonl ~cycle:500 r));
-  Alcotest.(check (list (pair (option int) (option int))))
-    "seq continues across exports" [ (Some 3, Some 900); (Some 4, Some 900) ]
-    (seqs_of (Metrics.to_jsonl ~cycle:900 r));
-  match Metrics.of_jsonl (Metrics.to_jsonl ~cycle:42 r) with
-  | Ok parsed -> Alcotest.(check bool) "still round-trips" true (parsed = Metrics.snapshot r)
-  | Error e -> Alcotest.failf "of_jsonl: %s" e
+let test_json_rejects_corrupt () =
+  List.iter
+    (fun doc ->
+      match Json.of_string doc with
+      | Error e -> Alcotest.failf "test document does not parse: %s" e
+      | Ok j -> (
+          match Metrics.of_json j with
+          | Ok _ -> Alcotest.failf "accepted %s" doc
+          | Error _ -> ()))
+    [
+      {|[]|};
+      {|{"a":{"type":"counter"}}|};
+      {|{"a":{"type":"bogus","value":1}}|};
+      {|{"a":{"type":"counter","value":1},"a":{"type":"counter","value":2}}|};
+    ]
 
 (* ---- flight-recorder ring ---- *)
 
@@ -211,9 +202,8 @@ let () =
         [
           Alcotest.test_case "snapshot and reset" `Quick test_registry_snapshot_and_reset;
           Alcotest.test_case "idempotent registration" `Quick test_registry_idempotent_and_kind_clash;
-          Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
-          Alcotest.test_case "jsonl corrupt line" `Quick test_jsonl_rejects_corrupt_line;
-          Alcotest.test_case "jsonl seq and cycle stamps" `Quick test_jsonl_seq_and_cycle_stamps;
+          Alcotest.test_case "json round-trip" `Quick test_metrics_json_roundtrip;
+          Alcotest.test_case "json corrupt document" `Quick test_json_rejects_corrupt;
         ] );
       ( "recorder",
         [
