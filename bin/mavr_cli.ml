@@ -51,6 +51,19 @@ let ms_opt default doc = Arg.(value & opt int default & info [ "ms" ] ~docv:"MS"
 let layouts_opt default doc = Arg.(value & opt int default & info [ "layouts" ] ~docv:"K" ~doc)
 let seed_arg = seed_opt 1 "Randomization seed."
 
+(* A count of at least 1: a smaller value is a usage error (exit 2),
+   refused while parsing, before any pool starts or worker spawns. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let jobs_opt doc =
+  Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
+
 let toolchain_arg =
   Arg.(
     value & opt (enum [ ("mavr", F.Profile.mavr); ("stock", F.Profile.stock); ("patched", F.Profile.patched) ]) F.Profile.mavr
@@ -159,18 +172,26 @@ let cmd_randomize =
   Cmd.v (Cmd.info "randomize" ~doc:"Randomize a firmware (master-processor boot step)")
     Term.(const run $ profile_arg $ seed_arg)
 
+(* The stealthy V2 attack of the CLI demos: the frames an attacker who
+   analysed [b] sends to overwrite the gyroscope calibration word with
+   [hijacked_gyro_cfg]. *)
+let hijacked_gyro_cfg = 0x4141
+
+let gyro_hijack_frames b =
+  let ti = Mavr_core.Rop.analyze b in
+  let obs = Mavr_core.Rop.observe ti in
+  Mavr_core.Rop.v2_stealthy ti obs
+    ~writes:
+      [ Mavr_core.Rop.write_u16 obs ~addr:F.Layout.gyro_cfg ~value:hijacked_gyro_cfg ~neighbour:0 ]
+
 let cmd_attack =
   let run profile seed defended =
     let b = build_firmware profile F.Profile.mavr in
-    let ti = Mavr_core.Rop.analyze b in
-    let obs = Mavr_core.Rop.observe ti in
     let victim = if defended then Mavr_core.Randomize.randomize ~seed b.image else b.image in
     let cpu = Mavr_avr.Cpu.create () in
     Mavr_avr.Cpu.load_program cpu victim.Image.code;
     ignore (Mavr_avr.Cpu.run cpu ~max_cycles:60_000);
-    List.iter (Mavr_avr.Cpu.uart_send cpu)
-      (Mavr_core.Rop.v2_stealthy ti obs
-         ~writes:[ Mavr_core.Rop.write_u16 obs ~addr:F.Layout.gyro_cfg ~value:0x4141 ~neighbour:0 ]);
+    List.iter (Mavr_avr.Cpu.uart_send cpu) (gyro_hijack_frames b);
     let r = Mavr_avr.Cpu.run cpu ~max_cycles:3_000_000 in
     let cfg =
       Mavr_avr.Cpu.data_peek cpu F.Layout.gyro_cfg
@@ -179,7 +200,7 @@ let cmd_attack =
     Format.printf "target: %s (%s)@." profile.F.Profile.name
       (if defended then "MAVR-randomized" else "unprotected");
     Format.printf "stealthy V2 attack: %s; board %s@."
-      (if cfg = 0x4141 then "SUCCEEDED (gyro calibration hijacked)" else "failed")
+      (if cfg = hijacked_gyro_cfg then "SUCCEEDED (gyro calibration hijacked)" else "failed")
       (match r with
       | `Halted h -> Format.asprintf "crashed (%a)" Mavr_avr.Cpu.pp_halt h
       | `Budget_exhausted -> "still running");
@@ -189,16 +210,17 @@ let cmd_attack =
   Cmd.v (Cmd.info "attack" ~doc:"Run the stealthy ROP attack")
     Term.(const run $ profile_arg $ seed_arg $ defended)
 
+(* The defense of the CLI's closed-loop flights: with [defended], the
+   MAVR master with a 20,000-cycle watchdog window. *)
+let flight_defense defended =
+  if defended then
+    Mavr_sim.Scenario.Mavr { Mavr_core.Master.default_config with watchdog_window_cycles = 20_000 }
+  else Mavr_sim.Scenario.No_defense
+
 let cmd_fly =
   let run profile defended ms =
     let b = build_firmware profile F.Profile.mavr in
-    let defense =
-      if defended then
-        Mavr_sim.Scenario.Mavr
-          { Mavr_core.Master.default_config with watchdog_window_cycles = 20_000 }
-      else Mavr_sim.Scenario.No_defense
-    in
-    let s = Mavr_sim.Scenario.create ~image:b.image defense in
+    let s = Mavr_sim.Scenario.create ~image:b.image (flight_defense defended) in
     Mavr_sim.Scenario.run s ~ms:(float_of_int ms);
     Format.printf "%a@." Mavr_sim.Scenario.pp_report (Mavr_sim.Scenario.report s);
     0
@@ -216,33 +238,19 @@ let json_flag =
    warm-up third of the flight. *)
 let instrumented_flight profile ~defended ~ms ~uplink_after_warmup =
   let b = build_firmware profile F.Profile.mavr in
-  let defense =
-    if defended then
-      Mavr_sim.Scenario.Mavr
-        { Mavr_core.Master.default_config with watchdog_window_cycles = 20_000 }
-    else Mavr_sim.Scenario.No_defense
-  in
-  let s = Mavr_sim.Scenario.create ~image:b.image defense in
+  let s = Mavr_sim.Scenario.create ~image:b.image (flight_defense defended) in
   let registry = Mavr_telemetry.Metrics.create () in
   let probes = Mavr_sim.Scenario.attach_telemetry s ~registry in
   let warmup = max 1 (ms / 3) in
   Mavr_sim.Scenario.run s ~ms:(float_of_int warmup);
   (match uplink_after_warmup b with [] -> () | frames -> Mavr_sim.Scenario.inject s frames);
   Mavr_sim.Scenario.run s ~ms:(float_of_int (max 1 (ms - warmup)));
-  (s, registry, probes)
+  (b, registry, probes)
 
 let cmd_stats =
   let run profile defended ms attack json =
-    let uplink b =
-      if not attack then []
-      else
-        let ti = Mavr_core.Rop.analyze b in
-        let obs = Mavr_core.Rop.observe ti in
-        Mavr_core.Rop.v2_stealthy ti obs
-          ~writes:
-            [ Mavr_core.Rop.write_u16 obs ~addr:F.Layout.gyro_cfg ~value:0x4141 ~neighbour:0 ]
-    in
-    let _s, registry, _probes =
+    let uplink b = if attack then gyro_hijack_frames b else [] in
+    let _b, registry, _probes =
       instrumented_flight profile ~defended ~ms ~uplink_after_warmup:uplink
     in
     if json then
@@ -262,7 +270,7 @@ let cmd_stats =
 let cmd_flight_record =
   let run profile defended ms json =
     let uplink b = Mavr_core.Rop.crash_probe (Mavr_core.Rop.analyze b) in
-    let _s, _registry, probes =
+    let _b, _registry, probes =
       instrumented_flight profile ~defended ~ms ~uplink_after_warmup:uplink
     in
     match Mavr_avr.Probes.last_fault_dump probes with
@@ -448,7 +456,7 @@ let cmd_analyze =
                  ("census", Mavr_analysis.Survival.to_json census);
                ]
               @ (match sd with
-                | Some r -> [ ("stack", Sd.to_json ~per_function:false img r) ]
+                | Some r -> [ ("stack", Sd.to_json r) ]
                 | None -> [])
               @ (match taint_r with
                 | Some r -> [ ("taint", Mavr_analysis.Taint.to_json r) ]
@@ -872,9 +880,9 @@ let cmd_campaign =
                 campaign_exit census grid)))
   in
   let jobs =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS"
-           ~doc:"Worker domains (default: the runtime's recommended count). The output is \
-                 bit-identical for any value, including 1.")
+    jobs_opt
+      "Worker domains (default: the runtime's recommended count). The output is bit-identical \
+       for any value, including 1."
   in
   let timing =
     Arg.(value & flag & info [ "timing" ]
@@ -914,7 +922,7 @@ let cmd_campaign =
                    byte-identical to an uninterrupted run, for any $(b,--jobs).")
   in
   let checkpoint_every =
-    Arg.(value & opt int 32 & info [ "checkpoint-every" ] ~docv:"N"
+    Arg.(value & opt positive_int 32 & info [ "checkpoint-every" ] ~docv:"N"
            ~doc:"Rewrite the checkpoint snapshot every $(docv) recorded trials (default 32).")
   in
   let resume =
@@ -1030,9 +1038,9 @@ let cmd_serve =
                  line protocol; for CI and piping).")
   in
   let jobs =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS"
-           ~doc:"Worker domains for served campaigns (default: the runtime's recommended \
-                 count). Results are bit-identical for any value.")
+    jobs_opt
+      "Worker domains for served campaigns (default: the runtime's recommended count). Results \
+       are bit-identical for any value."
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1086,42 +1094,44 @@ let cmd_dispatch =
         Option.map (fun (sink, _) -> Mavr_campaign.Progress.create ~sink ()) progress_sink
       in
       let ck_spec = Spec.checkpoint_spec spec in
+      let n_workers = spawn + List.length given in
       let shards =
-        D.plan ~tasks:ck_spec.Mavr_campaign.Checkpoint.tasks ~block:spec.trials
-          ~shards:(spawn + List.length given)
+        D.plan ~tasks:ck_spec.Mavr_campaign.Checkpoint.tasks ~block:spec.trials ~shards:n_workers
       in
       (* The request a worker receives is the serve request for this
          spec plus the shard range, so spec hashes agree end to end. *)
       let request ~lo ~hi =
         J.Obj (Spec.to_json_fields spec @ [ ("shard", J.Obj [ ("lo", J.Int lo); ("hi", J.Int hi) ]) ])
       in
-      (* Spawned workers come first in the pool, so worker 0 is always
-         the one --kill-worker-after SIGKILLs. *)
+      (* Every worker started and socket file made so far, newest first.
+         They are started inside the protected region, so when a start
+         raises, the [finally] still kills, reaps and unlinks the ones
+         before it. *)
+      let pids = ref [] and socks = ref [] in
       let devnull_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
       let devnull_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-      let spawned =
-        List.init spawn (fun i ->
-            let sock = Filename.temp_file (Printf.sprintf "mavr-worker%d-" i) ".sock" in
-            let args =
-              [ "mavr"; "serve"; "--socket"; sock ]
-              @ match jobs with Some j -> [ "-j"; string_of_int j ] | None -> []
-            in
-            let pid =
-              Unix.create_process Sys.executable_name (Array.of_list args) devnull_in
-                devnull_out Unix.stderr
-            in
-            (pid, sock))
+      let start_worker i =
+        let sock = Filename.temp_file (Printf.sprintf "mavr-worker%d-" i) ".sock" in
+        socks := sock :: !socks;
+        let args =
+          [ "mavr"; "serve"; "--socket"; sock ]
+          @ match jobs with Some j -> [ "-j"; string_of_int j ] | None -> []
+        in
+        pids :=
+          Unix.create_process Sys.executable_name (Array.of_list args) devnull_in devnull_out
+            Unix.stderr
+          :: !pids;
+        D.Unix_socket sock
       in
-      Unix.close devnull_in;
-      Unix.close devnull_out;
-      let workers_addrs = List.map (fun (_, s) -> D.Unix_socket s) spawned @ given in
+      (* Spawned workers come first in the pool, so worker 0 is always
+         the one --kill-worker-after SIGKILLs. *)
       let killed = ref false in
       let w0_entries = ref 0 in
       let on_event = function
         | D.Entry_received { worker = 0; fresh = true; _ } -> (
             incr w0_entries;
-            match (kill_after, spawned) with
-            | Some n, (pid, _) :: _ when (not !killed) && !w0_entries >= n ->
+            match (kill_after, List.rev !pids) with
+            | Some n, pid :: _ when (not !killed) && !w0_entries >= n ->
                 killed := true;
                 (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
             | _ -> ())
@@ -1131,14 +1141,17 @@ let cmd_dispatch =
         Fun.protect
           ~finally:(fun () ->
             List.iter
-              (fun (pid, sock) ->
+              (fun pid ->
                 (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-                (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-                try Sys.remove sock with Sys_error _ -> ())
-              spawned)
+                try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+              !pids;
+            List.iter (fun sock -> try Sys.remove sock with Sys_error _ -> ()) !socks;
+            Unix.close devnull_in;
+            Unix.close devnull_out)
           (fun () ->
+            let spawned = List.init spawn start_worker in
             D.run ?progress:progress_t ~on_event ~spec:ck_spec ~request ~block:spec.trials
-              ~workers:workers_addrs ~shards ())
+              ~workers:(spawned @ given) ~shards ())
       in
       (* Merge: prime a fresh checkpoint with every shard's entries and
          run the campaign over it — zero trials execute, the early-stop
@@ -1172,7 +1185,7 @@ let cmd_dispatch =
             Format.printf
               "%s: dispatched %d shard(s) over %d worker(s): %d assignment(s), %d worker \
                failure(s), %d heartbeat(s)@."
-              spec.profile.F.Profile.name (List.length shards) (List.length workers_addrs)
+              spec.profile.F.Profile.name (List.length shards) n_workers
               outcome.D.assignments outcome.D.worker_failures outcome.D.heartbeats;
             Format.printf "  %a@." Mavr_analysis.Survival.pp census;
             Format.printf "%a@." Mavr_sim.Montecarlo.pp grid
@@ -1180,9 +1193,9 @@ let cmd_dispatch =
           campaign_exit census grid
   in
   let jobs =
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"JOBS"
-           ~doc:"Worker domains per spawned worker and for the local merge (default: the \
-                 runtime's recommended count). The output is bit-identical for any value.")
+    jobs_opt
+      "Worker domains per spawned worker and for the local merge (default: the runtime's \
+       recommended count). The output is bit-identical for any value."
   in
   let workers =
     Arg.(value & opt_all string []
@@ -1227,20 +1240,10 @@ let cmd_profile =
     (* Undefended on purpose: MAVR's defense randomizes the layout at
        boot, which would invalidate the built image's symbol table and
        CFG — the annotations this report exists for. *)
-    let b = build_firmware profile F.Profile.mavr in
-    let s = Mavr_sim.Scenario.create ~image:b.F.Build.image Mavr_sim.Scenario.No_defense in
-    let registry = Mavr_telemetry.Metrics.create () in
-    let probes = Mavr_sim.Scenario.attach_telemetry s ~registry in
-    let warmup = max 1 (ms / 3) in
-    Mavr_sim.Scenario.run s ~ms:(float_of_int warmup);
-    (if attack then
-       let ti = Mavr_core.Rop.analyze b in
-       let obs = Mavr_core.Rop.observe ti in
-       Mavr_sim.Scenario.inject s
-         (Mavr_core.Rop.v2_stealthy ti obs
-            ~writes:
-              [ Mavr_core.Rop.write_u16 obs ~addr:F.Layout.gyro_cfg ~value:0x4141 ~neighbour:0 ]));
-    Mavr_sim.Scenario.run s ~ms:(float_of_int (max 1 (ms - warmup)));
+    let uplink b = if attack then gyro_hijack_frames b else [] in
+    let b, _registry, probes =
+      instrumented_flight profile ~defended:false ~ms ~uplink_after_warmup:uplink
+    in
     let stats = Mavr_avr.Probes.block_stats probes in
     if stats = [] then begin
       Format.eprintf

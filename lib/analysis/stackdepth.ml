@@ -345,9 +345,9 @@ let analyze_entry cfg ~icall_targets ~record_sp ~nodes entry =
 
 (* ---- interprocedural totals ------------------------------------------ *)
 
-let analyze ?(dev = Device.atmega2560) cfg =
+let analyze cfg =
   let img = Cfg.image cfg in
-  let pc_bytes = dev.Device.pc_bytes in
+  let pc_bytes = Device.atmega2560.pc_bytes in
   let sp_classes : (int, sp_class) Hashtbl.t = Hashtbl.create 16 in
   let record_sp addr c =
     let c' =
@@ -486,35 +486,15 @@ let pp_bound fmt = function
   | Finite n -> Format.fprintf fmt "%d" n
   | Unbounded why -> Format.fprintf fmt "unbounded (%s)" why
 
-let to_json ?(per_function = true) img r =
+let to_json r =
   Json.Obj
-    ([
-       ("entries", Json.Int r.entries);
-       ("iterations", Json.Int r.iterations);
-       ("main_total", bound_to_json r.main_total);
-       ("isr_extra", bound_to_json r.isr_extra);
-       ("image_bound", bound_to_json r.image_bound);
-     ]
-    @
-    if not per_function then []
-    else
-      [
-        ( "functions",
-          Json.List
-            (List.map
-               (fun (l, total) ->
-                 Json.Obj
-                   [
-                     ("entry", Json.Int l.l_entry);
-                     ("name", Json.String (name_of img l.l_entry));
-                     ( "local_max",
-                       match l.l_max with
-                       | D d -> Json.Int d
-                       | DTop -> Json.String "unbounded" );
-                     ("total", bound_to_json total);
-                   ])
-               r.per_entry) );
-      ])
+    [
+      ("entries", Json.Int r.entries);
+      ("iterations", Json.Int r.iterations);
+      ("main_total", bound_to_json r.main_total);
+      ("isr_extra", bound_to_json r.isr_extra);
+      ("image_bound", bound_to_json r.image_bound);
+    ]
 
 let pp fmt img r =
   Format.fprintf fmt "@[<v>stack depth: image bound %a (main %a + isr %a), %d entries@,"

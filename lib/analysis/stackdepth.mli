@@ -53,12 +53,14 @@ type report = {
   sp_classes : (int, sp_class) Hashtbl.t;  (** per [out SPL/SPH] site *)
 }
 
-val analyze : ?dev:Mavr_avr.Device.t -> Cfg.t -> report
+val analyze : Cfg.t -> report
 
 (** Just the SP-write classification table (runs the full analysis). *)
 val sp_write_classes : Cfg.t -> (int, sp_class) Hashtbl.t
 
 val bound_to_json : bound -> Mavr_telemetry.Json.t
-val to_json : ?per_function:bool -> Mavr_obj.Image.t -> report -> Mavr_telemetry.Json.t
+
+(** The image-wide totals; {!pp} lists the per-function bounds. *)
+val to_json : report -> Mavr_telemetry.Json.t
 val pp_bound : Format.formatter -> bound -> unit
 val pp : Format.formatter -> Mavr_obj.Image.t -> report -> unit

@@ -17,7 +17,7 @@ module Pool = Mavr_campaign.Pool
    truncation contract — it decodes as [Data] with size 2, the walk
    advances to [len] and stops — so the chain terminates at the image
    edge without reading past it (regression-tested in test_analysis). *)
-let chain_at ?(cap = 24) (img : Image.t) addr =
+let chain ~cap (img : Image.t) addr =
   let len = String.length img.code in
   let rec go addr n acc =
     if n >= cap || addr < 0 || addr + 2 > len then List.rev acc
@@ -28,8 +28,10 @@ let chain_at ?(cap = 24) (img : Image.t) addr =
   in
   go addr 0 []
 
+let chain_at img addr = chain ~cap:24 img addr
+
 let gadget_survives ~candidate (g : Gadget.t) =
-  chain_at ~cap:(List.length g.insns) candidate g.byte_addr = g.insns
+  chain ~cap:(List.length g.insns) candidate g.byte_addr = g.insns
 
 let payload_feasible ~reference ~(gadgets : Gadget.paper_gadgets) candidate =
   let check name addr =
@@ -55,8 +57,8 @@ type t = {
   feasible_layouts : int;
 }
 
-let census ?max_len ?seed:(Root root = Root 0) ?jobs ?pool ?tracer ?progress ~layouts image =
-  let base = Gadget.scan ?max_len image in
+let census ?seed:(Root root = Root 0) ?jobs ?pool ?tracer ?progress ~layouts image =
+  let base = Gadget.scan image in
   let base_n = List.length base in
   let paper = Gadget.locate_paper_gadgets image in
   let seeds = Engine.task_seeds ~seed:root ~tasks:layouts in

@@ -34,7 +34,7 @@ type t = {
   feasible_layouts : int;  (** layouts where {!payload_feasible} holds *)
 }
 
-(** [census ?max_len ?seed ?jobs ?pool ~layouts image] randomizes
+(** [census ?seed ?jobs ?pool ~layouts image] randomizes
     [layouts] layouts (seeds per [?seed], default [Root 0]) and measures
     which of the base image's gadgets survive at their harvested
     addresses in each layout.  [feasible_layouts] counts layouts where
@@ -51,7 +51,6 @@ type t = {
     with [?progress], [layouts] is added to the stream total and every
     layout completion ticks it.  Neither affects the result. *)
 val census :
-  ?max_len:int ->
   ?seed:seeding ->
   ?jobs:int ->
   ?pool:Mavr_campaign.Pool.t ->
@@ -69,13 +68,13 @@ val pp : Format.formatter -> t -> unit
     Used only by the tests, to check the census's per-layout verdicts;
     a static oracle for flown attack outcomes is to build on them. *)
 
-(** [chain_at ?cap img addr] — the forward decode chain a return landing
-    at byte address [addr] would execute: instructions up to and
-    including the first [ret], capped at [cap] (default 24).  Total at
+(** [chain_at img addr] — the forward decode chain a return landing at
+    byte address [addr] would execute: instructions up to and including
+    the first [ret], capped at 24.  Total at
     the image edge: a truncated two-word instruction decodes as [Data]
     per [Decode.decode_bytes]'s contract, and the chain stops at the last
     word without reading past the image. *)
-val chain_at : ?cap:int -> Mavr_obj.Image.t -> int -> Mavr_avr.Isa.t list
+val chain_at : Mavr_obj.Image.t -> int -> Mavr_avr.Isa.t list
 
 (** [gadget_survives ~candidate g] — the decode chain at [g.byte_addr]
     in [candidate] still matches [g.insns] exactly. *)

@@ -37,9 +37,12 @@ val pp_halt : Format.formatter -> halt -> unit
 
 type t
 
-(** [create ?device ()] makes a CPU with erased flash and no program
-    ({!program_size} 0: running it halts at once on a wild PC); default
-    device is the ATmega2560. *)
+(** [create ()] makes an ATmega2560 with erased flash and no program
+    ({!program_size} 0: running it halts at once on a wild PC).
+
+    Test hook: [device] emulates another part.  The superblock
+    differential tests run the master's ATmega1284P, whose 2-byte PC
+    changes what calls and returns push and cost. *)
 val create : ?device:Device.t -> unit -> t
 
 val device : t -> Device.t

@@ -257,6 +257,7 @@ let load ~path =
   Ok (spec, entries)
 
 let resume ~path ?stream ?(every = 32) spec =
+  if every < 1 then invalid_arg "Campaign.Checkpoint.resume: every must be >= 1";
   let ( let* ) = Result.bind in
   let* file_spec, entries = load ~path in
   let* () =

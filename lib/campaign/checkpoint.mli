@@ -64,7 +64,8 @@ val hash_fields : (string * Json.t) list -> string
 (** [create ?path ?stream ?every spec] — fresh checkpoint writer.
     [path = None] is stream-only (no snapshot files).  A snapshot is
     rewritten after every [every] (default 32) recorded entries; an
-    initial header-only snapshot is written immediately. *)
+    initial header-only snapshot is written immediately.
+    @raise Invalid_argument when [every < 1]. *)
 val create : ?path:string -> ?stream:(string -> unit) -> ?every:int -> spec -> t
 
 (** [decode_entry ~tasks line] decodes one entry line: its digest, its
@@ -80,7 +81,8 @@ val load : path:string -> (spec * (int * entry) list, string) result
 (** [resume ~path ?stream ?every spec] — [load], verify the file's spec
     (hash, seed, task count) matches [spec], and return a writer primed
     with the recorded frontier.  The header and primed entries are
-    replayed into [stream]. *)
+    replayed into [stream].
+    @raise Invalid_argument when [every < 1], as {!create} does. *)
 val resume : path:string -> ?stream:(string -> unit) -> ?every:int -> spec -> (t, string) result
 
 (** [record t ~index result] — one task completed.  Thread-safe. *)

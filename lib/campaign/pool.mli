@@ -1,6 +1,6 @@
 (** Fixed-size domain pool: a parallel-for over task indices.
 
-    [jobs - 1] worker domains are spawned once at {!create} and parked on
+    [jobs - 1] worker domains are spawned once at {!with_pool} and parked on
     a condition variable; each {!run} publishes one job (a body over
     indices [0 .. tasks-1]) that the workers {e and the calling domain}
     drain from a chunked atomic queue.  Scheduling is dynamic (chunks go
@@ -15,12 +15,6 @@
 type t
 
 exception Task_failed of { index : int; exn : exn; backtrace : string }
-
-(** [create ?jobs ()] spawns the pool.  [jobs] defaults to
-    [Domain.recommended_domain_count ()] capped at {!max_jobs}; [jobs = 1]
-    spawns no domains and makes {!run} purely sequential.
-    @raise Invalid_argument when [jobs < 1]. *)
-val create : ?jobs:int -> unit -> t
 
 val jobs : t -> int
 
@@ -43,12 +37,16 @@ val stats : t -> domain_stats array
     @raise Task_failed when any task raised (lowest index reported). *)
 val run : t -> tasks:int -> (int -> unit) -> unit
 
-(** [with_pool ?jobs f] — create, apply, always shutdown. *)
+(** [with_pool ?jobs f] spawns a pool, applies [f] to it and always shuts
+    it down.  [jobs] defaults to [Domain.recommended_domain_count ()]
+    capped at {!max_jobs}; [jobs = 1] spawns no domains and makes {!run}
+    purely sequential.
+    @raise Invalid_argument when [jobs < 1]. *)
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 
 (** {2 Test hooks}
 
-    Used only by the tests, to check that {!create} caps the job count. *)
+    Used only by the tests, to check that {!with_pool} caps the job count. *)
 
 (** Upper cap applied to [jobs] (oversubscribing domains degrades an
     OCaml 5 runtime rapidly). *)

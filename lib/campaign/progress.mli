@@ -24,10 +24,13 @@
 
 type t
 
-(** [create ?interval_s ~sink ()] — heartbeat stream writing each line
-    (without the trailing newline) to [sink].  [interval_s] (default
-    [0.5]) is the minimum wall-clock spacing between heartbeat lines;
-    [0.] emits on every completion. *)
+(** [create ~sink ()] — heartbeat stream writing each line (without the
+    trailing newline) to [sink], at least 0.5 s of wall clock apart.
+
+    Test hook: [interval_s] overrides that spacing; [0.] emits on every
+    completion.  Tests use [0.] for a line per task and an interval no
+    run can outlast for the gate, so their line counts do not depend on
+    timing. *)
 val create : ?interval_s:float -> sink:(string -> unit) -> unit -> t
 
 (** [add_total t n] grows the expected task count (called by each

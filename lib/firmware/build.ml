@@ -70,24 +70,24 @@ let assemble ~pad (profile : Profile.t) (toolchain : Profile.toolchain) =
   let program = { Asm.vectors; funcs; data; defines = Runtime.defines } in
   Asm.assemble ~relax:toolchain.relax program
 
-let build ?pad (profile : Profile.t) toolchain =
-  let pad =
-    match pad with
-    | Some p -> p
-    | None ->
-        if profile.target_size = 0 then 0
-        else
-          let dry = assemble ~pad:0 profile Profile.stock in
-          max 0 (profile.target_size - String.length dry.code)
-  in
+(* The pad that brings the stock build of [profile] to its target size
+   (a stock dry run). *)
+let calibrated_pad (profile : Profile.t) =
+  if profile.target_size = 0 then 0
+  else
+    let dry = assemble ~pad:0 profile Profile.stock in
+    max 0 (profile.target_size - String.length dry.code)
+
+let build_padded ~pad profile toolchain =
   let asm = assemble ~pad profile toolchain in
   let exec_low_end = Asm.label_value asm "__data_init" in
   { image = Image.of_assembly ~exec_low_end asm; asm; profile; toolchain; pad_bytes = pad }
 
+let build profile toolchain = build_padded ~pad:(calibrated_pad profile) profile toolchain
+
 let build_pair profile =
-  let stock = build profile Profile.stock in
-  let mavr = build ~pad:stock.pad_bytes profile Profile.mavr in
-  (stock, mavr)
+  let pad = calibrated_pad profile in
+  (build_padded ~pad profile Profile.stock, build_padded ~pad profile Profile.mavr)
 
 let label t name = Asm.label_value t.asm name
 let function_count t = Image.function_count t.image

@@ -15,10 +15,10 @@ type t = {
   pad_bytes : int;
 }
 
-(** [build ?pad profile toolchain] assembles a firmware.  When [pad] is
-    omitted it is computed so that the {e stock} build of [profile] hits
-    [profile.target_size] (a stock dry-run is performed if needed). *)
-val build : ?pad:int -> Profile.t -> Profile.toolchain -> t
+(** [build profile toolchain] assembles a firmware, its pad computed so
+    that the {e stock} build of [profile] hits [profile.target_size] (a
+    stock dry run is performed if needed). *)
+val build : Profile.t -> Profile.toolchain -> t
 
 (** [build_pair profile] is [(stock, mavr)] with a shared pad. *)
 val build_pair : Profile.t -> t * t

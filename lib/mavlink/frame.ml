@@ -7,14 +7,13 @@ let crc_len = 2
 
 let check_byte name v = if v < 0 || v > 0xFF then invalid_arg ("Frame: " ^ name ^ " out of byte range")
 
-let encode_with ~declared_len ?crc_extra t =
+let encode_with ~declared_len t =
   check_byte "declared length" declared_len;
   check_byte "seq" t.seq;
   check_byte "sysid" t.sysid;
   check_byte "compid" t.compid;
   check_byte "msgid" t.msgid;
   if String.length t.payload > 255 then invalid_arg "Frame: payload exceeds 255 bytes";
-  let extra = match crc_extra with Some e -> e | None -> Messages.crc_extra_of t.msgid in
   let buf = Buffer.create (header_len + String.length t.payload + crc_len) in
   Buffer.add_char buf (Char.chr magic);
   List.iter
@@ -25,16 +24,16 @@ let encode_with ~declared_len ?crc_extra t =
   let crc =
     Crc.accumulate
       (Crc.accumulate_string Crc.init (String.sub body 1 (String.length body - 1)))
-      extra
+      (Messages.crc_extra_of t.msgid)
   in
   let v = Crc.value crc in
   Buffer.add_char buf (Char.chr (v land 0xFF));
   Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
   Buffer.contents buf
 
-let encode ?crc_extra t = encode_with ~declared_len:(String.length t.payload) ?crc_extra t
+let encode t = encode_with ~declared_len:(String.length t.payload) t
 
-let encode_raw ?crc_extra ~declared_len t = encode_with ~declared_len ?crc_extra t
+let encode_raw ~declared_len t = encode_with ~declared_len t
 
 type error = Bad_magic | Bad_crc of { got : int; expected : int } | Truncated
 
@@ -43,7 +42,7 @@ let pp_error fmt = function
   | Bad_crc { got; expected } -> Format.fprintf fmt "bad CRC: got 0x%04x, expected 0x%04x" got expected
   | Truncated -> Format.pp_print_string fmt "truncated frame"
 
-let decode ?(crc_extra_of = Messages.crc_extra_of) ?(pos = 0) s =
+let decode ?(pos = 0) s =
   let n = String.length s - pos in
   if pos < 0 || pos > String.length s then invalid_arg "Frame.decode: pos out of range";
   if n < 1 then Error Truncated
@@ -62,7 +61,7 @@ let decode ?(crc_extra_of = Messages.crc_extra_of) ?(pos = 0) s =
       let crc =
         Crc.accumulate
           (Crc.accumulate_string Crc.init (String.sub s (pos + 1) (header_len - 1 + len)))
-          (crc_extra_of msgid)
+          (Messages.crc_extra_of msgid)
       in
       let expected = Crc.value crc in
       let got = Char.code s.[pos + total - 2] lor (Char.code s.[pos + total - 1] lsl 8) in

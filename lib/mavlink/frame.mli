@@ -15,23 +15,24 @@ val header_len : int
 
 val crc_len : int
 
-(** [encode t] renders the frame.  [crc_extra] defaults to the catalog
-    value for [t.msgid].
+(** [encode t] renders the frame, its checksum taken over the catalog's
+    CRC_EXTRA for [t.msgid] ({!Messages.crc_extra_of}).
     @raise Invalid_argument when the payload exceeds 255 bytes or ids are
     out of byte range. *)
-val encode : ?crc_extra:int -> t -> string
+val encode : t -> string
 
 type error =
   | Bad_magic
   | Bad_crc of { got : int; expected : int }
   | Truncated
 
-(** [decode ?crc_extra ?pos s] parses one complete frame starting at
-    offset [pos] (default 0) of [s]; returns the frame and the number of
-    bytes consumed from [pos].  Taking an offset lets streaming callers
-    scan a buffer without copying a fresh suffix per attempt.
+(** [decode ?pos s] parses one complete frame starting at offset [pos]
+    (default 0) of [s], checking its CRC against the catalog's CRC_EXTRA
+    for its message id; returns the frame and the number of bytes
+    consumed from [pos].  Taking an offset lets streaming callers scan a
+    buffer without copying a fresh suffix per attempt.
     @raise Invalid_argument when [pos] is outside [s]. *)
-val decode : ?crc_extra_of:(int -> int) -> ?pos:int -> string -> (t * int, error) result
+val decode : ?pos:int -> string -> (t * int, error) result
 
 (** {2 Test hooks}
 
@@ -43,7 +44,7 @@ val decode : ?crc_extra_of:(int -> int) -> ?pos:int -> string -> (t * int, error
     packet a malicious ground station sends once the receiver's length
     check is disabled (§IV-B).  The CRC is computed over the bytes
     actually sent so the firmware accepts it. *)
-val encode_raw : ?crc_extra:int -> declared_len:int -> t -> string
+val encode_raw : declared_len:int -> t -> string
 
 val pp_error : Format.formatter -> error -> unit
 

@@ -1,15 +1,14 @@
 type stats = { frames_ok : int; crc_errors : int; bytes_dropped : int }
 
 type t = {
-  crc_extra_of : int -> int;
   buf : Buffer.t;
   mutable frames_ok : int;
   mutable crc_errors : int;
   mutable bytes_dropped : int;
 }
 
-let create ?(crc_extra_of = Messages.crc_extra_of) () =
-  { crc_extra_of; buf = Buffer.create 64; frames_ok = 0; crc_errors = 0; bytes_dropped = 0 }
+let create () =
+  { buf = Buffer.create 64; frames_ok = 0; crc_errors = 0; bytes_dropped = 0 }
 
 let feed t bytes =
   (* Single pass over one string, tracking an offset: a k-frame chunk is
@@ -41,7 +40,7 @@ let feed t bytes =
       pos := next
     end
     else
-      match Frame.decode ~crc_extra_of:t.crc_extra_of ~pos:!pos data with
+      match Frame.decode ~pos:!pos data with
       | Ok (frame, consumed) ->
           t.frames_ok <- t.frames_ok + 1;
           frames := frame :: !frames;
@@ -67,9 +66,9 @@ let pending t = Buffer.length t.buf
    so the byte loop above is untouched — the link-quality numbers the
    ground station's anomaly detector keys on become observable without
    any per-byte instrumentation cost. *)
-let attach_metrics ?(prefix = "mavlink") t registry =
+let attach_metrics t registry =
   let module M = Mavr_telemetry.Metrics in
-  let name s = prefix ^ "." ^ s in
+  let name s = "gcs.link." ^ s in
   M.sampled registry (name "frames_ok") (fun () -> t.frames_ok);
   M.sampled registry (name "crc_errors") (fun () -> t.crc_errors);
   M.sampled registry (name "bytes_dropped") (fun () -> t.bytes_dropped);

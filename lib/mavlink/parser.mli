@@ -13,7 +13,7 @@ type stats = {
 
 type t
 
-val create : ?crc_extra_of:(int -> int) -> unit -> t
+val create : unit -> t
 
 (** [feed t bytes] consumes a chunk and returns the frames completed by
     it, in order. *)
@@ -24,8 +24,8 @@ val stats : t -> stats
 (** Bytes currently buffered waiting for a complete frame. *)
 val pending : t -> int
 
-(** [attach_metrics ?prefix t registry] exports the link-quality counters
-    ([<prefix>.frames_ok], [.crc_errors], [.bytes_dropped],
-    [.bytes_pending]; default prefix ["mavlink"]) as sampled gauges —
-    read at snapshot time, zero cost on the parse path. *)
-val attach_metrics : ?prefix:string -> t -> Mavr_telemetry.Metrics.registry -> unit
+(** [attach_metrics t registry] exports the link-quality counters of the
+    ground station's downlink parser ([gcs.link.frames_ok],
+    [.crc_errors], [.bytes_dropped], [.bytes_pending]) as sampled gauges
+    — read at snapshot time, zero cost on the parse path. *)
+val attach_metrics : t -> Mavr_telemetry.Metrics.registry -> unit

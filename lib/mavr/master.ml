@@ -9,7 +9,6 @@ let src = Logs.Src.create "mavr.master" ~doc:"MAVR master processor"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 type config = {
-  link : Serial.t;
   randomize_every_boots : int;
   watchdog_window_cycles : int;
   seed : int;
@@ -17,7 +16,6 @@ type config = {
 
 let default_config =
   {
-    link = Serial.prototype;
     randomize_every_boots = 1;
     watchdog_window_cycles = 60_000;
     seed = 0xD15EA5E;
@@ -96,9 +94,9 @@ let create ?(config = default_config) () =
 
 let set_reflash_faults t f = t.reflash_fault <- f
 
-let attach_telemetry ?(prefix = "master") t ~registry ~recorder =
+let attach_telemetry t ~registry ~recorder =
   let module M = Mavr_telemetry.Metrics in
-  let name s = prefix ^ "." ^ s in
+  let name s = "master." ^ s in
   M.sampled registry (name "boots") (fun () -> t.boots);
   M.sampled registry (name "reflashes") (fun () -> t.reflashes);
   M.sampled registry (name "attacks_detected") (fun () -> t.attacks);
@@ -138,8 +136,11 @@ let stored_hex t = Flash.read t.ext_flash ~pos:0 ~len:(Flash.content_length t.ex
 let stored t =
   match t.stored with Some s -> s | None -> invalid_arg "Master: not provisioned"
 
+(* The programming link: the prototype's 115200-baud UART. *)
+let link = Serial.prototype
+
 (* The Table II quantity for this master's link. *)
-let startup_overhead_ms t bytes = Serial.programming_ms t.config.link bytes
+let startup_overhead_ms bytes = Serial.programming_ms link bytes
 
 (* A §VI-B3 streaming session: draw a permutation, lay the stored image
    out in it (the emulated application processor takes the whole image),
@@ -199,7 +200,6 @@ let program_app t ~app image =
       let module R = Mavr_telemetry.Recorder in
       let module M = Mavr_telemetry.Metrics in
       let us f = int_of_float (1000.0 *. f) in
-      let link = t.config.link in
       (* Each verify failure repeats the transfer and page-write phases
          (the patch was computed once); the histograms and spans carry
          the session as actually paid for. *)
@@ -225,9 +225,9 @@ let program_app t ~app image =
   Cpu.load_program app code;
   t.reflashes <- t.reflashes + 1;
   t.last_overhead_ms <-
-    startup_overhead_ms t bytes
+    startup_overhead_ms bytes
     +. (float_of_int extra_transfers
-       *. (Serial.transfer_ms t.config.link bytes +. Serial.flash_ms t.config.link bytes));
+       *. (Serial.transfer_ms link bytes +. Serial.flash_ms link bytes));
   t.current <- Some image
 
 let boot t ~app =

@@ -9,8 +9,9 @@
     reprograms the application processor, so the UAV recovers in flight
     and every attack faces a fresh layout. *)
 
+(** The master programs the application processor over the prototype's
+    115200-baud UART ({!Serial.prototype}). *)
 type config = {
-  link : Serial.t;
   randomize_every_boots : int;
       (** randomize on boots 1, 1+k, 1+2k, … ; 1 = every boot.  Larger
           values trade entropy refresh for flash endurance (§V-C). *)
@@ -104,20 +105,19 @@ val check_and_recover : t -> app:Mavr_avr.Cpu.t -> bool
     number of failed attacks detected during this window. *)
 val supervise : t -> app:Mavr_avr.Cpu.t -> cycles:int -> int
 
-(** [attach_telemetry ?prefix t ~registry ~recorder] exports the master's
-    counters as sampled gauges ([<prefix>.boots], [.reflashes],
-    [.attacks_detected], [.pages_programmed], [.peak_working_set];
-    default prefix ["master"]) and instruments every flash session with
-    the Table II phase decomposition: spans on [recorder]
-    ([master.flash_session] begin/end framing [master.phase.patch] /
+(** [attach_telemetry t ~registry ~recorder] exports the master's
+    counters as sampled gauges ([master.boots], [.reflashes],
+    [.attacks_detected], [.pages_programmed], [.peak_working_set]) and
+    instruments every flash session with the Table II phase
+    decomposition: spans on [recorder] ([master.flash_session]
+    begin/end framing [master.phase.patch] /
     [.serial] / [.page_writes] point events, values in modeled µs) and
-    microsecond histograms ([<prefix>.flash.patch_us], [.serial_us],
+    microsecond histograms ([master.flash.patch_us], [.serial_us],
     [.page_write_us], [.total_us]).  Reflash-fault bookkeeping rides
     along: an extra-transfers-per-session histogram
-    ([<prefix>.flash.retries]) and a fallback tally
-    ([<prefix>.flash.fallback_streams], a sampled counter). *)
+    ([master.flash.retries]) and a fallback tally
+    ([master.flash.fallback_streams], a sampled counter). *)
 val attach_telemetry :
-  ?prefix:string ->
   t ->
   registry:Mavr_telemetry.Metrics.registry ->
   recorder:Mavr_telemetry.Recorder.t ->

@@ -125,7 +125,7 @@ let decode text =
   if not !saw_eof then parse_error !line "missing end-of-file record";
   merge (List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !chunks))
 
-let flatten ?(fill = '\xff') ?limit segments =
+let flatten ?limit segments =
   let visible = match limit with
     | None -> segments
     | Some l -> List.filter (fun (a, _) -> a < l) segments
@@ -134,7 +134,7 @@ let flatten ?(fill = '\xff') ?limit segments =
     List.fold_left (fun m (a, d) -> max m (a + String.length d)) 0 visible
   in
   let extent = match limit with Some l -> min extent l | None -> extent in
-  let out = Bytes.make extent fill in
+  let out = Bytes.make extent '\xff' in
   List.iter
     (fun (a, d) ->
       let len = min (String.length d) (extent - a) in

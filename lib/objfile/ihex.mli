@@ -20,7 +20,7 @@ val encode : (int * string) list -> string
     missing EOF record...). *)
 val decode : string -> (int * string) list
 
-(** [flatten ?fill segments] lays segments into a single string starting
-    at address 0, filling gaps with [fill] (default [0xFF], erased-flash
-    state), and dropping segments beyond [limit] when given. *)
-val flatten : ?fill:char -> ?limit:int -> (int * string) list -> string
+(** [flatten ?limit segments] lays segments into a single string
+    starting at address 0, filling gaps with [0xFF] (erased-flash state),
+    and dropping segments beyond [limit] when given. *)
+val flatten : ?limit:int -> (int * string) list -> string

@@ -21,10 +21,12 @@ let pp_alarm fmt = function
       Format.fprintf fmt "link corruption (%d CRC errors, %d bytes dropped)" crc_errors bytes_dropped
   | Unexpected_reboot { seq_jump } -> Format.fprintf fmt "unexpected reboot (seq jump %d)" seq_jump
 
+(* Alarm thresholds: a silence longer than these raises the alarm. *)
+let heartbeat_timeout_ms = 3000.0
+let telemetry_timeout_ms = 1000.0
+
 type t = {
   parser : Parser.t;
-  heartbeat_timeout_ms : float;
-  telemetry_timeout_ms : float;
   mutable last_heartbeat_ms : float;
   mutable last_frame_ms : float;
   mutable started : bool;
@@ -39,11 +41,9 @@ type t = {
   mutable heartbeats : int;
 }
 
-let create ?(heartbeat_timeout_ms = 3000.0) ?(telemetry_timeout_ms = 1000.0) () =
+let create () =
   {
     parser = Parser.create ();
-    heartbeat_timeout_ms;
-    telemetry_timeout_ms;
     last_heartbeat_ms = 0.0;
     last_frame_ms = 0.0;
     started = false;
@@ -97,14 +97,14 @@ let check t ~now_ms =
        still flows is exactly the partial-failure signature a nested
        check would miss — and a latched silence episode must not stop
        the heartbeat clock from being re-armed when frames resume. *)
-    if now_ms -. t.last_frame_ms > t.telemetry_timeout_ms then begin
+    if now_ms -. t.last_frame_ms > telemetry_timeout_ms then begin
       if not t.silent_latched then begin
         t.silent_latched <- true;
         raise_alarm t (Telemetry_silence { silent_ms = now_ms -. t.last_frame_ms })
       end
     end
     else t.silent_latched <- false;
-    if t.heartbeats > 0 && now_ms -. t.last_heartbeat_ms > t.heartbeat_timeout_ms then begin
+    if t.heartbeats > 0 && now_ms -. t.last_heartbeat_ms > heartbeat_timeout_ms then begin
       if not t.hb_latched then begin
         t.hb_latched <- true;
         raise_alarm t (Heartbeat_lost { silent_ms = now_ms -. t.last_heartbeat_ms })
@@ -127,13 +127,12 @@ let check t ~now_ms =
 let alarms t = List.rev t.alarms
 let attack_suspected t = t.alarms <> []
 
-let attach_metrics ?(prefix = "gcs") t registry =
+let attach_metrics t registry =
   let module M = Mavr_telemetry.Metrics in
-  let name s = prefix ^ "." ^ s in
-  M.sampled registry (name "frames") (fun () -> t.frames);
-  M.sampled registry (name "heartbeats") (fun () -> t.heartbeats);
-  M.sampled registry (name "alarms") (fun () -> List.length t.alarms);
-  Parser.attach_metrics ~prefix:(name "link") t.parser registry
+  M.sampled registry "gcs.frames" (fun () -> t.frames);
+  M.sampled registry "gcs.heartbeats" (fun () -> t.heartbeats);
+  M.sampled registry "gcs.alarms" (fun () -> List.length t.alarms);
+  Parser.attach_metrics t.parser registry
 let last_gyro_raw t = t.last_gyro
 let last_accel_raw t = t.last_accel
 let frames_received t = t.frames

@@ -24,8 +24,10 @@ val alarm_key : alarm -> string
 
 type t
 
-(** [create ?heartbeat_timeout_ms ?telemetry_timeout_ms ()] *)
-val create : ?heartbeat_timeout_ms:float -> ?telemetry_timeout_ms:float -> unit -> t
+(** [create ()] — a ground station that raises [Heartbeat_lost] after
+    more than 3000 ms without a heartbeat and [Telemetry_silence] after
+    more than 1000 ms without any frame. *)
+val create : unit -> t
 
 (** [feed t ~now_ms bytes] consumes a chunk of downlink. *)
 val feed : t -> now_ms:float -> string -> unit
@@ -42,12 +44,11 @@ val last_gyro_raw : t -> int option
 
 val frames_received : t -> int
 
-(** [attach_metrics ?prefix t registry] exports the ground station's
-    counters as sampled gauges ([<prefix>.frames], [.heartbeats],
-    [.alarms]; default prefix ["gcs"]) and forwards the private downlink
-    parser's statistics under [<prefix>.link] (frames_ok, crc_errors,
-    bytes_dropped, bytes_pending). *)
-val attach_metrics : ?prefix:string -> t -> Mavr_telemetry.Metrics.registry -> unit
+(** [attach_metrics t registry] exports the ground station's counters as
+    sampled gauges ([gcs.frames], [gcs.heartbeats], [gcs.alarms]) and
+    the private downlink parser's statistics under [gcs.link]
+    (frames_ok, crc_errors, bytes_dropped, bytes_pending). *)
+val attach_metrics : t -> Mavr_telemetry.Metrics.registry -> unit
 
 (** {2 Test hooks}
 

@@ -590,8 +590,8 @@ let run ?pool ?jobs ?(ms = 900) ?(faults = Fault.Profile.none) ?tracer ?progress
    records an entry line for every completed or skipped index in range.
    Bounds must be cell-aligned — multiples of [trials] — so shard
    early-stop trajectories match the single-host run's. *)
-let run_shard ?pool ?jobs ?(ms = 900) ?(faults = Fault.Profile.none) ?tracer ?progress
-    ?early_stop ~checkpoint ~lo ~hi ~seed ~trials (build : F.Build.t) =
+let run_shard ?pool ?(ms = 900) ?(faults = Fault.Profile.none) ?progress ?early_stop
+    ~checkpoint ~lo ~hi ~seed ~trials (build : F.Build.t) =
   if trials < 1 then invalid_arg "Montecarlo.run_shard: trials must be >= 1";
   let tasks = cell_count ~faults * trials in
   if lo < 0 || hi > tasks || lo > hi then
@@ -601,7 +601,7 @@ let run_shard ?pool ?jobs ?(ms = 900) ?(faults = Fault.Profile.none) ?tracer ?pr
       (Printf.sprintf "Montecarlo.run_shard: bounds [%d,%d) not multiples of %d trials" lo hi
          trials);
   let (_ : _ array * int array * int array * int) =
-    drive ?pool ?jobs ~ms ~faults ?tracer ?progress ?early_stop ~checkpoint
+    drive ?pool ~ms ~faults ?progress ?early_stop ~checkpoint
       ~cell_range:(lo / trials, hi / trials) ~seed ~trials build
   in
   ()
@@ -673,7 +673,7 @@ let level_to_json lr =
       ("controls", Json.List (Array.to_list (Array.map control_to_json lr.controls)));
     ]
 
-let to_json ?(with_metrics = true) t =
+let to_json t =
   Json.Obj
     ([
        ("seed", Json.Int t.seed);
@@ -696,7 +696,7 @@ let to_json ?(with_metrics = true) t =
         ("levels", Json.List (Array.to_list (Array.map level_to_json t.levels)));
         ("grid", Json.List (Array.to_list (Array.map cell_to_json (cells t))));
       ]
-    @ if with_metrics then [ ("metrics", Metrics.to_json t.metrics) ] else [])
+    @ [ ("metrics", Metrics.to_json t.metrics) ])
 
 let pp fmt t =
   Format.fprintf fmt

@@ -169,10 +169,8 @@ val run :
     cell-aligned. *)
 val run_shard :
   ?pool:Mavr_campaign.Pool.t ->
-  ?jobs:int ->
   ?ms:int ->
   ?faults:Mavr_fault.Profile.t ->
-  ?tracer:Mavr_telemetry.Span.tracer ->
   ?progress:Mavr_campaign.Progress.t ->
   ?early_stop:Mavr_campaign.Early_stop.t ->
   checkpoint:Mavr_campaign.Checkpoint.t ->
@@ -200,8 +198,7 @@ val false_alarm_rate : control -> float
 (** Deterministic JSON (levels and cells in fixed order, metrics sorted
     by name).  The top-level [grid] key carries the clean baseline cells
     for downstream tooling; the [levels] list holds every intensity's
-    grid and control rows.  [with_metrics:false] drops the merged
-    registry. *)
-val to_json : ?with_metrics:bool -> t -> Mavr_telemetry.Json.t
+    grid and control rows, and [metrics] the merged registry. *)
+val to_json : t -> Mavr_telemetry.Json.t
 
 val pp : Format.formatter -> t -> unit

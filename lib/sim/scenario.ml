@@ -21,7 +21,6 @@ type t = {
   master : Master.t option;
   gcs : Groundstation.t;
   sensors : Sensors.t;
-  cycles_per_ms : int;
   faults : Mavr_fault.Injector.t option;
   uplink : string Queue.t;
   mutable dyn : Dynamics.state;
@@ -29,7 +28,11 @@ type t = {
   mutable tel : tel option;
 }
 
-let create ?(cycles_per_ms = 2000) ?faults ?stored ~image defense =
+(* The emulated clock: a slowed 16 MHz part, which keeps long scenarios
+   fast while preserving ordering. *)
+let cycles_per_ms = 2000
+
+let create ?faults ?stored ~image defense =
   let app = Cpu.create () in
   let master =
     match defense with
@@ -52,7 +55,6 @@ let create ?(cycles_per_ms = 2000) ?faults ?stored ~image defense =
     master;
     gcs = Groundstation.create ();
     sensors = Sensors.create ~seed:0xBADC0FFEE ();
-    cycles_per_ms;
     faults;
     uplink = Queue.create ();
     dyn = Dynamics.initial;
@@ -113,7 +115,7 @@ let tick t =
     record_event t "sim.uplink_delivered" ~value:(String.length uplink_bytes);
     Cpu.uart_send t.app uplink_bytes
   end;
-  ignore (Cpu.run_until_halt t.app ~max_cycles:t.cycles_per_ms);
+  ignore (Cpu.run_until_halt t.app ~max_cycles:cycles_per_ms);
   (* Drain this tick's telemetry BEFORE the watchdog check: a recovery
      reflash resets the application CPU, which clears the UART TX
      buffer — draining afterwards would destroy exactly the bytes the

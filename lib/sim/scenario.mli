@@ -15,10 +15,9 @@ type defense =
 
 type t
 
-(** [create ?cycles_per_ms ?faults ?stored ~image defense] boots the
-    system.
-    [cycles_per_ms] scales the emulated clock (default 2000 — a slowed
-    16 MHz part, keeping long scenarios fast while preserving ordering).
+(** [create ?faults ?stored ~image defense] boots the system.  The
+    emulated clock runs 2000 cycles per millisecond — a slowed 16 MHz
+    part, keeping long scenarios fast while preserving ordering.
     [faults] arms the fault-injection rig for the whole flight: the
     downlink channel corrupts the app→GCS telemetry stream, the uplink
     channel corrupts injected attacker frames, SEUs strike between
@@ -28,7 +27,6 @@ type t
     [Master.store image], made once and shared by many flights — and
     from [image] otherwise. *)
 val create :
-  ?cycles_per_ms:int ->
   ?faults:Mavr_fault.Injector.t ->
   ?stored:Mavr_core.Master.stored ->
   image:Mavr_obj.Image.t ->
@@ -50,7 +48,7 @@ val run : t -> ms:float -> unit
     the start of the next tick). *)
 val inject : t -> string list -> unit
 
-(** [attach_telemetry ?recorder_capacity t ~registry] instruments the
+(** [attach_telemetry t ~registry] instruments the
     whole rig: attaches the standard CPU probe bundle (prefix ["app"]) to
     the application processor, exports ground-station and master counters
     as sampled gauges, counts ticks ([sim.ticks]) and samples the clock
@@ -58,7 +56,12 @@ val inject : t -> string list -> unit
     ([sim.inject] / [sim.uplink_delivered]) and fresh GCS alarms
     ([gcs.alarm.<kind>], value = ms timestamp) — on the probe bundle's
     flight-recorder ring, which the master's flash-session spans share.
-    Returns the probe bundle (its [flight_record] is the unified ring). *)
+    Returns the probe bundle (its [flight_record] is the unified ring,
+    256 events long).
+
+    Test hook: [recorder_capacity] lengthens the ring, which also logs one
+    event per executed block: a test reading milestones several ticks
+    back needs more than 256. *)
 val attach_telemetry :
   ?recorder_capacity:int ->
   t ->

@@ -4,17 +4,15 @@ module Io = Mavr_avr.Device.Io
 
 type reading = { gyro_x_raw : int; accel_x_raw : int; baro_alt_cm : int }
 
-type t = {
-  rng : Rng.t;
-  gyro_noise : float;
-  accel_noise : float;
-  baro_noise : float;
-  mutable gyro_bias : float;
-  mutable accel_bias : float;
-}
+type t = { rng : Rng.t; mutable gyro_bias : float; mutable accel_bias : float }
 
-let create ?(gyro_noise = 3.0) ?(accel_noise = 8.0) ?(baro_noise = 15.0) ~seed () =
-  { rng = Rng.create ~seed; gyro_noise; accel_noise; baro_noise; gyro_bias = 0.0; accel_bias = 0.0 }
+(* Noise magnitudes: raw LSB for the gyroscope and accelerometer,
+   centimetres for the barometer. *)
+let gyro_noise = 3.0
+let accel_noise = 8.0
+let baro_noise = 15.0
+
+let create ~seed () = { rng = Rng.create ~seed; gyro_bias = 0.0; accel_bias = 0.0 }
 
 (* Symmetric triangular noise in [-mag, mag] (sum of two uniforms): cheap
    and bounded, unlike a true Gaussian. *)
@@ -32,12 +30,12 @@ let to_i16_raw v =
   max (-32768) (min 32767 raw) land 0xFFFF
 
 let sample t (s : Dynamics.state) =
-  t.gyro_bias <- drift t t.gyro_bias t.gyro_noise;
-  t.accel_bias <- drift t t.accel_bias t.accel_noise;
-  let gyro = (s.roll_rate *. 1000.0) +. t.gyro_bias +. noise t t.gyro_noise in
+  t.gyro_bias <- drift t t.gyro_bias gyro_noise;
+  t.accel_bias <- drift t t.accel_bias accel_noise;
+  let gyro = (s.roll_rate *. 1000.0) +. t.gyro_bias +. noise t gyro_noise in
   (* Forward acceleration ~ pitch attitude in steady flight (1000 LSB/g). *)
-  let accel = (s.pitch *. 1000.0) +. t.accel_bias +. noise t t.accel_noise in
-  let baro = (s.altitude_m *. 100.0) +. noise t t.baro_noise in
+  let accel = (s.pitch *. 1000.0) +. t.accel_bias +. noise t accel_noise in
+  let baro = (s.altitude_m *. 100.0) +. noise t baro_noise in
   {
     gyro_x_raw = to_i16_raw gyro;
     accel_x_raw = to_i16_raw accel;

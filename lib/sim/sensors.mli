@@ -14,9 +14,10 @@ type reading = {
 
 type t
 
-(** [create ~seed ()] — optional noise magnitudes in raw LSB
-    ([gyro_noise], [accel_noise]) and centimetres ([baro_noise]). *)
-val create : ?gyro_noise:float -> ?accel_noise:float -> ?baro_noise:float -> seed:int -> unit -> t
+(** [create ~seed ()] — white noise of at most 3 LSB on the gyroscope,
+    8 LSB on the accelerometer and 15 cm on the barometer; the gyroscope
+    and accelerometer biases wander within the same magnitudes. *)
+val create : seed:int -> unit -> t
 
 (** [sample t state] draws one noisy reading of [state]. *)
 val sample : t -> Dynamics.state -> reading

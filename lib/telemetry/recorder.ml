@@ -11,7 +11,7 @@ type event = { cycle : int; kind : kind; name : string; value : int }
    [no_sync] while it runs, so it may record. *)
 type t = {
   cycles : int array;
-  kinds : int array; (* kind_code below *)
+  kinds : int array; (* 0 point, 1 span begin, 2 span end: kind_of_code below *)
   names : string array;
   values : int array;
   mutable head : int;
@@ -20,7 +20,6 @@ type t = {
   mutable sync : unit -> unit;
 }
 
-let kind_code = function Point -> 0 | Span_begin -> 1 | Span_end -> 2
 let kind_of_code = function 1 -> Span_begin | 2 -> Span_end | _ -> Point
 
 let no_sync () = ()
@@ -71,7 +70,7 @@ let push t ~cycle ~kindc ~value name =
   if t.len < cap then t.len <- t.len + 1;
   t.total <- t.total + 1
 
-let record t ~cycle ?(kind = Point) ?(value = 0) name = push t ~cycle ~kindc:(kind_code kind) ~value name
+let record t ~cycle ?(value = 0) name = push t ~cycle ~kindc:0 ~value name
 let span_begin t ~cycle ?(value = 0) name = push t ~cycle ~kindc:1 ~value name
 let span_end t ~cycle ?(value = 0) name = push t ~cycle ~kindc:2 ~value name
 

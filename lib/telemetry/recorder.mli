@@ -32,7 +32,9 @@ val capacity : t -> int
 (** Events currently retained (≤ capacity). *)
 val length : t -> int
 
-val record : t -> cycle:int -> ?kind:kind -> ?value:int -> string -> unit
+(** [record t ~cycle ?value name] records a point event ([value]
+    defaults to 0). *)
+val record : t -> cycle:int -> ?value:int -> string -> unit
 val span_begin : t -> cycle:int -> ?value:int -> string -> unit
 val span_end : t -> cycle:int -> ?value:int -> string -> unit
 val clear : t -> unit

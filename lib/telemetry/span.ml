@@ -114,7 +114,7 @@ let instant l ?(args = []) name =
       e_args = args;
     }
 
-let cycle_instant l ~cycle ?(args = []) name =
+let cycle_instant l ~cycle ~args name =
   require l Cycles "cycle_instant";
   push l
     {

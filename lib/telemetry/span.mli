@@ -100,10 +100,14 @@ val lane_of_json : tracer -> Json.t -> (lane, string) result
 
 (** Chrome [trace_event] document: [{"traceEvents": [...]}] with
     process/thread metadata — Host lanes under pid 1 (process
-    ["host"]), Cycles lanes under pid 2 (process ["cycles"]).  With
-    [~strip_timing:true] (default false) every Host-lane [ts]/[dur]/
-    cpu field is zeroed, making the bytes jobs-invariant; Cycles
-    stamps are deterministic and always kept. *)
+    ["host"]), Cycles lanes under pid 2 (process ["cycles"]).
+
+    Test hook: [~strip_timing:true] (default false) zeroes every
+    Host-lane [ts]/[dur]/cpu field, making the bytes jobs-invariant;
+    Cycles stamps are deterministic and always kept.  Tests use it to
+    byte-compare whole exports, lane metadata included, across job
+    counts; the CLI's traces are stripped by [trace_check --strip]
+    instead. *)
 val to_trace_event : ?strip_timing:bool -> tracer -> Json.t
 
 (** {2 Test hooks}
@@ -111,7 +115,7 @@ val to_trace_event : ?strip_timing:bool -> tracer -> Json.t
     Used only by the tests, to emit a cycles-domain event directly and to
     inspect what a tracer recorded. *)
 
-val cycle_instant : lane -> cycle:int -> ?args:(string * Json.t) list -> string -> unit
+val cycle_instant : lane -> cycle:int -> args:(string * Json.t) list -> string -> unit
 
 (** Timing-free event views in deterministic export order: lanes sorted
     by (domain, sort, name), events in per-lane emission order.  This

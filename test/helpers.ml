@@ -51,6 +51,19 @@ let telemetry cpu ~cycles =
   let frames = Mavr_mavlink.Parser.feed parser (Cpu.uart_take_tx cpu) in
   (r, frames, Mavr_mavlink.Parser.stats parser)
 
+(* [f]'s wire bytes with the checksum taken over [crc_extra] in place of
+   the catalog's CRC_EXTRA byte: a frame from a sender that disagrees
+   with the receiver's message catalog. *)
+let encode_with_crc_extra ~crc_extra f =
+  let module Crc = Mavr_mavlink.Crc in
+  let wire = Mavr_mavlink.Frame.encode f in
+  let n = String.length wire in
+  let body = String.sub wire 0 (n - 2) in
+  let crc =
+    Crc.value (Crc.accumulate (Crc.accumulate_string Crc.init (String.sub body 1 (n - 3))) crc_extra)
+  in
+  body ^ String.init 2 (fun i -> Char.chr ((crc lsr (8 * i)) land 0xFF))
+
 let qtest = QCheck_alcotest.to_alcotest
 
 (* The predecode-cache oracle.  It turns superblocks off, so every

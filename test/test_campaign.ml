@@ -72,7 +72,7 @@ let test_pool_exceptions_surfaced () =
 let test_pool_zero_tasks_and_caps () =
   Pool.with_pool ~jobs:2 (fun pool -> Pool.run pool ~tasks:0 (fun _ -> Alcotest.fail "ran"));
   Alcotest.check_raises "jobs < 1 refused" (Invalid_argument "Campaign.Pool.create: jobs must be >= 1")
-    (fun () -> ignore (Pool.create ~jobs:0 ()));
+    (fun () -> Pool.with_pool ~jobs:0 ignore);
   Pool.with_pool ~jobs:1000 (fun pool ->
       Alcotest.(check bool) "job count capped" true (Pool.jobs pool <= Pool.max_jobs))
 

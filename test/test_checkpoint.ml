@@ -75,6 +75,17 @@ let test_checkpoint_roundtrip () =
       | Checkpoint.Skip "early_stop" -> ()
       | _ -> Alcotest.fail "skip entry mangled")
 
+let test_snapshot_interval_checked () =
+  let path = tmp "every" in
+  let s = spec ~trials:1 () in
+  Checkpoint.close (Checkpoint.create ~path s);
+  Alcotest.check_raises "create refuses every < 1"
+    (Invalid_argument "Campaign.Checkpoint.create: every must be >= 1") (fun () ->
+      ignore (Checkpoint.create ~path ~every:0 s));
+  Alcotest.check_raises "resume refuses every < 1"
+    (Invalid_argument "Campaign.Checkpoint.resume: every must be >= 1") (fun () ->
+      ignore (Checkpoint.resume ~path ~every:0 s))
+
 (* ---- resume determinism --------------------------------------------- *)
 
 let baseline = lazy (Montecarlo.run ~jobs:1 ~ms:600 ~seed:11 ~trials:1 (build ()))
@@ -418,6 +429,7 @@ let () =
         [
           Alcotest.test_case "spec hash sensitivity" `Quick test_spec_hash_sensitivity;
           Alcotest.test_case "record/skip round-trip" `Quick test_checkpoint_roundtrip;
+          Alcotest.test_case "snapshot interval checked" `Quick test_snapshot_interval_checked;
         ] );
       ( "resume",
         [

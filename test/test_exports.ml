@@ -13,6 +13,11 @@
    module's [pp], or a local variable named [faults], would keep any
    export of the same name alive.
 
+   Knob guard: every optional argument ([?label:]) of such a [val] must
+   be passed by one of those callers, as [~label], [~label:] or [?label]
+   in an application of it (see [passes]).  An option only its default
+   ever takes is a constant in disguise.
+
    It reads source files only: nothing is compiled, loaded or run.  The
    roots are the dune [source_tree] dependencies of this test, seen from
    the test's build directory. *)
@@ -39,7 +44,7 @@ let is_ident_char = function
    string does not count as a caller.  String, quoted-string and
    character literals are skipped whole, inside comments too (as the
    OCaml lexer does), so a quoted delimiter cannot open or close a
-   comment. *)
+   comment.  Newlines are kept, so the code keeps its lines. *)
 let code_only text =
   let n = String.length text in
   let out = Buffer.create n in
@@ -75,6 +80,12 @@ let code_only text =
   in
   let opens i = i + 1 < n && text.[i] = '(' && text.[i + 1] = '*' in
   let closes i = i + 1 < n && text.[i] = '*' && text.[i + 1] = ')' in
+  (* the newlines of [text] from [i] to [j], so lines stay lines *)
+  let newlines i j =
+    for k = i to min j n - 1 do
+      if text.[k] = '\n' then Buffer.add_char out '\n'
+    done
+  in
   let rec code i =
     if i < n then
       if opens i then comment 1 (i + 2)
@@ -82,6 +93,7 @@ let code_only text =
         match literal_end i with
         | Some j ->
             Buffer.add_char out ' ';
+            newlines i j;
             code j
         | None ->
             Buffer.add_char out text.[i];
@@ -95,7 +107,10 @@ let code_only text =
           code (i + 2)
         end
         else comment (depth - 1) (i + 2)
-      else match literal_end i with Some j -> comment depth j | None -> comment depth (i + 1)
+      else
+        let j = match literal_end i with Some j -> j | None -> i + 1 in
+        newlines i j;
+        comment depth j
     end
   in
   code 0;
@@ -115,28 +130,33 @@ type path = string list
    binds ([let], [and], [external], [val]) and the record fields it
    declares. *)
 type file = {
-  uses : (string, path) Hashtbl.t;
+  code : string;
+  uses : (string, path * int) Hashtbl.t;
   aliases : (string, path) Hashtbl.t;
   opens : path list;
   binds : string list;
   fields : string list;
 }
 
+let rec ident_end code j =
+  if j < String.length code && is_ident_char code.[j] then ident_end code (j + 1) else j
+
+(* Whether the whole word [w] starts at [i] of [code]. *)
+let word_at code i w =
+  let l = String.length w and n = String.length code in
+  i >= 0 && i + l <= n
+  && String.sub code i l = w
+  && (i = 0 || not (is_ident_char code.[i - 1]))
+  && (i + l = n || not (is_ident_char code.[i + l]))
+
 let scan text =
   let code = code_only text in
   let n = String.length code in
   let rec skip i = if i < n && is_blank code.[i] then skip (i + 1) else i in
   let rec skip_back i = if i >= 0 && is_blank code.[i] then skip_back (i - 1) else i in
-  let rec ident_end j = if j < n && is_ident_char code.[j] then ident_end (j + 1) else j in
+  let ident_end = ident_end code and word_at = word_at code in
   let ident i = String.sub code i (ident_end i - i) in
   let lower s = s <> "" && not (is_upper s.[0] || is_digit s.[0]) in
-  let word_at i w =
-    let l = String.length w in
-    i >= 0 && i + l <= n
-    && String.sub code i l = w
-    && (i = 0 || not (is_ident_char code.[i - 1]))
-    && (i + l = n || not (is_ident_char code.[i + l]))
-  in
   (* the dotted path of capitalized components starting at [i] *)
   let rec module_path i =
     if i < n && is_upper code.[i] then
@@ -194,7 +214,7 @@ let scan text =
           let quals =
             if is_upper id.[0] then id :: quals
             else begin
-              Hashtbl.add uses id (List.rev quals);
+              Hashtbl.add uses id (List.rev quals, j);
               []
             end
           in
@@ -210,7 +230,7 @@ let scan text =
       else go (i + 1)
   in
   go 0;
-  { uses; aliases; opens = List.rev !opens; binds = !binds; fields = !fields }
+  { code; uses; aliases; opens = List.rev !opens; binds = !binds; fields = !fields }
 
 (* [p] with a leading alias replaced by what it names. *)
 let rec expand f depth = function
@@ -227,19 +247,75 @@ let prefixes ~scope f =
   let roots = ([] :: scope) @ opens in
   List.sort_uniq compare (roots @ List.concat_map (fun s -> List.map (fun o -> s @ o) opens) roots)
 
-(* Whether [f] names [name] as a member of module [m]. *)
-let names_qualified f ~prefixes name m =
-  List.exists
-    (fun q ->
+(* Where [f] names [name] as a member of module [m]: the index just
+   past each such use. *)
+let qualified_uses f ~prefixes name m =
+  List.filter_map
+    (fun (q, j) ->
       let q = expand f 8 q in
-      List.exists (fun s -> s @ q = m) prefixes)
+      if List.exists (fun s -> s @ q = m) prefixes then Some j else None)
     (Hashtbl.find_all f.uses name)
 
-(* The [val]s an interface exports, each as its name and its path
-   within the module ("External_flash.read_byte").  Operators are
-   skipped (no whole word to look for), and so are the [val]s of a
-   [module type], which are requirements on an argument rather than
-   exports. *)
+(* Words that end an application when they occur outside its brackets:
+   the keywords that close the expression it sits in, and those that
+   start the next definition. *)
+let application_ends =
+  [ "in"; "then"; "else"; "do"; "done"; "with"; "let"; "and"; "type"; "module"; "open";
+    "include"; "val"; "external"; "exception" ]
+
+(* Whether the application that starts at [i] of [code] (just past the
+   applied name) passes the optional argument [label], as [~label],
+   [~label:] or [?label] outside any bracket of its own.  The
+   application ends at the first [;], [|], [->] or word of
+   [application_ends] outside its brackets, or at a closing bracket
+   it did not open; [begin]/[struct]/[sig]/[object] ... [end] are
+   brackets too. *)
+let passes code i label =
+  let n = String.length code in
+  let at k c = k < n && code.[k] = c in
+  let rec go depth i =
+    if i >= n then false
+    else if is_ident_char code.[i] then
+      let j = ident_end code i in
+      match String.sub code i (j - i) with
+      | "end" -> depth > 0 && go (depth - 1) j
+      | "begin" | "struct" | "sig" | "object" -> go (depth + 1) j
+      | w when depth = 0 && List.mem w application_ends -> false
+      | _ -> go depth j
+    else
+      match code.[i] with
+      | '(' | '[' | '{' -> go (depth + 1) (i + 1)
+      | ')' | ']' | '}' -> depth > 0 && go (depth - 1) (i + 1)
+      | ';' when depth = 0 -> false
+      | '|' when depth = 0 ->
+          (* [||] and [|>] are operators *)
+          if at (i + 1) '|' || at (i + 1) '>' then go depth (i + 2)
+          else false
+      | '-' when depth = 0 && at (i + 1) '>' -> false
+      | ('~' | '?') when depth = 0 && word_at code (i + 1) label -> true
+      | _ -> go depth (i + 1)
+  in
+  go 0 i
+
+(* The optional arguments ([?label:]) of a signature. *)
+let knobs signature =
+  let n = String.length signature in
+  let rec go acc i =
+    match String.index_from_opt signature i '?' with
+    | None -> List.rev acc
+    | Some i ->
+        let j = ident_end signature (i + 1) in
+        if j > i + 1 && j < n && signature.[j] = ':' then
+          go (String.sub signature (i + 1) (j - i - 1) :: acc) j
+        else go acc (i + 1)
+  in
+  go [] 0
+
+(* The [val]s the interface [text] (comments stripped) exports, each as
+   its name, its path within the module ("External_flash.read_byte")
+   and its optional arguments.  Operators are skipped (no whole word to
+   look for), and so are the [val]s of a [module type], which are
+   requirements on an argument rather than exports. *)
 let exported_vals text =
   let indent l =
     let rec count i = if i < String.length l && l.[i] = ' ' then count (i + 1) else i in
@@ -275,7 +351,18 @@ let exported_vals text =
                       (fun p (_, m) -> match m with Some m -> m ^ "." ^ p | None -> p)
                       name scopes
                   in
-                  go ((name, path) :: acc) scopes rest
+                  let item l =
+                    let t = String.trim l in
+                    List.exists
+                      (fun k -> t = k || String.starts_with ~prefix:(k ^ " ") t)
+                      [ "val"; "type"; "module"; "end"; "external"; "exception"; "include" ]
+                  in
+                  let rec signature = function
+                    | l :: rest when not (item l) -> l :: signature rest
+                    | _ -> []
+                  in
+                  let knobs = knobs (String.concat "\n" (l :: signature rest)) in
+                  go ((name, path, knobs) :: acc) scopes rest
             else go acc scopes rest)
   in
   go [] [] (String.split_on_char '\n' text)
@@ -302,60 +389,100 @@ let library_of path =
     in
     find 0
 
-let test_every_export_has_a_caller () =
-  let files = List.concat_map sources roots in
-  let in_lib f = String.starts_with ~prefix:"../lib/" f in
-  let scanned =
-    List.map
-      (fun f ->
-        let file = scan (read_file f) in
-        let scope = match library_of f with Some l -> [ [ l ] ] | None -> [] in
-        (f, file, prefixes ~scope file))
-      files
-  in
-  (* name -> the [lib] modules that bind it; and every record field a
-     [lib] module declares, since [r.name] reads like a use of [name] *)
-  let binders = Hashtbl.create 4096 and fields = Hashtbl.create 1024 in
-  List.iter
-    (fun (f, file, _) ->
-      if in_lib f then begin
-        List.iter (fun name -> Hashtbl.replace fields name ()) file.fields;
-        List.iter
-          (fun name ->
-            if not (List.mem (module_of f) (Hashtbl.find_all binders name)) then
-              Hashtbl.add binders name (module_of f))
-          file.binds
-      end)
-    scanned;
-  let uncalled =
-    List.concat_map
-      (fun mli ->
-        let own = module_of mli in
-        let lib = Option.get (library_of mli) in
-        let top = String.capitalize_ascii (Filename.basename own) in
-        let common name =
-          Hashtbl.mem fields name || List.exists (fun m -> m <> own) (Hashtbl.find_all binders name)
-        in
-        exported_vals (read_file mli)
-        |> List.filter (fun (name, path) ->
-               (* the module path of the export: library, module, submodules *)
-               let m = lib :: top :: List.rev (List.tl (List.rev (String.split_on_char '.' path))) in
-               not
-                 (List.exists
+(* Each [val] of a [lib] interface, as its printed name
+   ("Mavr_sim.Scenario.create"), its optional arguments, and its
+   callers: the code of each source file outside its own module that
+   uses it, with the index just past each use.  A name that no other
+   [lib] module binds is used at each whole-word occurrence; a common
+   one only where qualified. *)
+let exports =
+  lazy
+    (let files = List.concat_map sources roots in
+     let in_lib f = String.starts_with ~prefix:"../lib/" f in
+     let scanned =
+       List.map
+         (fun f ->
+           let file = scan (read_file f) in
+           let scope = match library_of f with Some l -> [ [ l ] ] | None -> [] in
+           (f, file, prefixes ~scope file))
+         files
+     in
+     (* name -> the [lib] modules that bind it; and every record field a
+        [lib] module declares, since [r.name] reads like a use of [name] *)
+     let binders = Hashtbl.create 4096 and fields = Hashtbl.create 1024 in
+     List.iter
+       (fun (f, file, _) ->
+         if in_lib f then begin
+           List.iter (fun name -> Hashtbl.replace fields name ()) file.fields;
+           List.iter
+             (fun name ->
+               if not (List.mem (module_of f) (Hashtbl.find_all binders name)) then
+                 Hashtbl.add binders name (module_of f))
+             file.binds
+         end)
+       scanned;
+     List.concat_map
+       (fun mli ->
+         let own = module_of mli in
+         let lib = Option.get (library_of mli) in
+         let top = String.capitalize_ascii (Filename.basename own) in
+         let common name =
+           Hashtbl.mem fields name || List.exists (fun m -> m <> own) (Hashtbl.find_all binders name)
+         in
+         exported_vals (code_only (read_file mli))
+         |> List.map (fun (name, path, knobs) ->
+                (* the module path of the export: library, module, submodules *)
+                let m = lib :: top :: List.rev (List.tl (List.rev (String.split_on_char '.' path))) in
+                let callers =
+                  List.filter_map
                     (fun (f, file, prefixes) ->
-                      module_of f <> own
-                      &&
-                      if common name then names_qualified file ~prefixes name m
-                      else Hashtbl.mem file.uses name)
-                    scanned))
-        |> List.map (fun (_, path) -> Printf.sprintf "%s.%s.%s" lib top path))
-      (List.filter (fun f -> in_lib f && Filename.check_suffix f ".mli") files)
+                      if module_of f = own then None
+                      else
+                        match
+                          if common name then qualified_uses file ~prefixes name m
+                          else List.map snd (Hashtbl.find_all file.uses name)
+                        with
+                        | [] -> None
+                        | uses -> Some (file.code, uses))
+                    scanned
+                in
+                (Printf.sprintf "%s.%s.%s" lib top path, knobs, callers)))
+       (List.filter (fun f -> in_lib f && Filename.check_suffix f ".mli") files))
+
+let test_every_export_has_a_caller () =
+  let uncalled =
+    List.filter_map
+      (fun (export, _, callers) -> if callers = [] then Some export else None)
+      (Lazy.force exports)
   in
   Alcotest.(check (list string)) "exports with no caller outside their module" [] uncalled
+
+(* An optional argument that no caller outside its module passes is a
+   setting only its default ever takes. *)
+let test_every_knob_has_a_caller () =
+  let unpassed =
+    List.concat_map
+      (fun (export, knobs, callers) ->
+        List.filter_map
+          (fun label ->
+            if
+              List.exists
+                (fun (code, uses) -> List.exists (fun i -> passes code i label) uses)
+                callers
+            then None
+            else Some (Printf.sprintf "%s ?%s" export label))
+          knobs)
+      (Lazy.force exports)
+  in
+  Alcotest.(check (list string)) "optional arguments no caller outside their module passes" []
+    unpassed
 
 let () =
   Alcotest.run "exports"
     [
       ( "guard",
-        [ Alcotest.test_case "every export has a caller" `Quick test_every_export_has_a_caller ] );
+        [
+          Alcotest.test_case "every export has a caller" `Quick test_every_export_has_a_caller;
+          Alcotest.test_case "every knob has a caller" `Quick test_every_knob_has_a_caller;
+        ] );
     ]

@@ -136,7 +136,7 @@ let test_wrong_crc_extra_rejected_by_firmware () =
   let cpu = Helpers.boot b.image in
   (* PARAM_SET encoded with the wrong CRC_EXTRA: firmware must drop it. *)
   Cpu.uart_send cpu
-    (Frame.encode ~crc_extra:99
+    (Helpers.encode_with_crc_extra ~crc_extra:99
        { Frame.seq = 0; sysid = 255; compid = 0; msgid = 23; payload = "\xEE\xEE\xEE" });
   ignore (Cpu.run cpu ~max_cycles:1_000_000);
   Alcotest.(check int) "param area untouched" 0

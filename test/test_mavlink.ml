@@ -32,8 +32,9 @@ let test_frame_roundtrip () =
 
 let test_frame_crc_includes_extra () =
   (* Same bytes, different CRC_EXTRA => decode must fail. *)
-  let wire = Frame.encode ~crc_extra:50 sample_frame in
-  match Frame.decode ~crc_extra_of:(fun _ -> 51) wire with
+  Alcotest.(check string) "the catalog's extra is what encode uses" (Frame.encode sample_frame)
+    (Helpers.encode_with_crc_extra ~crc_extra:(Messages.crc_extra_of 0) sample_frame);
+  match Frame.decode (Helpers.encode_with_crc_extra ~crc_extra:51 sample_frame) with
   | Error (Frame.Bad_crc _) -> ()
   | Ok _ -> Alcotest.fail "wrong CRC_EXTRA accepted"
   | Error e -> Alcotest.failf "unexpected error %s" (Format.asprintf "%a" Frame.pp_error e)

@@ -44,7 +44,7 @@ let test_ihex_missing_eof () =
   | exception Ihex.Parse_error _ -> ()
 
 let test_ihex_flatten () =
-  let flat = Ihex.flatten ~fill:'\xff' [ (2, "AB"); (6, "C") ] in
+  let flat = Ihex.flatten [ (2, "AB"); (6, "C") ] in
   Alcotest.(check string) "gap filled" "\xff\xffAB\xff\xffC" flat;
   let flat = Ihex.flatten ~limit:4 [ (2, "AB"); (0x800000, "META") ] in
   Alcotest.(check string) "limit drops high segment" "\xff\xffAB" flat

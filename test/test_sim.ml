@@ -37,13 +37,13 @@ let test_sensors_deterministic () =
   done
 
 let test_sensors_noise_bounded () =
-  let s = Mavr_sim.Sensors.create ~gyro_noise:5.0 ~seed:4 () in
+  let s = Mavr_sim.Sensors.create ~seed:4 () in
   let st = { Dynamics.initial with roll_rate = 0.25 } in
   for _ = 1 to 500 do
     let r = Mavr_sim.Sensors.sample s st in
     let signed = if r.gyro_x_raw >= 0x8000 then r.gyro_x_raw - 0x10000 else r.gyro_x_raw in
-    (* truth 250 LSB, white noise <= 5, bias walk bounded by 5 *)
-    if abs (signed - 250) > 11 then Alcotest.failf "gyro sample %d too far from 250" signed
+    (* truth 250 LSB, white noise <= 3, bias walk bounded by 3 *)
+    if abs (signed - 250) > 7 then Alcotest.failf "gyro sample %d too far from 250" signed
   done
 
 let test_sensors_baro_tracks_altitude () =
@@ -79,16 +79,19 @@ let test_gcs_clean_stream_no_alarms () =
   Alcotest.(check bool) "no alarms" false (Gcs.attack_suspected g);
   Alcotest.(check int) "heartbeats" 41 (Gcs.heartbeats_received g)
 
+(* The ground station's alarm thresholds: telemetry silence past
+   1000 ms, heartbeat loss past 3000 ms. *)
+
 let test_gcs_telemetry_silence_alarm () =
-  let g = Gcs.create ~telemetry_timeout_ms:500.0 () in
+  let g = Gcs.create () in
   Gcs.feed g ~now_ms:0.0 (hb_frame 0);
   ignore (Gcs.check g ~now_ms:100.0);
   Alcotest.(check bool) "quiet at first" false (Gcs.attack_suspected g);
-  ignore (Gcs.check g ~now_ms:800.0);
+  ignore (Gcs.check g ~now_ms:1300.0);
   Alcotest.(check bool) "silence alarm" true (Gcs.attack_suspected g);
   (* Edge-triggered: the episode raises one alarm, not one per check. *)
-  ignore (Gcs.check g ~now_ms:900.0);
-  ignore (Gcs.check g ~now_ms:1000.0);
+  ignore (Gcs.check g ~now_ms:1400.0);
+  ignore (Gcs.check g ~now_ms:1500.0);
   Alcotest.(check int) "latched" 1 (List.length (Gcs.alarms g))
 
 let imu_frame seq =
@@ -101,29 +104,29 @@ let imu_frame seq =
 let test_gcs_silence_exact_timeout_edge () =
   (* The contract is strictly-greater-than: silence of exactly the
      timeout is still on time; one millisecond past it alarms. *)
-  let g = Gcs.create ~telemetry_timeout_ms:500.0 () in
+  let g = Gcs.create () in
   Gcs.feed g ~now_ms:0.0 (hb_frame 0);
   Alcotest.(check int) "at the edge: no alarm" 0
-    (List.length (Gcs.check g ~now_ms:500.0));
+    (List.length (Gcs.check g ~now_ms:1000.0));
   Alcotest.(check (list string)) "past the edge: one alarm" [ "telemetry_silence" ]
-    (List.map Gcs.alarm_key (Gcs.check g ~now_ms:501.0))
+    (List.map Gcs.alarm_key (Gcs.check g ~now_ms:1001.0))
 
 let test_gcs_heartbeat_exact_timeout_edge () =
-  let g = Gcs.create ~heartbeat_timeout_ms:1000.0 ~telemetry_timeout_ms:10_000.0 () in
+  let g = Gcs.create () in
   Gcs.feed g ~now_ms:0.0 (hb_frame 0);
   (* Non-heartbeat traffic keeps the telemetry stream alive, isolating
      the heartbeat clock. *)
-  Gcs.feed g ~now_ms:900.0 (imu_frame 1);
-  Alcotest.(check int) "at the edge: no alarm" 0 (List.length (Gcs.check g ~now_ms:1000.0));
-  Gcs.feed g ~now_ms:1001.0 (imu_frame 2);
+  List.iteri (fun i now_ms -> Gcs.feed g ~now_ms (imu_frame (i + 1))) [ 900.0; 1800.0; 2700.0 ];
+  Alcotest.(check int) "at the edge: no alarm" 0 (List.length (Gcs.check g ~now_ms:3000.0));
+  Gcs.feed g ~now_ms:3001.0 (imu_frame 4);
   Alcotest.(check (list string)) "past the edge: heartbeat lost" [ "heartbeat_lost" ]
-    (List.map Gcs.alarm_key (Gcs.check g ~now_ms:1001.0))
+    (List.map Gcs.alarm_key (Gcs.check g ~now_ms:3001.0))
 
 let test_gcs_duplicate_alarm_suppression () =
   (* One alarm per episode: repeated checks inside the same silence must
      not stack alarms, and a recovered-then-silent-again stream starts a
      new episode. *)
-  let g = Gcs.create ~heartbeat_timeout_ms:1000.0 ~telemetry_timeout_ms:10_000.0 () in
+  let g = Gcs.create () in
   Gcs.feed g ~now_ms:0.0 (hb_frame 0);
   let seq = ref 0 in
   let imu_at t =
@@ -132,7 +135,7 @@ let test_gcs_duplicate_alarm_suppression () =
   in
   (* Heartbeats go silent; IMU traffic continues. *)
   let alarms = ref 0 in
-  for t = 1 to 30 do
+  for t = 1 to 50 do
     let now = float_of_int (t * 100) in
     imu_at now;
     alarms := !alarms + List.length (Gcs.check g ~now_ms:now)
@@ -141,10 +144,10 @@ let test_gcs_duplicate_alarm_suppression () =
   (* Heartbeat resumes (continuing the sequence, so no reboot alarm):
      the latch re-arms... *)
   incr seq;
-  Gcs.feed g ~now_ms:3050.0 (hb_frame (!seq land 0xFF));
-  Alcotest.(check int) "recovered: no alarm" 0 (List.length (Gcs.check g ~now_ms:3100.0));
+  Gcs.feed g ~now_ms:5050.0 (hb_frame (!seq land 0xFF));
+  Alcotest.(check int) "recovered: no alarm" 0 (List.length (Gcs.check g ~now_ms:5100.0));
   (* ...and a second silence episode raises exactly one more. *)
-  for t = 32 to 60 do
+  for t = 52 to 90 do
     let now = float_of_int (t * 100) in
     imu_at now;
     alarms := !alarms + List.length (Gcs.check g ~now_ms:now)
@@ -158,10 +161,10 @@ let test_gcs_heartbeat_lost_while_telemetry_flows () =
      was healthy AND the silence latch was clear.  Heartbeats stopping
      while IMU traffic keeps flowing is exactly the partial-failure the
      nested check handled by accident — pin it down explicitly. *)
-  let g = Gcs.create ~heartbeat_timeout_ms:1000.0 ~telemetry_timeout_ms:5000.0 () in
+  let g = Gcs.create () in
   Gcs.feed g ~now_ms:0.0 (hb_frame 0);
   let keys = ref [] in
-  for t = 1 to 25 do
+  for t = 1 to 45 do
     let now = float_of_int (t * 100) in
     Gcs.feed g ~now_ms:now (imu_frame (t land 0xFF));
     keys := !keys @ List.map Gcs.alarm_key (Gcs.check g ~now_ms:now)
@@ -173,7 +176,7 @@ let test_gcs_both_silent_raises_both_alarms () =
   (* Regression for the same nesting bug from the other side: once the
      telemetry-silence episode latches, the heartbeat clock must keep
      running — a fully dead link owes the operator BOTH alarms. *)
-  let g = Gcs.create ~heartbeat_timeout_ms:3000.0 ~telemetry_timeout_ms:1000.0 () in
+  let g = Gcs.create () in
   Gcs.feed g ~now_ms:0.0 (hb_frame 0);
   Alcotest.(check (list string)) "silence fires first" [ "telemetry_silence" ]
     (List.map Gcs.alarm_key (Gcs.check g ~now_ms:1500.0));

@@ -67,7 +67,7 @@ let test_trace_event_roundtrip () =
   let l = Span.lane t "work" in
   Span.span l "phase" (fun () -> tick 3.0);
   let c = Span.lane t ~domain:Span.Cycles "sim" in
-  Span.cycle_instant c ~cycle:100 "flight";
+  Span.cycle_instant c ~cycle:100 ~args:[] "flight";
   let doc =
     match Json.of_string (Json.to_string (Span.to_trace_event t)) with
     | Ok d -> d
@@ -105,7 +105,7 @@ let test_strip_timing_zeroes_host_only () =
   let l = Span.lane t "work" in
   Span.span l "phase" (fun () -> tick 3.0);
   let c = Span.lane t ~domain:Span.Cycles "sim" in
-  Span.cycle_instant c ~cycle:42 "tick";
+  Span.cycle_instant c ~cycle:42 ~args:[] "tick";
   let doc =
     match Json.of_string (Json.to_string (Span.to_trace_event ~strip_timing:true t)) with
     | Ok d -> d
@@ -183,7 +183,7 @@ let test_domain_guards () =
   Alcotest.(check bool) "host op on cycles lane" true
     (raises (fun () -> Span.instant c "x"));
   Alcotest.(check bool) "cycle op on host lane" true
-    (raises (fun () -> Span.cycle_instant h ~cycle:1 "x"));
+    (raises (fun () -> Span.cycle_instant h ~cycle:1 ~args:[] "x"));
   Alcotest.(check bool) "end without begin" true (raises (fun () -> Span.end_span h))
 
 (* ---- progress stream ---- *)
